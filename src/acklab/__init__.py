@@ -59,7 +59,6 @@ from .algorithms import (
     GreedyBatchOblivious,
     GreedyMaxMonotone,
     GreedyTau,
-    ServiceState,
     SumMonotonePhases,
     VectorThresholdGreedy,
     make_algorithm,

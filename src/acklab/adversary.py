@@ -16,7 +16,7 @@ the acknowledgment simulation runs on the float images of those integers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,9 +60,18 @@ class Permit:
 
 @dataclass
 class PermitAccount:
-    """Purchased permits and their running cost."""
+    """Purchased permits and their running cost.
+
+    Coverage queries go through the union of the permits' intervals, kept as
+    sorted disjoint closed intervals and updated with each permit appended
+    to ``permits``, so a query costs a binary search instead of a scan.
+    """
 
     permits: list[Permit] = field(default_factory=list)
+    _starts: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _ends: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _merged: int = field(default=0, init=False, repr=False, compare=False)
+    _frontier: int = field(default=1, init=False, repr=False, compare=False)
 
     def add(self, permit: Permit) -> None:
         self.permits.append(permit)
@@ -71,8 +80,37 @@ class PermitAccount:
     def total_cost(self) -> int:
         return sum(p.cost for p in self.permits)
 
+    def _sync(self) -> None:
+        """Merge the permits appended since the last query into the union."""
+        starts, ends = self._starts, self._ends
+        for permit in self.permits[self._merged :]:
+            lo, hi = permit.start, permit.end
+            i = bisect_left(ends, lo)  # first interval that can touch [lo, hi]
+            j = i
+            while j < len(starts) and starts[j] <= hi:
+                lo, hi = min(lo, starts[j]), max(hi, ends[j])
+                j += 1
+            starts[i:j] = [lo]
+            ends[i:j] = [hi]
+        self._merged = len(self.permits)
+
     def covers(self, t: int) -> bool:
-        return any(p.covers(t) for p in self.permits)
+        self._sync()
+        i = bisect_right(self._starts, t) - 1
+        return i >= 0 and t <= self._ends[i]
+
+    def earliest_uncovered(self) -> int:
+        """Smallest integer time ``t >= 1`` that no permit covers."""
+        self._sync()
+        # Coverage only grows, so the answer never moves back.
+        t = self._frontier
+        while True:
+            i = bisect_right(self._starts, t) - 1
+            if i < 0 or self._ends[i] < t:
+                break
+            t = self._ends[i] + 1
+        self._frontier = t
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +332,6 @@ class PPAdversaryReport:
         return True
 
 
-def _earliest_uncovered(account: PermitAccount) -> int:
-    spans = sorted((p.start, p.end) for p in account.permits)
-    t = 1
-    for start, end in spans:
-        if start > t:
-            break
-        t = max(t, end + 1)
-    return t
-
-
 def run_pp_adversary(permit_algorithm, n_requests: int) -> PPAdversaryReport:
     """Feed the algorithm requests at the earliest uncovered timesteps.
 
@@ -317,7 +345,7 @@ def run_pp_adversary(permit_algorithm, n_requests: int) -> PPAdversaryReport:
     requests: list[int] = []
     purchases: list[PermitPurchase] = []
     for _ in range(n_requests):
-        t = _earliest_uncovered(account)
+        t = account.earliest_uncovered()
         before = len(account.permits)
         permit_algorithm.on_request(t)
         if not account.covers(t):

@@ -16,18 +16,14 @@ Four policies plus one adversary-harness variant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from abc import abstractmethod
 
-from .cost import (
-    DelayModelSpec,
-    Objective,
-    batch_delay_fn,
-    bdelay,
-    bdelay_limit,
-    f_vector,
-)
+import numpy as np
+
+from .cost import DelayModelSpec, Objective, batch_threshold_time, f_vector
 from .engine import OnlineAlgorithm, solve_threshold_time
-from .offline import longest_critical_suffix
+from .offline import dp_step, longest_critical_suffix
 from .tolerance import tol_at
 
 
@@ -38,35 +34,60 @@ def _require(spec: DelayModelSpec, objective: Objective, who: str) -> None:
         )
 
 
-class GreedyTau(OnlineAlgorithm):
-    """Acknowledge once the pending batch's delay cost reaches ``tau``."""
+class _BatchThresholdPolicy(OnlineAlgorithm):
+    """Acknowledge once the pending batch's delay cost reaches ``_target()``.
 
-    def __init__(self, spec: DelayModelSpec, tau: float = 1.0):
-        _require(spec, Objective.SUM_BATCH, "greedy_tau")
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+    The pending batch is kept as its size, arrival sum and first arrival,
+    which is all a batch model's cost depends on, and the ack time comes from
+    the model's closed-form inverse (:func:`batch_threshold_time`).
+    """
+
+    def __init__(self, spec: DelayModelSpec):
         super().__init__(spec)
-        self.tau = float(tau)
+        self._pending_sum = 0.0
         self._planned: float | None = None
+
+    @abstractmethod
+    def _target(self) -> float:
+        """Delay cost at which the pending batch is acknowledged."""
 
     def observe_arrival(self, time: float, index: int) -> None:
         self._register_arrival(time, index)
-        batch = self.pending_arrivals
-        self._planned = solve_threshold_time(
-            batch_delay_fn(self.spec, batch),
-            time,
-            self.tau,
-            value_sup=bdelay_limit(self.spec, batch),
+        now = self.last_arrival_time
+        self._pending_sum += now
+        self._planned = batch_threshold_time(
+            self.spec,
+            len(self._pending),
+            self._pending_sum,
+            self._pending[0][1],
+            self._target(),
+            now,
         )
 
     def planned_ack_time(self) -> float | None:
         return self._planned
 
-    def _after_ack(self, time: float) -> None:
+    def commit_ack(self, time: float) -> list[int]:
+        self._pending_sum = 0.0
         self._planned = None
+        return super().commit_ack(time)
 
 
-class GreedyMaxMonotone(OnlineAlgorithm):
+class GreedyTau(_BatchThresholdPolicy):
+    """Acknowledge once the pending batch's delay cost reaches ``tau``."""
+
+    def __init__(self, spec: DelayModelSpec, tau: float = 1.0):
+        _require(spec, Objective.SUM_BATCH, "greedy_tau")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError("tau must be positive and finite")
+        super().__init__(spec)
+        self.tau = float(tau)
+
+    def _target(self) -> float:
+        return self.tau
+
+
+class GreedyMaxMonotone(_BatchThresholdPolicy):
     """For max-aggregated objectives: the i-th batch is held until its delay
     cost reaches i, so each ack raises the total cost by exactly one."""
 
@@ -74,28 +95,12 @@ class GreedyMaxMonotone(OnlineAlgorithm):
         _require(spec, Objective.MAX_BATCH, "max-monotone greedy")
         super().__init__(spec)
         self.acks_made = 0
-        self._planned: float | None = None
 
-    @property
     def _target(self) -> float:
         return float(self.acks_made + 1)
 
-    def observe_arrival(self, time: float, index: int) -> None:
-        self._register_arrival(time, index)
-        batch = self.pending_arrivals
-        self._planned = solve_threshold_time(
-            batch_delay_fn(self.spec, batch),
-            time,
-            self._target,
-            value_sup=bdelay_limit(self.spec, batch),
-        )
-
-    def planned_ack_time(self) -> float | None:
-        return self._planned
-
     def _after_ack(self, time: float) -> None:
         self.acks_made += 1
-        self._planned = None
 
 
 class GreedyBatchOblivious(OnlineAlgorithm):
@@ -165,29 +170,20 @@ class VectorThresholdGreedy(OnlineAlgorithm):
         self._planned = None
 
 
-@dataclass(frozen=True)
-class ServiceState:
-    """Inspectable snapshot of the phase algorithm's runtime state."""
-
-    kind: str                   # "idle" | "budget" | "buffer"
-    buffer_index: int           # 1..3 when kind == "buffer", else 0
-    suffix_start: int | None    # start index of the current critical batch
-    suffix_stop: int | None
-    serve_cost: float           # bserve of the critical batch when assigned
-    budget: float
-    critical_time: float | None
-
-
-class SumMonotonePhases(OnlineAlgorithm):
+class SumMonotonePhases(_BatchThresholdPolicy):
     """Phase-based policy for sum-aggregated monotone batch costs.
 
-    Every arrival recomputes the longest critical suffix of all packets seen
-    so far; its single-ack serve cost sets a budget.  A budget service acks
+    Every arrival finds the longest critical suffix of all packets seen so
+    far; its single-ack serve cost sets a budget.  A budget service acks
     once the pending delay cost reaches the budget and is followed by up to
     three buffer services at twice the budget, which promote back to a budget
     service only when a fresh critical suffix costs at least twice the
     recorded one.  Budgets are reassigned only when the critical batch is;
-    the critical time is re-solved on every arrival.
+    the critical time is re-planned on every arrival.
+
+    The policy extends the offline prefix DP by one step per arrival.  When
+    one ack for everything seen is optimal, the whole prefix is the critical
+    suffix and no suffix search runs.
     """
 
     IDLE, BUDGET, BUFFER = "idle", "budget", "buffer"
@@ -195,38 +191,49 @@ class SumMonotonePhases(OnlineAlgorithm):
     def __init__(self, spec: DelayModelSpec):
         _require(spec, Objective.SUM_BATCH, "phase algorithm")
         super().__init__(spec)
-        self.seen: list[float] = []
+        self.n_seen = 0
+        # Arrivals, their prefix sums and prefix optima, grown by doubling.
+        self._arr = np.zeros(16)
+        self._prefix = np.zeros(17)
+        self._opt = np.zeros(17)
         self.kind = self.IDLE
         self.buffer_index = 0
         self.suffix_start: int | None = None
         self.suffix_stop: int | None = None
         self.serve_cost = 0.0
         self.budget = 0.0
-        self._planned: float | None = None
 
-    @property
-    def service_state(self) -> ServiceState:
-        return ServiceState(
-            self.kind,
-            self.buffer_index,
-            self.suffix_start,
-            self.suffix_stop,
-            self.serve_cost,
-            self.budget,
-            self._planned,
-        )
+    def _target(self) -> float:
+        # Service ends when bserve(pending, t) = bdelay + 1 reaches the budget.
+        return self.budget - 1.0
+
+    def _critical_suffix(self, time: float) -> tuple[int, float]:
+        """Record an arrival; return the start of the longest critical suffix
+        and that suffix's single-ack serve cost."""
+        i = self.n_seen
+        if i == self._arr.size:
+            self._arr = np.concatenate((self._arr, np.zeros(i)))
+            self._prefix = np.concatenate((self._prefix, np.zeros(i)))
+            self._opt = np.concatenate((self._opt, np.zeros(i)))
+        self._arr[i] = time
+        self._prefix[i + 1] = self._prefix[i] + time
+        self.n_seen = n = i + 1
+        _, blocks = dp_step(self.spec, self._arr, self._prefix, self._opt, i)
+        opt = self._opt[n]
+        if blocks[0] + 1.0 - opt <= tol_at(opt):
+            start = 0
+        else:
+            start = longest_critical_suffix(self._arr[:n], self.spec)
+        return start, float(blocks[start]) + 1.0
 
     def _assign_critical(self, start: int, serve_cost: float) -> None:
         self.suffix_start = start
-        self.suffix_stop = len(self.seen)
+        self.suffix_stop = self.n_seen
         self.serve_cost = serve_cost
         self.budget = 2.0 * serve_cost
 
     def observe_arrival(self, time: float, index: int) -> None:
-        self._register_arrival(time, index)
-        self.seen.append(float(time))
-        start = longest_critical_suffix(self.seen, self.spec)
-        serve = bdelay(self.spec, self.seen[start:], time) + 1.0
+        start, serve = self._critical_suffix(float(time))
 
         if self.kind == self.IDLE:
             self.kind = self.BUDGET
@@ -255,26 +262,9 @@ class SumMonotonePhases(OnlineAlgorithm):
                     serve_cost=serve,
                     suffix_start=start,
                 )
-        self._replan(time)
-
-    def _replan(self, now: float) -> None:
-        if not self._pending:
-            self._planned = None
-            return
-        batch = self.pending_arrivals
-        # Service ends when bserve(pending, t) = bdelay + 1 reaches the budget.
-        self._planned = solve_threshold_time(
-            batch_delay_fn(self.spec, batch),
-            now,
-            self.budget - 1.0,
-            value_sup=bdelay_limit(self.spec, batch),
-        )
-
-    def planned_ack_time(self) -> float | None:
-        return self._planned
+        super().observe_arrival(time, index)
 
     def _after_ack(self, time: float) -> None:
-        self._planned = None
         if self.kind == self.BUDGET:
             self.kind = self.BUFFER
             self.buffer_index = 1

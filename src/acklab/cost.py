@@ -4,7 +4,10 @@ Two families of models are supported:
 
 * batch models, evaluated per acknowledged batch via :func:`bdelay`
   (``linear_sum``, ``max_wait``, ``max_wait_pow``, ``capped_linear``,
-  ``permit_plf``), aggregated as a sum or a max across batches;
+  ``permit_plf``), aggregated as a sum or a max across batches.  Each depends
+  on its batch only through the batch's size, arrival sum and first arrival
+  (:func:`batch_cost`), and has a closed-form inverse that gives the exact
+  time its cost reaches a target (:func:`batch_threshold_time`);
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
   ``sum_vector``).
@@ -17,6 +20,7 @@ lattice (continuous-submodularity) inequality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -48,6 +52,16 @@ _DEFAULT_OBJECTIVE = {
 DEFAULT_PERMIT_CLASSES = 32
 
 
+def check_real(value, what: str, allow_inf: bool = False) -> float:
+    """Return ``value`` if it is a real number (not a bool), finite unless
+    ``allow_inf`` permits +inf; raise ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if math.isnan(value) or value == -math.inf or (value == math.inf and not allow_inf):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DelayModelSpec:
     """Immutable description of a delay-cost model.
@@ -77,33 +91,42 @@ class DelayModelSpec:
             raise ValueError(f"unknown delay model kind {self.kind!r}")
 
         if self.kind == "max_wait_pow":
-            if self.p is None or self.p < 1 or int(self.p) != self.p:
+            p = check_real(self.p, "max_wait_pow exponent p")
+            if p < 1 or int(p) != p:
                 raise ValueError("max_wait_pow needs an integer exponent p >= 1")
         if self.kind == "capped_linear":
-            if self.tau is None or not self.tau > 0:
+            if not check_real(self.tau, "capped_linear cap tau") > 0:
                 raise ValueError("capped_linear needs a cap tau > 0")
         if self.kind == "permit_plf":
-            if self.num_classes is None or self.num_classes < 1:
+            if self._integer("num_classes", "permit_plf class count K") < 1:
                 raise ValueError("permit_plf needs num_classes >= 1")
         if self.kind == "lp":
-            if self.p is None or self.p < 1:
+            if check_real(self.p, "lp exponent p", allow_inf=True) < 1:
                 raise ValueError("lp norm needs p >= 1 (math.inf allowed)")
         if self.kind == "top_k":
-            if self.k is None or self.k < 1:
+            if self._integer("k", "top_k size k") < 1:
                 raise ValueError("top_k needs k >= 1")
         if self.kind == "ordered":
             w = self.weights
-            if not w or any(x < 0 for x in w):
+            if not w or any(check_real(x, "ordered norm weight") < 0 for x in w):
                 raise ValueError("ordered norm needs non-negative weights")
             if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
                 raise ValueError("ordered norm weights must be non-increasing")
         if self.kind == "concave_two_piece":
-            if self.prefix_len is None or self.prefix_len < 1:
+            if self._integer("prefix_len", "concave_two_piece ell") < 1:
                 raise ValueError("concave_two_piece needs prefix_len >= 1")
-            if self.eps is None or self.eps < 0:
+            if check_real(self.eps, "concave_two_piece eps") < 0:
                 raise ValueError("concave_two_piece needs eps >= 0")
-            if self.dim is None or self.dim < self.prefix_len:
+            if self._integer("dim", "concave_two_piece n") < self.prefix_len:
                 raise ValueError("concave_two_piece needs dim >= prefix_len")
+
+    def _integer(self, field_name: str, what: str) -> int:
+        """Check that a count field holds a whole number and store it as ``int``."""
+        value = check_real(getattr(self, field_name), what)
+        if int(value) != value:
+            raise ValueError(f"{what} must be a whole number, got {value!r}")
+        object.__setattr__(self, field_name, int(value))
+        return int(value)
 
     @property
     def is_batch_kind(self) -> bool:
@@ -271,6 +294,79 @@ def plf_eval_array(
 # Batch evaluators
 # ---------------------------------------------------------------------------
 
+def batch_cost(spec: DelayModelSpec, m: int, total: float, first: float, t: float) -> float:
+    """Delay cost of acknowledging, at ``t``, a batch of ``m >= 1`` packets
+    whose arrival times sum to ``total`` and start at ``first``.
+
+    Every batch kind depends on its batch only through these three numbers,
+    so online policies keep them up to date instead of the batch itself.
+    """
+    kind = spec.kind
+    if kind == "linear_sum":
+        return max(0.0, m * t - total)
+    if kind == "capped_linear":
+        return min(max(0.0, m * t - total), spec.tau)
+    if kind == "max_wait":
+        return max(0.0, t - first)
+    if kind == "max_wait_pow":
+        return max(0.0, t - first) ** spec.p
+    if kind == "permit_plf":
+        return plf_eval(max(0.0, t - first), spec.num_classes) - 1.0
+    raise ValueError(f"{kind!r} is a vector model; use f_vector")
+
+
+def _crossing(spec: DelayModelSpec, m: int, total: float, first: float, target: float) -> float:
+    """Closed-form inverse of :func:`batch_cost`: the earliest real ``t`` at
+    which the cost reaches ``target > 0`` (for the capped model, a target no
+    larger than the cap)."""
+    kind = spec.kind
+    if kind in ("linear_sum", "capped_linear"):
+        return (target + total) / m
+    if kind == "max_wait":
+        return first + target
+    if kind == "max_wait_pow":
+        return first + target ** (1.0 / spec.p)
+    # permit_plf: min_k 2**k + x * 2**-k >= level holds iff x >= 2**k (level - 2**k)
+    # for every class k.  That bound is concave in 2**k with its peak at
+    # level / 2, so the classes next to log2(level / 2) attain the maximum.
+    level = target + 1.0
+    base = math.floor(math.log2(level / 2.0))
+    span = 0.0
+    for cand in (base - 1, base, base + 1):
+        w = 2.0 ** min(max(cand, 0), spec.num_classes)
+        span = max(span, w * (level - w))
+    return first + span
+
+
+def batch_threshold_time(
+    spec: DelayModelSpec, m: int, total: float, first: float, target: float, t_lo: float
+) -> float | None:
+    """Earliest ``t >= t_lo`` at which a batch's delay cost reaches ``target``.
+
+    The batch is given by its size, arrival sum and first arrival, as in
+    :func:`batch_cost`.  Returns ``t_lo`` when the cost there is already
+    within tolerance of the target, and None when the target is out of reach
+    (the capped model with its cap below the target).  Otherwise the
+    closed-form crossing is moved up to the first float time at which the
+    evaluated cost reaches the target, so the ack lands at the exact
+    crossing even where float spacing exceeds the tolerance.
+    """
+    tol = tol_at(target)
+    goal = target
+    if spec.kind == "capped_linear":
+        if spec.tau < target - tol:
+            return None
+        goal = min(target, spec.tau)
+    if batch_cost(spec, m, total, first, t_lo) >= target - tol:
+        return t_lo
+    t = max(t_lo, _crossing(spec, m, total, first, goal))
+    # The closed form is off by a few rounding errors at most, and the cost
+    # grows without bound (or reaches the cap), so this ends within a few steps.
+    while batch_cost(spec, m, total, first, t) < goal:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> float:
     """Delay cost of acknowledging the given batch at time ``t``.
 
@@ -283,7 +379,7 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
     last = max(batch_arrivals)
     if t < last - tol_at(last):
         raise ValueError(f"ack time {t!r} precedes an arrival in the batch")
-    return batch_delay_fn(spec, batch_arrivals)(t)
+    return batch_cost(spec, len(batch_arrivals), math.fsum(batch_arrivals), min(batch_arrivals), t)
 
 
 def batch_delay_fn(
@@ -291,30 +387,15 @@ def batch_delay_fn(
 ) -> Callable[[float], float]:
     """Precompiled ``t -> bdelay(spec, batch, t)`` for a fixed batch.
 
-    The returned closure is O(1) per call; it is what the online algorithms
-    hand to the threshold solver.
+    The returned closure is O(1) per call; it is the evaluator the generic
+    threshold solver takes as the reference for :func:`batch_threshold_time`.
     """
     if not spec.is_batch_kind:
         raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
     if len(batch_arrivals) == 0:
         return lambda t: 0.0
-    kind = spec.kind
-    if kind == "linear_sum":
-        m, s = len(batch_arrivals), math.fsum(batch_arrivals)
-        return lambda t: max(0.0, m * t - s)
-    if kind == "capped_linear":
-        m, s, tau = len(batch_arrivals), math.fsum(batch_arrivals), spec.tau
-        return lambda t: min(max(0.0, m * t - s), tau)
-    if kind == "max_wait":
-        first = min(batch_arrivals)
-        return lambda t: max(0.0, t - first)
-    if kind == "max_wait_pow":
-        first, p = min(batch_arrivals), spec.p
-        return lambda t: max(0.0, t - first) ** p
-    if kind == "permit_plf":
-        first, classes = min(batch_arrivals), spec.num_classes
-        return lambda t: plf_eval(max(0.0, t - first), classes) - 1.0
-    raise AssertionError(kind)
+    m, total, first = len(batch_arrivals), math.fsum(batch_arrivals), min(batch_arrivals)
+    return lambda t: batch_cost(spec, m, total, first, t)
 
 
 def bdelay_limit(spec: DelayModelSpec, batch_arrivals: Sequence[float]) -> float:

@@ -47,8 +47,8 @@ class OnlineAlgorithm(ABC):
 
     Implementations must be deterministic functions of the observation
     sequence, must never plan an ack in the past, and may only use arrivals
-    observed so far.  ``snapshot``/``restore`` produce an independent copy of
-    the full state, which the engine uses for look-ahead simulation.
+    observed so far.  ``commit_ack`` serves every pending packet.
+    ``snapshot``/``restore`` produce an independent copy of the full state.
     """
 
     spec: DelayModelSpec
@@ -94,10 +94,6 @@ class OnlineAlgorithm(ABC):
     @property
     def has_pending(self) -> bool:
         return bool(self._pending)
-
-    @property
-    def pending_arrivals(self) -> list[float]:
-        return [a for _, a in self._pending]
 
     # -- cloning -------------------------------------------------------------
 
@@ -282,23 +278,14 @@ def solve_threshold_time(
 def next_threshold(algorithm: OnlineAlgorithm) -> float | None:
     """Time at which the most recent packet gets acknowledged absent arrivals.
 
-    Clones the algorithm state (taken right after the latest arrival was
-    observed), runs it forward with no further input, and reports when the
-    latest packet's batch is served; None if it never would be without a
-    flush.  The live algorithm state is untouched.
+    Every ack serves all pending packets, so while that packet is pending
+    this is the algorithm's planned ack time: the first ack of a run with no
+    further input.  None means it would be held until a flush.
     """
     target = algorithm.last_arrival_index
     if target is None:
         raise EngineError("next_threshold needs at least one observed arrival")
-    snap = algorithm.snapshot()
-    try:
-        for _ in range(100_000):
-            t = algorithm.planned_ack_time()
-            if t is None:
-                return None
-            acked = algorithm.commit_ack(t)
-            if target in acked:
-                return t
-        raise EngineError("look-ahead did not converge")
-    finally:
-        algorithm.restore(snap)
+    pending = algorithm._pending
+    if not pending or pending[-1][0] != target:
+        raise EngineError("the most recent packet is already acknowledged")
+    return algorithm.planned_ack_time()

@@ -164,6 +164,8 @@ def run_bench(config: dict) -> list[BenchRow]:
     rows: list[BenchRow] = []
     for gen_spec in generators:
         for model in models:
+            # The optimum depends on the instance alone, not on the algorithm.
+            optima: dict[tuple[int, int], tuple[float, str]] = {}
             for alg_json in algorithms:
                 for n in sizes:
                     for seed in seeds:
@@ -172,8 +174,10 @@ def run_bench(config: dict) -> list[BenchRow]:
                         start = time.perf_counter()
                         schedule, _ = simulate(instance, alg)
                         alg_cost = evaluate_schedule(instance, schedule).total
-                        opt_cost, used = _optimum(instance, oracle)
                         elapsed = (time.perf_counter() - start) * 1000.0
+                        if (n, seed) not in optima:
+                            optima[n, seed] = _optimum(instance, oracle)
+                        opt_cost, used = optima[n, seed]
                         ratio = alg_cost / opt_cost if opt_cost > 0 else math.inf
                         instance_id = (
                             f"{gen_spec.get('kind', 'uniform')}-{model.kind}"

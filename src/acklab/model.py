@@ -19,6 +19,7 @@ from .cost import (
     DelayModelSpec,
     Objective,
     bdelay,
+    check_real,
     f_vector,
     model_from_json,
     model_to_json,
@@ -40,8 +41,12 @@ class Instance:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arrivals", tuple(float(a) for a in self.arrivals))
+        object.__setattr__(
+            self, "arrivals", tuple(float(check_real(a, "arrival time")) for a in self.arrivals)
+        )
         arr = self.arrivals
+        if self.horizon is not None:
+            check_real(self.horizon, "horizon")
         if any(a < 0 for a in arr):
             raise ValueError("arrival times must be non-negative")
         if any(arr[i] > arr[i + 1] for i in range(len(arr) - 1)):

@@ -27,9 +27,6 @@ class BruteForceInfeasibleError(ValueError):
     """Instance too large for exhaustive partition enumeration."""
 
 
-_VECTORIZED_KINDS = ("linear_sum", "capped_linear", "max_wait", "max_wait_pow", "permit_plf")
-
-
 def _require_sum_batch(spec: DelayModelSpec, what: str) -> None:
     if spec.objective is not Objective.SUM_BATCH:
         raise ValueError(f"{what} requires a sum-aggregated batch model, got {spec.kind!r}/{spec.objective.value}")
@@ -107,6 +104,22 @@ class DpTable:
         self.choice = choice
 
 
+def dp_step(
+    spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray, values: np.ndarray, i: int
+) -> tuple[int, np.ndarray]:
+    """One prefix-DP step: fill ``values[i + 1]`` from ``values[: i + 1]``.
+
+    ``arr`` and ``prefix`` need to be valid only up to ``i`` and ``i + 1``.
+    Returns the start of the last batch in that optimum and the delays of the
+    blocks ``j..i`` acknowledged at ``arr[i]`` for every start ``j``.
+    """
+    blocks = _blocks_ending_at(spec, arr, prefix, i)
+    cand = values[: i + 1] + blocks + 1.0
+    j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
+    values[i + 1] = cand[j]
+    return j, blocks
+
+
 def dp_table(arrivals: Sequence[float], spec: DelayModelSpec) -> DpTable:
     _require_sum_batch(spec, "dp_optimal")
     arr = np.asarray(arrivals, dtype=float)
@@ -115,10 +128,7 @@ def dp_table(arrivals: Sequence[float], spec: DelayModelSpec) -> DpTable:
     choice = np.zeros(n + 1, dtype=int)
     prefix = np.concatenate(([0.0], np.cumsum(arr)))
     for i in range(n):
-        cand = values[: i + 1] + _blocks_ending_at(spec, arr, prefix, i) + 1.0
-        j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
-        values[i + 1] = cand[j]
-        choice[i + 1] = j
+        choice[i + 1], _ = dp_step(spec, arr, prefix, values, i)
     return DpTable(values, choice)
 
 
@@ -249,14 +259,22 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     at its last packet's arrival is offline-optimal (ties count as critical).
     The singleton suffix always qualifies, so the result is well defined.
 
-    The capped and permit models take their fast suffix kernels plus one
-    vectorized criticality pass.  The remaining built-ins scan right-to-left
-    and prune using the fact that their zero-delay batches cost nothing, so
-    the packets in ``p'..p-1`` can always be absorbed for at most one ack per
-    tied-arrival group (``G[p'] <= (p - p') + G[p]``) while the single-ack
-    cost only grows as the suffix extends: once the single-ack slack exceeds
-    ``p``, no earlier start can be critical.  Pruning never changes the
-    answer.
+    Two certificates keep the search short; neither changes the answer.
+
+    * A start whose single-ack cost is at most 2 is critical, since any split
+      pays at least two acks.  The single-ack cost never increases with the
+      start, so every start from the first such one on is critical and only
+      earlier starts are searched.
+    * Scanning right to left, a start ``p`` with single-ack slack ``s`` over
+      its optimum rules out every earlier start once ``s`` exceeds a bound.
+      Serving ``p'..p-1`` in one batch gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``.
+      Where the block delay is superadditive (``linear_sum``, ``max_wait``,
+      ``max_wait_pow``) the single-ack cost of ``p'`` grows by at least
+      ``d(p'..p-1)``, so the bound is 1.  Elsewhere each packet of
+      ``p'..p-1`` can be acked alone at its arrival for 1, so the bound is ``p``.
+
+    The capped model, and the permit model up to time 1e6, take their fast
+    suffix kernels plus one vectorized criticality pass instead of the scan.
     """
     arr = np.asarray(arrivals, dtype=float)
     n = arr.size
@@ -264,29 +282,29 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
         raise ValueError("empty arrival prefix has no critical suffix")
     prefix = np.concatenate(([0.0], np.cumsum(arr)))
     single = _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0
+    certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
+    if certified == 0:
+        return 0
     if spec.kind == "capped_linear" or (spec.kind == "permit_plf" and arr[-1] <= 1e6):
-        G = _suffix_table(spec, arr, prefix)
-        tol = np.maximum(np.abs(G[:n]), 1.0) * 1e-9
-        hits = np.nonzero(single - G[:n] <= tol)[0]
-        if hits.size == 0:
-            raise AssertionError("no critical suffix found; DP inconsistency")
-        return int(hits[0])
-    prunable = spec.kind in _VECTORIZED_KINDS
+        G = _suffix_table(spec, arr, prefix)[:certified]
+        tol = np.maximum(np.abs(G), 1.0) * 1e-9
+        hits = np.nonzero(single[:certified] - G <= tol)[0]
+        return int(hits[0]) if hits.size else certified
+    superadditive = spec.kind in ("linear_sum", "max_wait", "max_wait_pow")
     # single[0] bounds every G[p], so this margin dominates the criticality
     # tolerance at every earlier start and pruning never changes the answer.
     margin = 1e-9 * max(1.0, float(single[0]))
     row = _starting_rows(spec, arr, prefix)
     G = np.zeros(n + 1)
-    best = None
-    for p in range(n - 1, -1, -1):
+    G[certified:n] = single[certified:]
+    best = certified
+    for p in range(certified - 1, -1, -1):
         G[p] = float(np.min(row(p) + G[p + 1 :])) + 1.0
         slack = float(single[p]) - G[p]
         if slack <= 1e-9 * max(1.0, abs(G[p])):
             best = p
-        elif prunable and slack > p + margin:
+        elif slack > (1.0 if superadditive else p) + margin:
             break
-    if best is None:  # the singleton suffix is always critical
-        raise AssertionError("no critical suffix found; DP inconsistency")
     return best
 
 

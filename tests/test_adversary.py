@@ -7,6 +7,7 @@ from acklab import (
     GreedyTau,
     Instance,
     Permit,
+    PermitAccount,
     ProtocolViolation,
     SumMonotonePhases,
     VectorThresholdGreedy,
@@ -96,6 +97,31 @@ class TestPPAdversary:
 
         with pytest.raises(ProtocolViolation):
             run_pp_adversary(Lazy(), 1)
+
+
+class TestPermitAccount:
+    def test_frontier_matches_scans(self):
+        # Reference: the scans over every permit that the frontier replaces.
+        def covered(permits, t):
+            return any(p.covers(t) for p in permits)
+
+        def earliest_uncovered(permits):
+            t = 1
+            for start, end in sorted((p.start, p.end) for p in permits):
+                if start > t:
+                    break
+                t = max(t, end + 1)
+            return t
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            account = PermitAccount()
+            for _ in range(int(rng.integers(1, 12))):
+                account.add(Permit(int(rng.integers(-3, 60)), int(rng.integers(0, 3))))
+                assert account.earliest_uncovered() == earliest_uncovered(account.permits)
+                for t in range(-5, 80):
+                    assert account.covers(t) == covered(account.permits, t)
+                    assert account.covers(t + 0.5) == covered(account.permits, t + 0.5)
 
 
 class TestPermitCoverOptimal:

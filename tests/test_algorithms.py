@@ -8,6 +8,7 @@ from acklab import (
     GreedyMaxMonotone,
     GreedyTau,
     Instance,
+    Objective,
     SumMonotonePhases,
     VectorThresholdGreedy,
     bdelay,
@@ -16,6 +17,7 @@ from acklab import (
     f_vector,
     gen_greedy_tau_hard,
     linear_sum,
+    longest_critical_suffix,
     lp_norm,
     make_algorithm,
     max_wait,
@@ -68,6 +70,16 @@ class TestGreedyTau:
             GreedyTau(max_wait(), 1.0)
         with pytest.raises(ValueError):
             GreedyTau(linear_sum(), 0.0)
+        with pytest.raises(ValueError):
+            GreedyTau(linear_sum(), math.inf)
+
+    def test_permit_lone_packet_acks_at_exact_crossing(self):
+        # plf(1) - 1 == 1 exactly, so the ack lands at t + 1 and not a
+        # bisection step past it.
+        for t in range(1, 2000):
+            alg = GreedyTau(permit_plf(), 1.0)
+            alg.observe_arrival(float(t), 0)
+            assert alg.planned_ack_time() == t + 1.0
 
 
 class TestGreedyMaxMonotone:
@@ -242,6 +254,32 @@ class TestSumMonotonePhases:
     def test_requires_sum_objective(self):
         with pytest.raises(ValueError):
             SumMonotonePhases(max_wait())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            linear_sum(),
+            capped_linear(0.5),
+            capped_linear(3.0),
+            permit_plf(),
+            max_wait(Objective.SUM_BATCH),
+            max_wait_pow(2, Objective.SUM_BATCH),
+        ],
+    )
+    def test_incremental_suffix_matches_fresh_search(self, spec):
+        rng = np.random.default_rng(4)
+        for i in range(8):
+            n = int(rng.integers(2, 80))
+            arrivals = (
+                gen_uniform(n, 1.0, rng) if i % 2 else gen_bursty(n, 0.3, 4.0, 0.01, rng)
+            )
+            alg = SumMonotonePhases(spec)
+            for j, t in enumerate(arrivals):
+                start, serve = alg._critical_suffix(t)
+                assert start == longest_critical_suffix(arrivals[: j + 1], spec)
+                assert serve == pytest.approx(
+                    bdelay(spec, arrivals[start : j + 1], t) + 1.0, rel=1e-12
+                )
 
 
 class TestMakeAlgorithm:

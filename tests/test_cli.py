@@ -44,6 +44,27 @@ class TestSolve:
         code, _ = run_cli(capsys, "solve", "--instance", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "arrivals, model, horizon",
+        [
+            ([0, float("nan"), 2], {"kind": "linear_sum"}, None),
+            ([0, float("inf")], {"kind": "linear_sum"}, None),
+            ([0, 1], {"kind": "linear_sum"}, float("inf")),
+            ([0, 1], {"kind": "capped_linear", "tau": "1"}, None),
+            ([0, 1], {"kind": "permit_plf", "K": True}, None),
+            ([0, 1], {"kind": "max_wait_pow", "p": float("nan")}, None),
+        ],
+    )
+    def test_malformed_input_exit_2(self, tmp_path, capsys, arrivals, model, horizon):
+        path = write_instance(tmp_path, arrivals, model, horizon=horizon)
+        for argv in (
+            ("solve", "--instance", path, "--oracle", "brute"),
+            ("run", "--instance", path, "--alg", '{"alg":"greedy_tau"}',
+             "--trace", str(tmp_path / "t.jsonl")),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -77,6 +98,20 @@ class TestRun:
         )
         assert code == 0
         assert json.loads(out)["total"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_greedy_tau_at_float_spacing(self, tmp_path, capsys):
+        # At 1e17 the float spacing is 16, so each packet waits one spacing.
+        path = write_instance(
+            tmp_path, [1e17, 1e17 + 64, 1e17 + 128], {"kind": "linear_sum"}
+        )
+        code, out = run_cli(
+            capsys, "run", "--instance", path,
+            "--alg", '{"alg":"greedy_tau","tau":1.0}',
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0
+        got = json.loads(out)
+        assert got["delay"] == 48.0 and got["acks"] == 3
 
     def test_mismatch_exit_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})
@@ -173,6 +208,21 @@ class TestBench:
             drop = rows[0].index("runtime_ms")
             csvs.append([[c for i, c in enumerate(r) if i != drop] for r in rows])
         assert csvs[0] == csvs[1]
+
+    def test_optimum_computed_once_per_instance(self, monkeypatch):
+        from acklab import harness
+
+        calls = []
+        original = harness._optimum
+
+        def counting(instance, oracle):
+            calls.append(instance.arrivals)
+            return original(instance, oracle)
+
+        monkeypatch.setattr(harness, "_optimum", counting)
+        rows = harness.run_bench(dict(BENCH_CONFIG, seeds=[1, 2]))
+        assert len(rows) == 8  # 2 algorithms x 2 sizes x 2 seeds
+        assert len(calls) == 4 and len(set(calls)) == 4
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

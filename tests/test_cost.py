@@ -24,7 +24,15 @@ from acklab import (
     sum_vector,
     top_k,
 )
-from acklab.cost import batch_delay_fn, bdelay_limit, plf_eval_array
+from acklab.adversary import plf_round_up
+from acklab.cost import (
+    batch_cost,
+    batch_delay_fn,
+    batch_threshold_time,
+    bdelay_limit,
+    plf_eval_array,
+)
+from acklab.engine import solve_threshold_time
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
 ALL_VECTOR = [
@@ -81,6 +89,59 @@ class TestBdelay:
         assert bdelay_limit(capped_linear(0.5), [0, 1]) == 0.5
         assert bdelay_limit(linear_sum(), [0]) == math.inf
         assert bdelay_limit(linear_sum(), []) == 0.0
+
+
+def _threshold_time(spec, batch, target, t_lo):
+    return batch_threshold_time(
+        spec, len(batch), math.fsum(batch), min(batch), target, t_lo
+    )
+
+
+class TestBatchThresholdTime:
+    @pytest.mark.parametrize("spec", ALL_BATCH + [capped_linear(3.0), permit_plf(num_classes=3)])
+    def test_matches_solver_reference(self, spec):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            offset = 10.0 ** rng.uniform(0, 12) if i % 2 else 0.0
+            batch = sorted(offset + rng.uniform(0, 10, rng.integers(1, 8)))
+            t_lo = batch[-1]
+            tau = spec.tau or 1.0
+            # Capped targets land on both sides of the cap.
+            target = tau * rng.uniform(0.05, 2.5) if i % 3 else 10.0 ** rng.uniform(-2, 3)
+            got = _threshold_time(spec, batch, target, t_lo)
+            want = solve_threshold_time(
+                batch_delay_fn(spec, batch), t_lo, target, value_sup=bdelay_limit(spec, batch)
+            )
+            if want is None:
+                assert got is None
+                continue
+            assert got is not None and got >= t_lo
+            assert got == pytest.approx(want, rel=4e-9, abs=4e-9)
+            goal = min(target, spec.tau) if spec.kind == "capped_linear" else target
+            assert batch_cost(spec, len(batch), math.fsum(batch), batch[0], got) >= (
+                goal if got > t_lo else goal - 1e-9 * max(1.0, goal)
+            )
+
+    def test_capped_target_above_cap_is_unreachable(self):
+        assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.5, 0.5) is None
+        assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.0, 0.5) == 0.75
+
+    def test_already_met_returns_t_lo(self):
+        assert _threshold_time(linear_sum(), [0.0, 3.0], 1.0, 3.0) == 3.0
+
+    @pytest.mark.parametrize("k", range(0, 25))
+    def test_permit_span_exactly_four_to_the_k(self, k):
+        # plf(4**k) = 2**(k+1), so a target of 2**(k+1) - 1 is crossed at span
+        # 4**k exactly, which rounds up to class k and not k + 1.
+        first = float(3 * k + 1)
+        t = _threshold_time(permit_plf(), [first], 2.0 ** (k + 1) - 1.0, first)
+        assert t == first + 4.0 ** k
+        assert plf_round_up(t - first) == k
+
+    def test_float_spacing_at_huge_times(self):
+        # At 1e17 the float spacing is 16: the first time whose delay reaches 1.
+        t = _threshold_time(linear_sum(), [1e17], 1.0, 1e17)
+        assert t == math.nextafter(1e17, math.inf) == 1e17 + 16
 
 
 class TestFVector:
@@ -171,6 +232,33 @@ class TestSpecValidation:
             lp_norm(0.5)
         with pytest.raises(ValueError):
             max_wait_pow(1.5)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "capped_linear", "tau": "1"},
+            {"kind": "capped_linear", "tau": True},
+            {"kind": "capped_linear", "tau": float("nan")},
+            {"kind": "capped_linear", "tau": float("inf")},
+            {"kind": "max_wait_pow", "p": True},
+            {"kind": "max_wait_pow", "p": float("inf")},
+            {"kind": "lp", "p": float("nan")},
+            {"kind": "lp", "p": "2"},
+            {"kind": "lp", "p": True},
+            {"kind": "permit_plf", "K": "32"},
+            {"kind": "permit_plf", "K": float("inf")},
+            {"kind": "permit_plf", "K": 2.5},
+            {"kind": "permit_plf", "K": False},
+            {"kind": "top_k", "k": None},
+        ],
+    )
+    def test_param_types_and_finiteness(self, obj):
+        with pytest.raises(ValueError):
+            model_from_json(obj)
+
+    def test_whole_float_counts_accepted(self):
+        assert model_from_json({"kind": "permit_plf", "K": 3.0}).num_classes == 3
+        assert model_from_json({"kind": "lp", "p": "inf"}).p == math.inf
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

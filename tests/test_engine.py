@@ -153,6 +153,13 @@ class TestNextThreshold:
         next_threshold(alg)
         assert alg.snapshot() == before
 
+    def test_rejects_acknowledged_latest_packet(self):
+        alg = GreedyTau(linear_sum(), 1.0)
+        alg.observe_arrival(0.0, 0)
+        alg.commit_ack(1.0)
+        with pytest.raises(EngineError):
+            next_threshold(alg)
+
     def test_none_when_never_acked(self):
         spec = capped_linear(0.25)
         alg = SumMonotonePhases(spec)

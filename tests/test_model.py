@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,13 @@ class TestValidation:
     def test_instance_requires_nonnegative(self):
         with pytest.raises(ValueError):
             Instance((-1, 0), linear_sum())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True])
+    def test_instance_requires_finite_numbers(self, bad):
+        with pytest.raises(ValueError):
+            Instance((0.0, bad), linear_sum())
+        with pytest.raises(ValueError):
+            Instance((0.0,), linear_sum(), horizon=bad)
 
     def test_horizon_before_last_arrival(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,16 @@ def naive_suffix(arrivals, spec):
     return G
 
 
+def naive_critical_start(arrivals, spec):
+    """First start whose single-ack cost matches the unpruned suffix table."""
+    G = naive_suffix(arrivals, spec)
+    arr = np.asarray(arrivals, float)
+    n = arr.size
+    prefix = np.concatenate(([0.0], np.cumsum(arr)))
+    single = _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0
+    return next(p for p in range(n) if single[p] - G[p] <= 1e-9 * max(1.0, abs(G[p])))
+
+
 class TestDpOptimal:
     def test_linear_example(self):
         cost, sched = dp_optimal([0, 0.5, 3], linear_sum())
@@ -137,16 +147,51 @@ class TestCriticalSuffix:
             n = int(rng.integers(1, 35))
             arrivals = tuple(sorted(rng.uniform(0, 10, n)))
             spec = specs[i % len(specs)]
-            G = naive_suffix(arrivals, spec)
-            arr = np.asarray(arrivals)
-            prefix = np.concatenate(([0.0], np.cumsum(arr)))
-            single = _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0
-            expected = next(
-                p
-                for p in range(n)
-                if single[p] - G[p] <= 1e-9 * max(1.0, abs(G[p]))
+            assert longest_critical_suffix(arrivals, spec) == naive_critical_start(arrivals, spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            linear_sum(),
+            capped_linear(0.5),
+            capped_linear(1.0),
+            capped_linear(3.0),
+            permit_plf(),
+            permit_plf(num_classes=3),
+            max_wait(Objective.SUM_BATCH),
+            max_wait_pow(3, Objective.SUM_BATCH),
+        ],
+    )
+    def test_certified_search_matches_reference(self, spec):
+        rng = np.random.default_rng(6)
+        for i in range(150):
+            n = int(rng.integers(1, 60))
+            if i % 3 == 0:  # tied arrivals
+                arrivals = np.repeat(rng.uniform(0, 8, n), rng.integers(1, 4, n))[:n]
+            elif i % 3 == 1:  # gaps of every scale
+                arrivals = np.cumsum(10.0 ** rng.uniform(-3, 1, n))
+            else:
+                arrivals = rng.uniform(0, 30, n)
+            if spec.kind == "permit_plf" and i % 5 == 0:
+                # Past the permit kernel's 1e6 switch.  The linear kernels
+                # subtract prefix sums, so they lose digits at such offsets.
+                arrivals = arrivals + 2e6
+            arrivals = tuple(sorted(arrivals))
+            assert longest_critical_suffix(arrivals, spec) == naive_critical_start(
+                arrivals, spec
+            ), arrivals
+
+    def test_permit_prefix_crossing_the_switch(self):
+        # Geometric gaps like the permit adversary's timeline: each prefix of
+        # the sequence sits on one side of 1e6 or the other.
+        arrivals = [1.0]
+        while arrivals[-1] < 4e6:
+            arrivals.append(arrivals[-1] * 1.7 + 1.0)
+        spec = permit_plf(num_classes=600)
+        for n in range(1, len(arrivals) + 1):
+            assert longest_critical_suffix(arrivals[:n], spec) == naive_critical_start(
+                arrivals[:n], spec
             )
-            assert longest_critical_suffix(arrivals, spec) == expected
 
 
 class TestBruteForce:
