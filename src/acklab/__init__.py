@@ -76,7 +76,6 @@ from .adversary import (
     plf_round_up,
     run_concave_adversary,
     run_pp_adversary,
-    tcp_to_permit,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@
   greedy pays a factor-n more than the offline optimum.
 * :func:`run_concave_adversary` — the adaptive two-branch adversary for
   concave vector costs.
-* The permit reduction: :func:`plf_round_up`, :func:`tcp_to_permit`
-  (:class:`TcpPermitAdapter`), :func:`run_pp_adversary`,
+* The permit reduction: :func:`plf_round_up`, :class:`TcpPermitAdapter`,
+  :func:`run_pp_adversary`,
   :func:`permit_cover_optimal`, and :func:`permits_to_tcp_schedule`.
 
 Permit timelines are exact integers (spans grow geometrically under the
@@ -25,6 +25,7 @@ from .cost import (
     capped_linear,
     concave_two_piece,
     plf_eval,
+    plf_probe,
 )
 from .engine import OnlineAlgorithm, SimulationDriver, next_threshold
 from .model import Instance, Schedule, evaluate_schedule
@@ -238,19 +239,15 @@ def plf_round_up(x: float) -> int:
     """
     if x < 0:
         raise ValueError("span must be non-negative")
-    if x == 0.0:
-        return 0
-    base = max(0, math.floor(0.5 * math.log2(x)))
-    attain = min(
-        (2.0 ** k + x * 2.0 ** (-k), k) for k in (max(0, base - 1), base, base + 1)
-    )[1]
+    base, low, high = plf_probe(x, num_classes=None)
+    attain = base if low <= high else base + 1
     if x <= 4 ** attain:
         kstar = attain
     else:
         kstar = attain + 1
         while 4 ** kstar < x:
             kstar += 1
-    f_x = plf_eval(x, num_classes=None)
+    f_x = min(low, high)
     if not (4 ** kstar >= x and 2 ** kstar <= 2.0 * f_x):
         raise AssertionError(f"round-up postcondition failed for x={x!r}: k*={kstar}")
     return kstar
@@ -297,11 +294,6 @@ class TcpPermitAdapter:
         self.requests.append(t)
         self.next_times.append(nt if nt is not None else ft)
         return permit
-
-
-def tcp_to_permit(algorithm: OnlineAlgorithm) -> TcpPermitAdapter:
-    """Wrap an acknowledgment algorithm as a permit-buying strategy."""
-    return TcpPermitAdapter(algorithm)
 
 
 class FixedClassStrategy:

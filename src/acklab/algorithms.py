@@ -21,7 +21,7 @@ from abc import abstractmethod
 
 import numpy as np
 
-from .cost import DelayModelSpec, Objective, batch_threshold_time, f_vector
+from .cost import DelayModelSpec, Objective, batch_threshold_time, check_real, f_vector
 from .engine import OnlineAlgorithm, solve_threshold_time
 from .offline import dp_step, longest_critical_suffix
 from .tolerance import tol_at
@@ -34,8 +34,38 @@ def _require(spec: DelayModelSpec, objective: Objective, who: str) -> None:
         )
 
 
-class _BatchThresholdPolicy(OnlineAlgorithm):
-    """Acknowledge once the pending batch's delay cost reaches ``_target()``.
+class _ThresholdPolicy(OnlineAlgorithm):
+    """Acknowledge once the pending packets' delay cost reaches ``_target()``.
+
+    Every arrival re-plans the ack time with ``_plan``; every ack clears it.
+    """
+
+    def __init__(self, spec: DelayModelSpec):
+        super().__init__(spec)
+        self._planned: float | None = None
+
+    @abstractmethod
+    def _target(self) -> float:
+        """Delay cost at which the pending packets are acknowledged."""
+
+    @abstractmethod
+    def _plan(self, now: float) -> float | None:
+        """Earliest time from ``now`` on at which the cost reaches the target."""
+
+    def observe_arrival(self, time: float, index: int) -> None:
+        self._register_arrival(time, index)
+        self._planned = self._plan(self.last_arrival_time)
+
+    def planned_ack_time(self) -> float | None:
+        return self._planned
+
+    def commit_ack(self, time: float) -> list[int]:
+        self._planned = None
+        return super().commit_ack(time)
+
+
+class _BatchThresholdPolicy(_ThresholdPolicy):
+    """Threshold policy for batch models.
 
     The pending batch is kept as its size, arrival sum and first arrival,
     which is all a batch model's cost depends on, and the ack time comes from
@@ -45,17 +75,13 @@ class _BatchThresholdPolicy(OnlineAlgorithm):
     def __init__(self, spec: DelayModelSpec):
         super().__init__(spec)
         self._pending_sum = 0.0
-        self._planned: float | None = None
-
-    @abstractmethod
-    def _target(self) -> float:
-        """Delay cost at which the pending batch is acknowledged."""
 
     def observe_arrival(self, time: float, index: int) -> None:
-        self._register_arrival(time, index)
-        now = self.last_arrival_time
-        self._pending_sum += now
-        self._planned = batch_threshold_time(
+        self._pending_sum += float(time)
+        super().observe_arrival(time, index)
+
+    def _plan(self, now: float) -> float | None:
+        return batch_threshold_time(
             self.spec,
             len(self._pending),
             self._pending_sum,
@@ -64,13 +90,24 @@ class _BatchThresholdPolicy(OnlineAlgorithm):
             now,
         )
 
-    def planned_ack_time(self) -> float | None:
-        return self._planned
-
     def commit_ack(self, time: float) -> list[int]:
         self._pending_sum = 0.0
-        self._planned = None
         return super().commit_ack(time)
+
+
+class _VectorThresholdPolicy(_ThresholdPolicy):
+    """Threshold policy for vector models: the ack time is found by solving
+    for the crossing of the cost of ``_delays(t)`` (:func:`solve_threshold_time`)."""
+
+    @abstractmethod
+    def _delays(self, t: float) -> list[float]:
+        """Delay vector whose cost is compared with the target at time ``t``."""
+
+    def _cost_at(self, t: float) -> float:
+        return f_vector(self.spec, self._delays(t))
+
+    def _plan(self, now: float) -> float | None:
+        return solve_threshold_time(self._cost_at, now, self._target())
 
 
 class GreedyTau(_BatchThresholdPolicy):
@@ -103,7 +140,7 @@ class GreedyMaxMonotone(_BatchThresholdPolicy):
         self.acks_made += 1
 
 
-class GreedyBatchOblivious(OnlineAlgorithm):
+class GreedyBatchOblivious(_VectorThresholdPolicy):
     """For vector objectives: ack whenever the delay cost grows by 1.
 
     Delays of served packets are frozen at their ack time; the trigger level
@@ -117,19 +154,14 @@ class GreedyBatchOblivious(OnlineAlgorithm):
         super().__init__(spec)
         self.frozen: dict[int, float] = {}
         self.baseline = 0.0
-        self._planned: float | None = None
 
-    def _cost_at(self, t: float) -> float:
+    def _target(self) -> float:
+        return self.baseline + 1.0
+
+    def _delays(self, t: float) -> list[float]:
         d = list(self.frozen.values())
         d.extend(max(0.0, t - a) for _, a in self._pending)
-        return f_vector(self.spec, d)
-
-    def observe_arrival(self, time: float, index: int) -> None:
-        self._register_arrival(time, index)
-        self._planned = solve_threshold_time(self._cost_at, time, self.baseline + 1.0)
-
-    def planned_ack_time(self) -> float | None:
-        return self._planned
+        return d
 
     def commit_ack(self, time: float) -> list[int]:
         for idx, a in self._pending:
@@ -138,10 +170,9 @@ class GreedyBatchOblivious(OnlineAlgorithm):
 
     def _after_ack(self, time: float) -> None:
         self.baseline = f_vector(self.spec, list(self.frozen.values()))
-        self._planned = None
 
 
-class VectorThresholdGreedy(OnlineAlgorithm):
+class VectorThresholdGreedy(_VectorThresholdPolicy):
     """Fixed-threshold greedy over the pending packets' vector cost.
 
     The vector-model counterpart of :class:`GreedyTau`: served packets drop
@@ -150,24 +181,16 @@ class VectorThresholdGreedy(OnlineAlgorithm):
 
     def __init__(self, spec: DelayModelSpec, tau: float = 1.0):
         _require(spec, Objective.VECTOR, "vector threshold greedy")
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError("tau must be positive and finite")
         super().__init__(spec)
         self.tau = float(tau)
-        self._planned: float | None = None
 
-    def _cost_at(self, t: float) -> float:
-        return f_vector(self.spec, [max(0.0, t - a) for _, a in self._pending])
+    def _target(self) -> float:
+        return self.tau
 
-    def observe_arrival(self, time: float, index: int) -> None:
-        self._register_arrival(time, index)
-        self._planned = solve_threshold_time(self._cost_at, time, self.tau)
-
-    def planned_ack_time(self) -> float | None:
-        return self._planned
-
-    def _after_ack(self, time: float) -> None:
-        self._planned = None
+    def _delays(self, t: float) -> list[float]:
+        return [max(0.0, t - a) for _, a in self._pending]
 
 
 class SumMonotonePhases(_BatchThresholdPolicy):
@@ -192,7 +215,9 @@ class SumMonotonePhases(_BatchThresholdPolicy):
         _require(spec, Objective.SUM_BATCH, "phase algorithm")
         super().__init__(spec)
         self.n_seen = 0
-        # Arrivals, their prefix sums and prefix optima, grown by doubling.
+        # Arrivals minus the first one, their prefix sums and prefix optima,
+        # grown by doubling.
+        self._origin = 0.0
         self._arr = np.zeros(16)
         self._prefix = np.zeros(17)
         self._opt = np.zeros(17)
@@ -215,8 +240,10 @@ class SumMonotonePhases(_BatchThresholdPolicy):
             self._arr = np.concatenate((self._arr, np.zeros(i)))
             self._prefix = np.concatenate((self._prefix, np.zeros(i)))
             self._opt = np.concatenate((self._opt, np.zeros(i)))
-        self._arr[i] = time
-        self._prefix[i + 1] = self._prefix[i] + time
+        if i == 0:
+            self._origin = time
+        self._arr[i] = rebased = time - self._origin
+        self._prefix[i + 1] = self._prefix[i] + rebased
         self.n_seen = n = i + 1
         _, blocks = dp_step(self.spec, self._arr, self._prefix, self._opt, i)
         opt = self._opt[n]
@@ -304,7 +331,7 @@ def make_algorithm(alg_spec: dict, model: DelayModelSpec) -> OnlineAlgorithm:
         raise ValueError("algorithm spec must be an object with an 'alg' field")
     name = alg_spec["alg"]
     if name == "greedy_tau":
-        return GreedyTau(model, tau=float(alg_spec.get("tau", 1.0)))
+        return GreedyTau(model, tau=check_real(alg_spec.get("tau", 1.0), "greedy_tau tau"))
     if name == "max_mono":
         return GreedyMaxMonotone(model)
     if name == "vector_greedy":
@@ -312,5 +339,6 @@ def make_algorithm(alg_spec: dict, model: DelayModelSpec) -> OnlineAlgorithm:
     if name == "phases":
         return SumMonotonePhases(model)
     if name == "greedy_tau_vector":
-        return VectorThresholdGreedy(model, tau=float(alg_spec.get("tau", 1.0)))
+        tau = check_real(alg_spec.get("tau", 1.0), "greedy_tau_vector tau")
+        return VectorThresholdGreedy(model, tau=tau)
     raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")

@@ -133,7 +133,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             algorithm = make_algorithm(alg_json, spec)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        adapter = adv.tcp_to_permit(algorithm)
+        adapter = adv.TcpPermitAdapter(algorithm)
         result = adv.run_pp_adversary(adapter, args.n)
         opt_cost, _ = adv.permit_cover_optimal(result.request_times)
         report = {

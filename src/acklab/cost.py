@@ -5,9 +5,13 @@ Two families of models are supported:
 * batch models, evaluated per acknowledged batch via :func:`bdelay`
   (``linear_sum``, ``max_wait``, ``max_wait_pow``, ``capped_linear``,
   ``permit_plf``), aggregated as a sum or a max across batches.  Each depends
-  on its batch only through the batch's size, arrival sum and first arrival
-  (:func:`batch_cost`), and has a closed-form inverse that gives the exact
-  time its cost reaches a target (:func:`batch_threshold_time`);
+  on its batch only through the batch's size, arrival sum and first arrival,
+  and :func:`batch_cost` is the one evaluator of all five: it takes those
+  numbers as floats, for the online policies, or as NumPy arrays, for the
+  offline kernels' blocks.  :func:`bdelay` feeds it times relative to the
+  batch's first arrival, so costs keep their digits at any time offset.
+  Each model has a closed-form inverse that gives the exact time its cost
+  reaches a target (:func:`batch_threshold_time`);
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
   ``sum_vector``).
@@ -245,73 +249,83 @@ def model_from_json(obj: dict) -> DelayModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Permit price curve
+# Permit price curve and batch costs, for floats or NumPy arrays
 # ---------------------------------------------------------------------------
 
-def plf_eval(x: float, num_classes: int | None = DEFAULT_PERMIT_CLASSES) -> float:
+def plf_probe(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
+    """The two permit classes that can attain the price curve at span ``x``.
+
+    Class k costs ``2**k + x * 2**-k``, which is convex in k and minimal at
+    ``k = log4(x)``: class k wins for spans in ``[4**k / 2, 2 * 4**k]``.  So
+    the minimum over ``0 <= k <= num_classes`` is attained at ``base`` or
+    ``base + 1`` with ``base = floor(log4(max(x, 1)))`` clipped to
+    ``num_classes - 1``.  Returns ``(base, cost of base, cost of base + 1)``;
+    ``x`` may be a float or an array.
+    """
+    if isinstance(x, np.ndarray):
+        base = np.floor(0.5 * np.log2(np.maximum(x, 1.0)))
+        if num_classes is not None:
+            base = np.minimum(base, num_classes - 1.0)
+        w = np.exp2(base)
+    else:
+        base = math.floor(0.5 * math.log2(max(x, 1.0)))
+        if num_classes is not None:
+            base = min(base, num_classes - 1)
+        w = 2.0 ** base
+    ratio = x / w
+    return base, w + ratio, 2.0 * w + 0.5 * ratio
+
+
+def plf_eval(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
     """Cheapest cost of covering a span of ``x`` with one permit class.
 
     Evaluates ``min_k 2**k + x * 2**-k`` over ``0 <= k <= num_classes``
-    (all ``k >= 0`` when ``num_classes`` is None).  The minimand is convex
-    in ``k``, so only classes adjacent to ``log4(x)`` can attain the
-    minimum; they are probed directly rather than enumerating every class.
+    (all ``k >= 0`` when ``num_classes`` is None) for a float or,
+    elementwise, an array of spans, probing only the two classes of
+    :func:`plf_probe`.
     """
+    if isinstance(x, np.ndarray):
+        if x.size and float(x.min()) < 0.0:
+            raise ValueError("span must be non-negative")
+        _, low, high = plf_probe(x, num_classes)
+        return np.minimum(low, high)
     if x < 0:
         raise ValueError("span must be non-negative")
-    if x == 0.0:
-        return 1.0
-    base = math.floor(0.5 * math.log2(x))
-    best = math.inf
-    for cand in (base - 1, base, base + 1):
-        k = min(max(cand, 0), num_classes) if num_classes is not None else max(cand, 0)
-        best = min(best, 2.0 ** k + x * 2.0 ** (-k))
-    return best
+    _, low, high = plf_probe(x, num_classes)
+    return min(low, high)
 
 
-def plf_eval_array(
-    xs: np.ndarray, num_classes: int | None = DEFAULT_PERMIT_CLASSES
-) -> np.ndarray:
-    """Vectorized :func:`plf_eval`.
-
-    Clamping the log argument up to 1 pins ``base`` at 0 for spans below 1,
-    where class 0 is the (clipped) minimizer anyway, so the two candidate
-    classes ``{base, base + 1}`` always include the discrete argmin.
-    """
-    x = np.asarray(xs, dtype=float)
-    if x.size == 0:
-        return np.zeros(0)
-    if float(x.min()) < 0.0:
-        raise ValueError("span must be non-negative")
-    base = np.floor(0.5 * np.log2(np.maximum(x, 1.0)))
-    if num_classes is not None:
-        base = np.minimum(base, float(num_classes) - 1.0)
-    w = np.exp2(base)
-    best = np.minimum(w + x / w, 2.0 * w + 0.5 * (x / w))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Batch evaluators
-# ---------------------------------------------------------------------------
-
-def batch_cost(spec: DelayModelSpec, m: int, total: float, first: float, t: float) -> float:
+def batch_cost(spec: DelayModelSpec, m, total, first, t):
     """Delay cost of acknowledging, at ``t``, a batch of ``m >= 1`` packets
     whose arrival times sum to ``total`` and start at ``first``.
 
     Every batch kind depends on its batch only through these three numbers,
-    so online policies keep them up to date instead of the batch itself.
+    so this is the one place the batch formulas are written: online policies
+    keep the numbers up to date instead of the batch itself, and the offline
+    kernels pass arrays of them, one entry per block.  Any of the four
+    arguments may be a NumPy array (they broadcast); floats are evaluated
+    with builtins, which is much faster than NumPy on single numbers.
     """
+    if (
+        isinstance(m, np.ndarray)
+        or isinstance(t, np.ndarray)
+        or isinstance(first, np.ndarray)
+        or isinstance(total, np.ndarray)
+    ):
+        maximum, minimum = np.maximum, np.minimum
+    else:
+        maximum, minimum = max, min
     kind = spec.kind
     if kind == "linear_sum":
-        return max(0.0, m * t - total)
+        return maximum(0.0, m * t - total)
     if kind == "capped_linear":
-        return min(max(0.0, m * t - total), spec.tau)
+        return minimum(maximum(0.0, m * t - total), spec.tau)
     if kind == "max_wait":
-        return max(0.0, t - first)
+        return maximum(0.0, t - first)
     if kind == "max_wait_pow":
-        return max(0.0, t - first) ** spec.p
+        return maximum(0.0, t - first) ** spec.p
     if kind == "permit_plf":
-        return plf_eval(max(0.0, t - first), spec.num_classes) - 1.0
+        return plf_eval(maximum(0.0, t - first), spec.num_classes) - 1.0
     raise ValueError(f"{kind!r} is a vector model; use f_vector")
 
 
@@ -371,6 +385,8 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
     """Delay cost of acknowledging the given batch at time ``t``.
 
     Empty batches cost 0; ``t`` must not precede any arrival in the batch.
+    Times are taken relative to the batch's first arrival, so the cost keeps
+    its digits however far from zero the batch lies.
     """
     if not spec.is_batch_kind:
         raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
@@ -379,36 +395,9 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
     last = max(batch_arrivals)
     if t < last - tol_at(last):
         raise ValueError(f"ack time {t!r} precedes an arrival in the batch")
-    return batch_cost(spec, len(batch_arrivals), math.fsum(batch_arrivals), min(batch_arrivals), t)
-
-
-def batch_delay_fn(
-    spec: DelayModelSpec, batch_arrivals: Sequence[float]
-) -> Callable[[float], float]:
-    """Precompiled ``t -> bdelay(spec, batch, t)`` for a fixed batch.
-
-    The returned closure is O(1) per call; it is the evaluator the generic
-    threshold solver takes as the reference for :func:`batch_threshold_time`.
-    """
-    if not spec.is_batch_kind:
-        raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
-    if len(batch_arrivals) == 0:
-        return lambda t: 0.0
-    m, total, first = len(batch_arrivals), math.fsum(batch_arrivals), min(batch_arrivals)
-    return lambda t: batch_cost(spec, m, total, first, t)
-
-
-def bdelay_limit(spec: DelayModelSpec, batch_arrivals: Sequence[float]) -> float:
-    """Supremum of ``bdelay(spec, batch, t)`` over all ack times ``t``.
-
-    Lets threshold solves short-circuit when a target is provably out of
-    reach (e.g. the capped model with the cap below the target).
-    """
-    if len(batch_arrivals) == 0:
-        return 0.0
-    if spec.kind == "capped_linear":
-        return float(spec.tau)
-    return math.inf
+    first = min(batch_arrivals)
+    total = math.fsum(a - first for a in batch_arrivals)
+    return batch_cost(spec, len(batch_arrivals), total, 0.0, t - first)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ algorithm's reactions; :func:`simulate` replays a fixed instance through it.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 from abc import ABC, abstractmethod
@@ -48,7 +47,6 @@ class OnlineAlgorithm(ABC):
     Implementations must be deterministic functions of the observation
     sequence, must never plan an ack in the past, and may only use arrivals
     observed so far.  ``commit_ack`` serves every pending packet.
-    ``snapshot``/``restore`` produce an independent copy of the full state.
     """
 
     spec: DelayModelSpec
@@ -94,15 +92,6 @@ class OnlineAlgorithm(ABC):
     @property
     def has_pending(self) -> bool:
         return bool(self._pending)
-
-    # -- cloning -------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return copy.deepcopy(self.__dict__)
-
-    def restore(self, state: dict) -> None:
-        self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(state))
 
     # -- tracing -------------------------------------------------------------
 
@@ -223,20 +212,15 @@ def solve_threshold_time(
     evaluator: Callable[[float], float],
     t_lo: float,
     target: float,
-    value_sup: float | None = None,
     expansion_cap: float = EXPANSION_CAP,
 ) -> float | None:
     """Earliest ``t >= t_lo`` with ``evaluator(t) >= target`` (right-continuous).
 
     The evaluator must be monotone non-decreasing.  Returns ``t_lo`` when the
-    target is already met there.  Returns None when the target is provably out
-    of reach (``value_sup`` below the target) or when exponential expansion
-    exceeds ``expansion_cap`` scaled by ``max(1, |t_lo|)`` without a crossing;
-    the two cases are distinguished in the debug log only.
+    target is already met there.  Returns None when exponential expansion
+    exceeds ``expansion_cap`` scaled by ``max(1, |t_lo|)`` without a crossing.
     """
     tol_v = tol_at(target)
-    if value_sup is not None and value_sup < target - tol_v:
-        return None
     f_lo = evaluator(t_lo)
     if f_lo >= target - tol_v:
         return t_lo

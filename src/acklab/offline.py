@@ -10,6 +10,11 @@
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions;
   the independent oracle for every objective kind (and the only exact one for
   max- and vector-aggregated objectives).
+
+The DP and suffix kernels work on arrival times minus the first arrival, so
+their costs keep their digits however far from zero the instance lies, and
+they evaluate blocks through :func:`acklab.cost.batch_cost`, with one array
+entry per block; no batch formula is written here.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import DelayModelSpec, Objective, bdelay, f_vector, plf_eval_array
+from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_vector
 from .model import Schedule
 
 
@@ -32,64 +37,29 @@ def _require_sum_batch(spec: DelayModelSpec, what: str) -> None:
         raise ValueError(f"{what} requires a sum-aggregated batch model, got {spec.kind!r}/{spec.objective.value}")
 
 
+def _rebased(arrivals: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times minus the first arrival, and their prefix sums."""
+    arr = np.asarray(arrivals, dtype=float)
+    if arr.size:
+        arr = arr - arr[0]
+    return arr, np.concatenate(([0.0], np.cumsum(arr)))
+
+
 def _blocks_ending_at(
     spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray, i: int
 ) -> np.ndarray:
     """bdelay(arr[j..i], arr[i]) for every block start j in 0..i."""
-    a_i = arr[i]
-    if spec.kind == "linear_sum" or spec.kind == "capped_linear":
-        counts = np.arange(i + 1, 0, -1, dtype=float)
-        vals = a_i * counts - (prefix[i + 1] - prefix[: i + 1])
-        if spec.kind == "capped_linear":
-            vals = np.minimum(vals, spec.tau)
-    elif spec.kind == "max_wait":
-        vals = a_i - arr[: i + 1]
-    elif spec.kind == "max_wait_pow":
-        vals = (a_i - arr[: i + 1]) ** spec.p
-    elif spec.kind == "permit_plf":
-        vals = plf_eval_array(np.maximum(a_i - arr[: i + 1], 0.0), spec.num_classes) - 1.0
-    else:
-        vals = np.array(
-            [bdelay(spec, arr[j : i + 1], a_i) for j in range(i + 1)], dtype=float
-        )
-    return np.maximum(vals, 0.0)
+    counts = np.arange(i + 1, 0, -1, dtype=float)
+    return batch_cost(spec, counts, prefix[i + 1] - prefix[: i + 1], arr[: i + 1], arr[i])
 
 
 def _starting_rows(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray):
-    """Row factory: ``row(p)[q - p] = bdelay(arr[p..q], arr[q])`` for q >= p.
-
-    Shared precomputation is hoisted out so the suffix DP's inner loop pays
-    only a couple of vector operations per row.
-    """
-    kind = spec.kind
+    """Row factory: ``row(p)[q - p] = bdelay(arr[p..q], arr[q])`` for q >= p."""
     n = arr.size
-    if kind in ("linear_sum", "capped_linear"):
-        # (q - p + 1) * a_q - (prefix[q+1] - prefix[p])  ==  u_q - p * a_q + prefix[p]
-        u = arr * np.arange(1.0, n + 1.0) - prefix[1:]
-        tau = spec.tau
-
-        def row(p: int) -> np.ndarray:
-            vals = np.maximum(u[p:] - p * arr[p:] + prefix[p], 0.0)
-            if tau is not None:
-                vals = np.minimum(vals, tau)
-            return vals
-
-        return row
-    if kind == "max_wait":
-        return lambda p: arr[p:] - arr[p]
-    if kind == "max_wait_pow":
-        exponent = spec.p
-        return lambda p: (arr[p:] - arr[p]) ** exponent
-    if kind == "permit_plf":
-        classes = spec.num_classes
-        return lambda p: plf_eval_array(arr[p:] - arr[p], classes) - 1.0
-
-    def generic(p: int) -> np.ndarray:
-        return np.array(
-            [bdelay(spec, arr[p : q + 1], arr[q]) for q in range(p, n)], dtype=float
-        )
-
-    return generic
+    counts = np.arange(1.0, n + 1.0)
+    return lambda p: batch_cost(
+        spec, counts[: n - p], prefix[p + 1 :] - prefix[p], arr[p], arr[p:]
+    )
 
 
 class DpTable:
@@ -122,11 +92,10 @@ def dp_step(
 
 def dp_table(arrivals: Sequence[float], spec: DelayModelSpec) -> DpTable:
     _require_sum_batch(spec, "dp_optimal")
-    arr = np.asarray(arrivals, dtype=float)
+    arr, prefix = _rebased(arrivals)
     n = arr.size
     values = np.zeros(n + 1)
     choice = np.zeros(n + 1, dtype=int)
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
     for i in range(n):
         choice[i + 1], _ = dp_step(spec, arr, prefix, values, i)
     return DpTable(values, choice)
@@ -226,9 +195,9 @@ def _suffix_table(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray) -> 
         return np.zeros(1)
     if spec.kind == "capped_linear":
         return _suffix_capped(arr, prefix, spec.tau)
-    # The permit class decomposition mixes absolute times across block ends;
-    # at huge time scales that cancellation loses precision, so fall back to
-    # the row scan (which subtracts same-scale times first) beyond 1e6.
+    # The permit class decomposition mixes times across block ends; over
+    # huge spans that cancellation loses precision, so fall back to the row
+    # scan (which subtracts same-scale times first) beyond 1e6.
     if spec.kind == "permit_plf" and arr[-1] <= 1e6:
         return _suffix_permit(arr, spec.num_classes)
     row = _starting_rows(spec, arr, prefix)
@@ -245,11 +214,7 @@ def suffix_opt(arrivals: Sequence[float], spec: DelayModelSpec) -> np.ndarray:
     serving packets ``p..n-1`` on their own and ``G[n] = 0``.
     """
     _require_sum_batch(spec, "suffix_opt")
-    arr = np.asarray(arrivals, dtype=float)
-    if arr.size == 0:
-        return np.zeros(1)
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
-    return _suffix_table(spec, arr, prefix)
+    return _suffix_table(spec, *_rebased(arrivals))
 
 
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:
@@ -273,14 +238,13 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
       ``d(p'..p-1)``, so the bound is 1.  Elsewhere each packet of
       ``p'..p-1`` can be acked alone at its arrival for 1, so the bound is ``p``.
 
-    The capped model, and the permit model up to time 1e6, take their fast
+    The capped model, and the permit model over spans up to 1e6, take their fast
     suffix kernels plus one vectorized criticality pass instead of the scan.
     """
-    arr = np.asarray(arrivals, dtype=float)
+    arr, prefix = _rebased(arrivals)
     n = arr.size
     if n == 0:
         raise ValueError("empty arrival prefix has no critical suffix")
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
     single = _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0
     certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
     if certified == 0:
@@ -327,6 +291,13 @@ def brute_force_optimal(
             f"brute force enumerates 2^(n-1) partitions; n={n} exceeds the n<=22 guard"
         )
     objective = spec.objective
+    if objective is not Objective.VECTOR:
+        # Each block is costed once, not once for every partition holding it.
+        block = {
+            (lo, hi): bdelay(spec, arr[lo:hi], arr[hi - 1])
+            for lo in range(n)
+            for hi in range(lo + 1, n + 1)
+        }
     best_cost = None
     best_acks: tuple[float, ...] = ()
     for mask in range(1 << (n - 1)):
@@ -342,10 +313,7 @@ def brute_force_optimal(
                 d.extend(t - arr[j] for j in range(lo, hi))
             delay = f_vector(spec, d)
         else:
-            per = [
-                bdelay(spec, arr[lo:hi], t)
-                for lo, hi, t in zip(bounds, bounds[1:], acks)
-            ]
+            per = [block[lo, hi] for lo, hi in zip(bounds, bounds[1:])]
             delay = sum(per) if objective is Objective.SUM_BATCH else max(per)
         cost = k + delay
         if best_cost is None or cost < best_cost:

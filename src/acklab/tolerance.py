@@ -14,12 +14,3 @@ def tol_at(value: float) -> float:
     """Comparison tolerance near ``value``."""
     return TOL * max(1.0, abs(value))
 
-
-def close(a: float, b: float) -> bool:
-    """True when ``a`` and ``b`` agree within the shared tolerance."""
-    return abs(a - b) <= tol_at(max(abs(a), abs(b)))
-
-
-def at_least(a: float, b: float) -> bool:
-    """True when ``a >= b`` up to the shared tolerance."""
-    return a >= b - tol_at(b)

@@ -16,6 +16,7 @@ from acklab import (
     GreedyTau,
     Instance,
     SumMonotonePhases,
+    TcpPermitAdapter,
     VectorThresholdGreedy,
     brute_force_optimal,
     capped_linear,
@@ -37,7 +38,6 @@ from acklab import (
     run_pp_adversary,
     simulate,
     sum_vector,
-    tcp_to_permit,
     top_k,
 )
 from acklab.cli import main as cli_main
@@ -233,7 +233,7 @@ def test_c08_parking_permit_pipeline():
     spec = permit_plf(num_classes=600)
 
     # (a) + (b): 200 requests, all covered, permits chain back-to-back
-    adapter = tcp_to_permit(SumMonotonePhases(spec))
+    adapter = TcpPermitAdapter(SumMonotonePhases(spec))
     rep = run_pp_adversary(adapter, 200)
     assert len(rep.request_times) == 200
     assert all(adapter.account.covers(t) for t in rep.request_times)
@@ -265,7 +265,7 @@ def test_c08_parking_permit_pipeline():
     # (f) the permit-side ratio grows with the request count
     ratios = []
     for m in (4, 16, 64, 256):
-        adapter_m = tcp_to_permit(SumMonotonePhases(spec))
+        adapter_m = TcpPermitAdapter(SumMonotonePhases(spec))
         rep_m = run_pp_adversary(adapter_m, m)
         opt_m, _ = permit_cover_optimal(rep_m.request_times)
         ratios.append(rep_m.total_cost / opt_m)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from acklab import (
     PermitAccount,
     ProtocolViolation,
     SumMonotonePhases,
+    TcpPermitAdapter,
     VectorThresholdGreedy,
     dp_optimal,
     evaluate_schedule,
@@ -22,7 +25,6 @@ from acklab import (
     run_concave_adversary,
     run_pp_adversary,
     simulate,
-    tcp_to_permit,
 )
 from acklab.engine import OnlineAlgorithm
 
@@ -72,6 +74,19 @@ class TestPlfRoundUp:
             k = plf_round_up(float(x))
             assert 4 ** k >= x
             assert 2 ** k <= 2.0 * plf_eval(float(x), num_classes=None)
+
+    def test_matches_enumerated_classes_at_boundaries(self):
+        # The attaining class, ties to the cheaper one, found over every class.
+        def reference(x):
+            kstar = min(range(80), key=lambda k: (2.0 ** k + x * 2.0 ** -k, k))
+            while 4 ** kstar < x:
+                kstar += 1
+            return kstar
+
+        for k in range(0, 36):
+            for x in (4.0 ** k, 2.0 * 4.0 ** k):
+                for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                    assert plf_round_up(y) == reference(y), y
 
 
 class TestPPAdversary:
@@ -183,13 +198,13 @@ class TestPermitsToTcp:
 
 class TestTcpToPermit:
     def test_first_request_phases(self):
-        adapter = tcp_to_permit(SumMonotonePhases(PIPELINE_SPEC))
+        adapter = TcpPermitAdapter(SumMonotonePhases(PIPELINE_SPEC))
         permit = adapter.on_request(1)
         assert permit == Permit(1, 0)
         assert adapter.next_times[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_first_request_greedy(self):
-        adapter = tcp_to_permit(GreedyTau(PIPELINE_SPEC, 1.0))
+        adapter = TcpPermitAdapter(GreedyTau(PIPELINE_SPEC, 1.0))
         permit = adapter.on_request(1)
         assert permit == Permit(1, 0)
 
@@ -202,7 +217,7 @@ class TestTcpToPermit:
         ],
     )
     def test_pipeline_small(self, make):
-        adapter = tcp_to_permit(make())
+        adapter = TcpPermitAdapter(make())
         rep = run_pp_adversary(adapter, 12)
         assert rep.chained
         # every request's permit starts at the request and is bought alone
@@ -219,7 +234,7 @@ class TestTcpToPermit:
         [lambda: SumMonotonePhases(PIPELINE_SPEC), lambda: GreedyTau(PIPELINE_SPEC, 1.0)],
     )
     def test_replay_matches_lookahead(self, make):
-        adapter = tcp_to_permit(make())
+        adapter = TcpPermitAdapter(make())
         rep = run_pp_adversary(adapter, 10)
         arrivals = tuple(float(t) for t in rep.request_times)
         sched, _ = simulate(Instance(arrivals, PIPELINE_SPEC), make())

@@ -14,6 +14,9 @@ def write_instance(tmp_path, arrivals, model, name="inst.json", horizon=None):
     return str(path)
 
 
+BAD_TAUS = ["null", "[1]", "true", '"inf"', '"1"', "NaN", "Infinity", "0", "-1"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -121,6 +124,19 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tau", BAD_TAUS)
+    @pytest.mark.parametrize(
+        "alg, model",
+        [("greedy_tau", {"kind": "linear_sum"}), ("greedy_tau_vector", {"kind": "lp", "p": 2})],
+    )
+    def test_bad_tau_exit_2(self, tmp_path, capsys, alg, model, tau):
+        path = write_instance(tmp_path, [0, 1], model)
+        code, out = run_cli(
+            capsys, "run", "--instance", path, "--alg", f'{{"alg":"{alg}","tau":{tau}}}',
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 2 and out == ""
+
 
 class TestAdversary:
     def test_greedy_tau_kind(self, capsys):
@@ -157,6 +173,18 @@ class TestAdversary:
             "--alg", '{"alg":"greedy_tau"}',
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tau", BAD_TAUS)
+    @pytest.mark.parametrize(
+        "kind, alg",
+        [("greedy_tau", "greedy_tau"), ("permit", "greedy_tau"), ("concave", "greedy_tau_vector")],
+    )
+    def test_bad_tau_exit_2(self, capsys, kind, alg, tau):
+        code, out = run_cli(
+            capsys, "adversary", "--kind", kind, "--n", "8",
+            "--alg", f'{{"alg":"{alg}","tau":{tau}}}',
+        )
+        assert code == 2 and out == ""
 
 
 BENCH_CONFIG = {

@@ -25,13 +25,7 @@ from acklab import (
     top_k,
 )
 from acklab.adversary import plf_round_up
-from acklab.cost import (
-    batch_cost,
-    batch_delay_fn,
-    batch_threshold_time,
-    bdelay_limit,
-    plf_eval_array,
-)
+from acklab.cost import batch_cost, batch_threshold_time
 from acklab.engine import solve_threshold_time
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
@@ -81,20 +75,50 @@ class TestBdelay:
         for _ in range(200):
             batch = sorted(rng.uniform(0, 10, rng.integers(1, 6)))
             t = batch[-1] + rng.uniform(0, 5)
-            assert batch_delay_fn(spec, batch)(t) == pytest.approx(
+            assert _batch_fn(spec, batch)(t) == pytest.approx(
                 bdelay(spec, batch, t), rel=1e-12, abs=1e-12
             )
 
-    def test_limit(self):
-        assert bdelay_limit(capped_linear(0.5), [0, 1]) == 0.5
-        assert bdelay_limit(linear_sum(), [0]) == math.inf
-        assert bdelay_limit(linear_sum(), []) == 0.0
+
+def _batch_fn(spec, batch):
+    """``t -> bdelay(spec, batch, t)`` for a fixed batch, built on batch_cost."""
+    m, total, first = len(batch), math.fsum(batch), min(batch)
+    return lambda t: batch_cost(spec, m, total, first, t)
 
 
 def _threshold_time(spec, batch, target, t_lo):
     return batch_threshold_time(
         spec, len(batch), math.fsum(batch), min(batch), target, t_lo
     )
+
+
+class TestBatchCost:
+    @pytest.mark.parametrize("spec", ALL_BATCH + [max_wait_pow(3), permit_plf(num_classes=3)])
+    def test_arrays_match_scalars(self, spec):
+        rng = np.random.default_rng(12)
+        m = rng.integers(1, 9, 500).astype(float)
+        first = rng.uniform(0, 10, 500)
+        total = m * first + rng.uniform(0, 20, 500)
+        t = first + 10.0 ** rng.uniform(-3, 3, 500)
+        # NumPy's power may differ from C pow by an ulp; all else is exact.
+        rtol = 1e-15 if spec.kind == "max_wait_pow" else 0.0
+        got = batch_cost(spec, m, total, first, t)
+        want = [batch_cost(spec, *map(float, args)) for args in zip(m, total, first, t)]
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+        # One scalar argument broadcasts against the arrays.
+        row = batch_cost(spec, m, total, 1.5, t)
+        want = [
+            batch_cost(spec, float(a), float(b), 1.5, float(c)) for a, b, c in zip(m, total, t)
+        ]
+        np.testing.assert_allclose(row, want, rtol=rtol, atol=0.0)
+
+    def test_scalars_stay_python_floats(self):
+        for spec in ALL_BATCH:
+            assert type(batch_cost(spec, 2, 1.0, 0.0, 3.0)) is float
+
+    def test_vector_kind_rejected(self):
+        with pytest.raises(ValueError):
+            batch_cost(lp_norm(2), 1, 0.0, 0.0, 1.0)
 
 
 class TestBatchThresholdTime:
@@ -109,9 +133,7 @@ class TestBatchThresholdTime:
             # Capped targets land on both sides of the cap.
             target = tau * rng.uniform(0.05, 2.5) if i % 3 else 10.0 ** rng.uniform(-2, 3)
             got = _threshold_time(spec, batch, target, t_lo)
-            want = solve_threshold_time(
-                batch_delay_fn(spec, batch), t_lo, target, value_sup=bdelay_limit(spec, batch)
-            )
+            want = solve_threshold_time(_batch_fn(spec, batch), t_lo, target)
             if want is None:
                 assert got is None
                 continue
@@ -201,10 +223,26 @@ class TestPlf:
         for classes in (4, 32, None):
             hi = classes if classes is not None else 64
             brute = np.min([2.0 ** k + xs * 2.0 ** (-k) for k in range(hi + 1)], axis=0)
-            got = plf_eval_array(xs, classes)
+            got = plf_eval(xs, classes)
             assert np.allclose(got, brute, rtol=1e-12)
             scalars = np.array([plf_eval(float(x), classes) for x in xs])
             assert np.allclose(scalars, brute, rtol=1e-12)
+
+    @pytest.mark.parametrize("classes", [1, 3, 32, 600, None])
+    def test_array_equals_scalar_at_class_boundaries(self, classes):
+        # Spans 4**k and 2 * 4**k (where two classes tie) and their float
+        # neighbours, where a rounded log could pick the wrong classes.
+        points = []
+        for k in range(0, 40):
+            for x in (4.0 ** k, 2.0 * 4.0 ** k):
+                points += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        xs = np.array([0.0, 0.5] + points)
+        assert plf_eval(xs, classes).tolist() == [plf_eval(float(x), classes) for x in xs]
+
+    def test_empty_array(self):
+        assert plf_eval(np.zeros(0)).size == 0
+        with pytest.raises(ValueError):
+            plf_eval(np.array([1.0, -1.0]))
 
     def test_concave_midpoints(self):
         rng = np.random.default_rng(9)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -17,7 +18,7 @@ from acklab import (
     simulate,
     solve_threshold_time,
 )
-from acklab.cost import batch_delay_fn
+from acklab.cost import batch_cost
 from acklab.engine import OnlineAlgorithm, SimulationDriver
 
 
@@ -27,15 +28,15 @@ class TestSolveThresholdTime:
         assert t == pytest.approx(1.0, abs=1e-9)
 
     def test_bounded_evaluator_returns_none(self):
-        fn = batch_delay_fn(capped_linear(1.0), [0.0])
-        assert solve_threshold_time(fn, 0.0, 2.0, value_sup=1.0) is None
+        fn = lambda t: batch_cost(capped_linear(1.0), 1, 0.0, 0.0, t)  # noqa: E731
+        assert solve_threshold_time(fn, 0.0, 2.0) is None
 
     def test_bounded_evaluator_none_without_sup_hint(self):
-        fn = batch_delay_fn(capped_linear(1.0), [0.0])
+        fn = lambda t: batch_cost(capped_linear(1.0), 1, 0.0, 0.0, t)  # noqa: E731
         assert solve_threshold_time(fn, 0.0, 2.0, expansion_cap=2.0 ** 40) is None
 
     def test_two_packet_example(self):
-        fn = batch_delay_fn(linear_sum(), [0.0, 0.1])
+        fn = lambda t: batch_cost(linear_sum(), 2, 0.1, 0.0, t)  # noqa: E731
         t = solve_threshold_time(fn, 0.1, 1.2)
         assert t == pytest.approx(0.65, abs=1e-9)
 
@@ -149,9 +150,9 @@ class TestNextThreshold:
     def test_state_restored(self):
         alg = GreedyTau(linear_sum(), 1.0)
         alg.observe_arrival(0.0, 0)
-        before = alg.snapshot()
+        before = copy.deepcopy(alg.__dict__)
         next_threshold(alg)
-        assert alg.snapshot() == before
+        assert alg.__dict__ == before
 
     def test_rejects_acknowledged_latest_packet(self):
         alg = GreedyTau(linear_sum(), 1.0)

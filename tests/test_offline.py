@@ -18,31 +18,30 @@ from acklab import (
     suffix_opt,
     top_k,
 )
-from acklab.offline import _blocks_ending_at, _starting_rows
 from acklab.cost import bdelay
+from acklab.offline import _blocks_ending_at, _starting_rows
+from acklab.tolerance import tol_at
 
 
 def naive_suffix(arrivals, spec):
-    arr = np.asarray(arrivals, float)
-    n = arr.size
-    G = np.zeros(n + 1)
-    if n == 0:
-        return G
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
-    row = _starting_rows(spec, arr, prefix)
+    """Suffix optima from scalar ``bdelay`` on explicit slices, O(n^3)."""
+    a = [float(x) for x in arrivals]
+    n = len(a)
+    G = [0.0] * (n + 1)
     for p in range(n - 1, -1, -1):
-        G[p] = float(np.min(row(p) + G[p + 1 :])) + 1.0
-    return G
+        G[p] = 1.0 + min(bdelay(spec, a[p : q + 1], a[q]) + G[q + 1] for q in range(p, n))
+    return np.asarray(G)
 
 
 def naive_critical_start(arrivals, spec):
     """First start whose single-ack cost matches the unpruned suffix table."""
     G = naive_suffix(arrivals, spec)
-    arr = np.asarray(arrivals, float)
-    n = arr.size
-    prefix = np.concatenate(([0.0], np.cumsum(arr)))
-    single = _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0
-    return next(p for p in range(n) if single[p] - G[p] <= 1e-9 * max(1.0, abs(G[p])))
+    a = [float(x) for x in arrivals]
+    return next(
+        p
+        for p in range(len(a))
+        if bdelay(spec, a[p:], a[-1]) + 1.0 - G[p] <= 1e-9 * max(1.0, abs(G[p]))
+    )
 
 
 class TestDpOptimal:
@@ -81,6 +80,23 @@ class TestDpOptimal:
                 cost, sched = dp_optimal(arrivals, spec)
                 realized = evaluate_schedule(Instance(arrivals, spec), sched).total
                 assert realized == pytest.approx(cost, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec", [linear_sum(), capped_linear(1.0), capped_linear(3.0), permit_plf()]
+    )
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e9, 1e12])
+    def test_shifted_times_keep_their_digits(self, spec, shift):
+        # The DP works on times minus the first arrival and every batch is
+        # costed relative to its own first arrival, so a shift changes
+        # nothing beyond the rounding of the shifted arrivals themselves.
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            arrivals = shift + np.cumsum(rng.exponential(1.0, 200))
+            cost, sched = dp_optimal(arrivals, spec)
+            realized = evaluate_schedule(Instance(tuple(arrivals), spec), sched).total
+            assert abs(realized - cost) <= tol_at(cost)
+            unshifted, _ = dp_optimal(arrivals - arrivals[0], spec)
+            assert abs(unshifted - cost) <= tol_at(cost)
 
 
 class TestSuffixOpt:
@@ -172,9 +188,7 @@ class TestCriticalSuffix:
                 arrivals = np.cumsum(10.0 ** rng.uniform(-3, 1, n))
             else:
                 arrivals = rng.uniform(0, 30, n)
-            if spec.kind == "permit_plf" and i % 5 == 0:
-                # Past the permit kernel's 1e6 switch.  The linear kernels
-                # subtract prefix sums, so they lose digits at such offsets.
+            if i % 5 == 0:
                 arrivals = arrivals + 2e6
             arrivals = tuple(sorted(arrivals))
             assert longest_critical_suffix(arrivals, spec) == naive_critical_start(
