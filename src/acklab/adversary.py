@@ -126,8 +126,8 @@ def gen_greedy_tau_hard(n: int, tau: float, eps: float) -> Instance:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
     if not 0 < eps < tau:
         raise ValueError("eps must satisfy 0 < eps < tau")
     arrivals = tuple(i * (tau + eps) for i in range(1, n + 1))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost import DelayModelSpec, Objective, batch_threshold_time, check_real, f_vector
 from .engine import OnlineAlgorithm, solve_threshold_time
-from .offline import dp_step, longest_critical_suffix
+from .offline import PermitSuffixTable, dp_step, longest_critical_suffix
 from .tolerance import tol_at
 
 
@@ -206,7 +206,9 @@ class SumMonotonePhases(_BatchThresholdPolicy):
 
     The policy extends the offline prefix DP by one step per arrival.  When
     one ack for everything seen is optimal, the whole prefix is the critical
-    suffix and no suffix search runs.
+    suffix and no suffix search runs.  Otherwise the permit model asks its
+    :class:`PermitSuffixTable`, which catches up on the arrivals since it
+    was last asked, and the other models run :func:`longest_critical_suffix`.
     """
 
     IDLE, BUDGET, BUFFER = "idle", "budget", "buffer"
@@ -221,6 +223,9 @@ class SumMonotonePhases(_BatchThresholdPolicy):
         self._arr = np.zeros(16)
         self._prefix = np.zeros(17)
         self._opt = np.zeros(17)
+        self._permits = (
+            PermitSuffixTable(spec.num_classes) if spec.kind == "permit_plf" else None
+        )
         self.kind = self.IDLE
         self.buffer_index = 0
         self.suffix_start: int | None = None
@@ -249,6 +254,8 @@ class SumMonotonePhases(_BatchThresholdPolicy):
         opt = self._opt[n]
         if blocks[0] + 1.0 - opt <= tol_at(opt):
             start = 0
+        elif self._permits is not None:
+            start = self._permits.critical_start(self._arr, blocks + 1.0)
         else:
             start = longest_critical_suffix(self._arr[:n], self.spec)
         return start, float(blocks[start]) + 1.0

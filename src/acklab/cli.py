@@ -99,14 +99,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _as_usage(fn, *args):
+    """Call ``fn``; a ``ValueError`` from checking its input is a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_adversary(args: argparse.Namespace) -> int:
     alg_json = _parse_inline_json(args.alg)
     if args.kind == "greedy_tau":
-        instance = adv.gen_greedy_tau_hard(args.n, args.tau, args.eps)
-        try:
-            algorithm = make_algorithm(alg_json, instance.model)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        instance = _as_usage(adv.gen_greedy_tau_hard, args.n, args.tau, args.eps)
+        algorithm = _as_usage(make_algorithm, alg_json, instance.model)
         schedule, _ = simulate(instance, algorithm)
         alg_cost = evaluate_schedule(instance, schedule).total
         opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
@@ -118,24 +123,16 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             "ratio": alg_cost / opt_cost,
         }
     elif args.kind == "concave":
-        def factory(spec):
-            try:
-                return make_algorithm(alg_json, spec)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-
-        result = adv.run_concave_adversary(factory, args.n)
+        result = _as_usage(
+            adv.run_concave_adversary, lambda spec: make_algorithm(alg_json, spec), args.n
+        )
         report = {"kind": "concave", **result.to_json()}
         report["reference_cost"] = report.pop("comparison_cost")
     else:  # permit
-        spec = permit_plf(num_classes=600)
-        try:
-            algorithm = make_algorithm(alg_json, spec)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        algorithm = _as_usage(make_algorithm, alg_json, permit_plf(num_classes=600))
         adapter = adv.TcpPermitAdapter(algorithm)
-        result = adv.run_pp_adversary(adapter, args.n)
-        opt_cost, _ = adv.permit_cover_optimal(result.request_times)
+        result = _as_usage(adv.run_pp_adversary, adapter, args.n)
+        opt_cost, _ = _as_usage(adv.permit_cover_optimal, result.request_times)
         report = {
             "kind": "permit",
             "n_requests": args.n,

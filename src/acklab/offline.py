@@ -7,6 +7,9 @@
 * :func:`suffix_opt` / :func:`longest_critical_suffix` — the same recurrence
   run right-to-left, used by the phase-based online algorithm to find the
   longest suffix whose optimum is a single acknowledgment.
+* :class:`PermitSuffixTable` — the permit model's suffix optima kept per
+  permit class for a prefix that grows one arrival at a time, brought up to
+  date only when the phase algorithm asks for a critical suffix.
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions;
   the independent oracle for every objective kind (and the only exact one for
   max- and vector-aggregated objectives).
@@ -14,7 +17,9 @@
 The DP and suffix kernels work on arrival times minus the first arrival, so
 their costs keep their digits however far from zero the instance lies, and
 they evaluate blocks through :func:`acklab.cost.batch_cost`, with one array
-entry per block; no batch formula is written here.
+entry per block.  The capped and permit suffix kernels are the exceptions:
+they use the cap and the permit class decomposition directly, and the permit
+ones work on the gaps between neighbouring arrivals at any span.
 """
 
 from __future__ import annotations
@@ -153,40 +158,129 @@ def _suffix_capped(arr: np.ndarray, prefix: np.ndarray, tau: float) -> np.ndarra
     return np.asarray(G)
 
 
+def _permit_classes(span: float, num_classes: int) -> int:
+    """Highest permit class a suffix kernel needs for blocks up to ``span``.
+
+    Class k costs ``2**k + x * 2**-k``; for ``x <= 4**k`` every higher class
+    costs more, so classes up to ``ceil(log4 span)`` suffice.  The kernels
+    keep one more, capped at ``num_classes``.
+    """
+    k = 0
+    while 4.0 ** k < span:
+        k += 1
+    return min(num_classes, k + 1)
+
+
 def _suffix_permit(arr: np.ndarray, num_classes: int) -> np.ndarray:
     """Suffix DP for the permit price curve in O(n * classes).
 
     The serve cost of a block is ``min_k (2**k + span * 2**-k)``, a minimum
-    of affine functions of the span, so the DP splits per class into a
-    running minimum over block ends.  Classes above ``log4(max span) + 1``
-    can never attain the minimum for any span in range and are skipped.
+    of affine functions of the span, so the DP splits per class.
+    ``C_k(p)``, the cheapest cost of serving ``p..n-1`` when the block that
+    starts at ``p`` is served by class k, less its ``2**k``, obeys
+    ``C_k(p) = min(G[p + 1], C_k(p + 1) + (a[p + 1] - a[p]) * 2**-k)`` and
+    ``G[p] = min_k 2**k + C_k(p)``.  It works on the gaps between
+    neighbouring arrivals, never on absolute times, so one kernel serves
+    every span.
     """
     n = arr.size
     a = arr.tolist()
-    span = a[-1] - a[0]
-    keff = 0
-    while 4.0 ** keff < span:
-        keff += 1
-    keff = min(num_classes, keff + 1)
-    costs = [2.0 ** k for k in range(keff + 1)]
-    slopes = [2.0 ** (-k) for k in range(keff + 1)]
-    class_min = [math.inf] * (keff + 1)
+    ks = range(_permit_classes(a[-1] - a[0], num_classes) + 1)
+    costs = [2.0 ** k for k in ks]
+    slopes = [2.0 ** (-k) for k in ks]
+    C = [0.0 for _ in ks]
     G = [0.0] * (n + 1)
-    ks = range(keff + 1)
-    for p in range(n - 1, -1, -1):
+    G[n - 1] = 1.0
+    for p in range(n - 2, -1, -1):
         gp1 = G[p + 1]
-        ap = a[p]
+        gap = a[p + 1] - a[p]
         best = math.inf
         for k in ks:
-            scaled = ap * slopes[k]
-            t = scaled + gp1
-            if t < class_min[k]:
-                class_min[k] = t
-            v = costs[k] + class_min[k] - scaled
+            c = C[k] + gap * slopes[k]
+            if gp1 < c:
+                c = gp1
+            C[k] = c
+            v = costs[k] + c
             if v < best:
                 best = v
         G[p] = best
     return np.asarray(G)
+
+
+class PermitSuffixTable:
+    """Suffix optima of a growing permit-model arrival prefix, kept per class.
+
+    The forward form of :func:`_suffix_permit`, for a policy that sees one
+    arrival at a time.  With ``i`` the last packet folded in, ``open[k, p]``
+    is the cheapest cost of serving packets ``p..i`` when the last block is
+    served by class k, and ``best[p] = min_k open[k, p]`` is the suffix
+    optimum ``G[p]``.  Packet ``i + 1``, a gap ``g`` later, either extends
+    that block or starts a new one, one vectorized min-plus step over all
+    starts: ``open[k, p] = min(open[k, p] + g * 2**-k, best[p] + 2**k)``
+    and ``open[k, i + 1] = 2**k``.
+
+    The table is lazy: :meth:`critical_start` folds in the packets that
+    arrived since its last call, so arrivals that never ask cost nothing.
+    No class above ``ceil(log4 span)`` serves a block more cheaply, so the
+    table keeps classes ``0..min(K, ceil(log4 span) + 1)`` as of its last
+    replay, and replays from the first packet once the span outgrows its
+    top class: at most about ``log4(span) / 2`` times.  Columns (starts)
+    grow by doubling.  A class is a row of ``open``, so the minimum over
+    classes runs across whole rows.
+    """
+
+    def __init__(self, num_classes: int):
+        self.num_classes = num_classes
+        self.size = 0  # packets folded in
+        self._costs = np.zeros((0, 1))
+        self._slopes = np.zeros((0, 1))
+        self._open = np.zeros((0, 16))
+        self._best = np.zeros(16)
+
+    def fold(self, arr: np.ndarray, n: int) -> np.ndarray:
+        """Fold in ``arr[size:n]`` and return the suffix optima of ``arr[:n]``.
+
+        ``arr[:size]`` must be the packets already folded in.
+        """
+        span = float(arr[n - 1] - arr[0])
+        top = self._costs.size - 1
+        starts = self._best.size
+        while starts < n:
+            starts *= 2
+        if top < 0 or (top < self.num_classes and span > 4.0 ** top):
+            classes = _permit_classes(span, self.num_classes) + 1
+            self.size = 0
+            self._costs = np.exp2(np.arange(classes, dtype=float))[:, None]
+            self._slopes = 1.0 / self._costs
+            self._open = np.zeros((classes, starts))
+            self._best = np.zeros(starts)
+        elif starts > self._best.size:
+            grow = starts - self._best.size
+            self._open = np.concatenate((self._open, np.zeros((self._costs.size, grow))), axis=1)
+            self._best = np.concatenate((self._best, np.zeros(grow)))
+        open_, best, costs, slopes = self._open, self._best, self._costs, self._slopes
+        for i in range(self.size, n):
+            if i:
+                head = open_[:, :i]
+                renew = best[:i] + costs
+                head += (arr[i] - arr[i - 1]) * slopes
+                np.minimum(head, renew, out=head)
+            open_[:, i : i + 1] = costs
+            np.minimum.reduce(open_[:, : i + 1], axis=0, out=best[: i + 1])
+        self.size = n
+        return best[:n]
+
+    def critical_start(self, arr: np.ndarray, single: np.ndarray) -> int:
+        """The result of :func:`longest_critical_suffix` on ``arr[:n]``.
+
+        ``n`` is ``single.size`` and ``single[p]`` the single-ack serve cost
+        of the suffix from ``p``.  ``arr[:n]`` extends the prefix of every
+        earlier call.
+        """
+        certified = int(np.argmax(single <= 2.0))
+        if certified == 0:
+            return 0
+        return _first_match(single, self.fold(arr, single.size), certified)
 
 
 def _suffix_table(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray) -> np.ndarray:
@@ -195,10 +289,7 @@ def _suffix_table(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray) -> 
         return np.zeros(1)
     if spec.kind == "capped_linear":
         return _suffix_capped(arr, prefix, spec.tau)
-    # The permit class decomposition mixes times across block ends; over
-    # huge spans that cancellation loses precision, so fall back to the row
-    # scan (which subtracts same-scale times first) beyond 1e6.
-    if spec.kind == "permit_plf" and arr[-1] <= 1e6:
+    if spec.kind == "permit_plf":
         return _suffix_permit(arr, spec.num_classes)
     row = _starting_rows(spec, arr, prefix)
     G = np.zeros(n + 1)
@@ -217,6 +308,14 @@ def suffix_opt(arrivals: Sequence[float], spec: DelayModelSpec) -> np.ndarray:
     return _suffix_table(spec, *_rebased(arrivals))
 
 
+def _first_match(single: np.ndarray, G: np.ndarray, stop: int) -> int:
+    """First start below ``stop`` whose single-ack serve cost matches the
+    suffix optimum ``G`` within the criticality tolerance, else ``stop``."""
+    G = G[:stop]
+    hits = np.nonzero(single[:stop] - G <= np.maximum(np.abs(G), 1.0) * 1e-9)[0]
+    return int(hits[0]) if hits.size else stop
+
+
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:
     """Start index of the longest suffix whose optimum is one acknowledgment.
 
@@ -224,22 +323,21 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     at its last packet's arrival is offline-optimal (ties count as critical).
     The singleton suffix always qualifies, so the result is well defined.
 
-    Two certificates keep the search short; neither changes the answer.
+    A start whose single-ack cost is at most 2 is critical, since any split
+    pays at least two acks.  The single-ack cost never increases with the
+    start, so every start from the first such one on is critical and only
+    earlier starts are searched.  The capped and permit models search them
+    with their fast suffix kernels and one vectorized criticality pass.
 
-    * A start whose single-ack cost is at most 2 is critical, since any split
-      pays at least two acks.  The single-ack cost never increases with the
-      start, so every start from the first such one on is critical and only
-      earlier starts are searched.
-    * Scanning right to left, a start ``p`` with single-ack slack ``s`` over
-      its optimum rules out every earlier start once ``s`` exceeds a bound.
-      Serving ``p'..p-1`` in one batch gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``.
-      Where the block delay is superadditive (``linear_sum``, ``max_wait``,
-      ``max_wait_pow``) the single-ack cost of ``p'`` grows by at least
-      ``d(p'..p-1)``, so the bound is 1.  Elsewhere each packet of
-      ``p'..p-1`` can be acked alone at its arrival for 1, so the bound is ``p``.
+    The other models (``linear_sum``, ``max_wait``, ``max_wait_pow``) scan
+    right to left and stop early.  Serving ``p'..p-1`` in one batch gives
+    ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and their block delay is
+    superadditive, so the single-ack cost of ``p'`` grows by at least
+    ``d(p'..p-1)``: once a start's single-ack slack over its optimum exceeds
+    1, no earlier start is critical.  The stop never changes the answer.
 
-    The capped model, and the permit model over spans up to 1e6, take their fast
-    suffix kernels plus one vectorized criticality pass instead of the scan.
+    This stateless search is the reference; :class:`PermitSuffixTable` gives
+    the same answer for a permit prefix that grows one arrival at a time.
     """
     arr, prefix = _rebased(arrivals)
     n = arr.size
@@ -249,12 +347,8 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
     if certified == 0:
         return 0
-    if spec.kind == "capped_linear" or (spec.kind == "permit_plf" and arr[-1] <= 1e6):
-        G = _suffix_table(spec, arr, prefix)[:certified]
-        tol = np.maximum(np.abs(G), 1.0) * 1e-9
-        hits = np.nonzero(single[:certified] - G <= tol)[0]
-        return int(hits[0]) if hits.size else certified
-    superadditive = spec.kind in ("linear_sum", "max_wait", "max_wait_pow")
+    if spec.kind in ("capped_linear", "permit_plf"):
+        return _first_match(single, _suffix_table(spec, arr, prefix), certified)
     # single[0] bounds every G[p], so this margin dominates the criticality
     # tolerance at every earlier start and pruning never changes the answer.
     margin = 1e-9 * max(1.0, float(single[0]))
@@ -267,7 +361,7 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
         slack = float(single[p]) - G[p]
         if slack <= 1e-9 * max(1.0, abs(G[p])):
             best = p
-        elif slack > (1.0 if superadditive else p) + margin:
+        elif slack > 1.0 + margin:
             break
     return best
 

@@ -26,8 +26,25 @@ from acklab import (
     simulate,
     sum_vector,
 )
+from acklab import algorithms
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
+
+
+def chained_timelines(rng):
+    """Integer timelines whose gaps mostly grow geometrically, like the
+    permit game's chained requests, with a few short gaps between: they
+    cross permit class boundaries mid-run and pass a span of 1e6.  The last
+    one repeats every third arrival of another, for tied arrivals."""
+    out = []
+    for growth in (1.2, 1.7, 2.2):
+        a = [1.0]
+        while a[-1] < 2e6:
+            step = a[-1] * (growth - 1.0) if rng.random() < 0.7 else rng.integers(0, 4)
+            a.append(a[-1] + math.floor(step) + 1.0)
+        out.append(tuple(a))
+    out.append(tuple(sorted(out[1] + out[1][::3])))
+    return out
 
 
 def run(instance, algorithm):
@@ -264,22 +281,44 @@ class TestSumMonotonePhases:
             permit_plf(),
             max_wait(Objective.SUM_BATCH),
             max_wait_pow(2, Objective.SUM_BATCH),
+            permit_plf(num_classes=1),
+            permit_plf(num_classes=3),
+            permit_plf(num_classes=600),
         ],
     )
     def test_incremental_suffix_matches_fresh_search(self, spec):
         rng = np.random.default_rng(4)
+        timelines = []
         for i in range(8):
             n = int(rng.integers(2, 80))
-            arrivals = (
+            timelines.append(
                 gen_uniform(n, 1.0, rng) if i % 2 else gen_bursty(n, 0.3, 4.0, 0.01, rng)
             )
+        if spec.kind == "permit_plf":
+            timelines += chained_timelines(rng)
+        for k, arrivals in enumerate(timelines):
             alg = SumMonotonePhases(spec)
             for j, t in enumerate(arrivals):
                 start, serve = alg._critical_suffix(t)
-                assert start == longest_critical_suffix(arrivals[: j + 1], spec)
+                assert start == longest_critical_suffix(arrivals[: j + 1], spec), (arrivals, j)
                 assert serve == pytest.approx(
                     bdelay(spec, arrivals[start : j + 1], t) + 1.0, rel=1e-12
                 )
+            if k >= 8:
+                # On a chained timeline the whole-prefix shortcut fails
+                # somewhere, so the incremental permit table answered.
+                assert alg._permits.size > 0
+
+    def test_permit_never_runs_the_stateless_search(self, monkeypatch):
+        def stateless(*args):
+            raise AssertionError("the permit model has its own incremental table")
+
+        monkeypatch.setattr(algorithms, "longest_critical_suffix", stateless)
+        for arrivals in chained_timelines(np.random.default_rng(5)):
+            alg = SumMonotonePhases(permit_plf(num_classes=600))
+            for t in arrivals:
+                alg._critical_suffix(t)
+            assert alg._permits.size > 0
 
 
 class TestMakeAlgorithm:

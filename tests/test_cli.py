@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from acklab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_instance(tmp_path, arrivals, model, name="inst.json", horizon=None):
@@ -185,6 +191,60 @@ class TestAdversary:
             "--alg", f'{{"alg":"{alg}","tau":{tau}}}',
         )
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(
+                ("--kind", kind, "--n", n)
+                for kind in ("greedy_tau", "concave", "permit")
+                for n in ("0", "-3")
+            ),
+            *(("--kind", "greedy_tau", "--n", "8", "--tau", t) for t in ("nan", "inf", "0", "-1")),
+            ("--kind", "greedy_tau", "--n", "8", "--tau", "1", "--eps", "1"),
+            ("--kind", "greedy_tau", "--n", "8", "--tau", "0.5", "--eps", "2"),
+        ],
+    )
+    def test_bad_generator_input_exit_2(self, capsys, args):
+        alg = '{"alg":"vector_greedy"}' if "concave" in args else '{"alg":"greedy_tau"}'
+        code, out = run_cli(capsys, "adversary", *args, "--alg", alg)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "n, alg_cost, reference_cost, max_class",
+        [(300, 2096.0, 173.0, 5), (1200, 15755.0, 701.0, 11)],
+    )
+    def test_permit_game_under_phases_pinned(self, capsys, n, alg_cost, reference_cost, max_class):
+        code, out = run_cli(
+            capsys, "adversary", "--kind", "permit", "--n", str(n), "--alg", '{"alg":"phases"}'
+        )
+        assert code == 0
+        got = json.loads(out)
+        assert (got["alg_cost"], got["reference_cost"], got["max_class"]) == (
+            alg_cost, reference_cost, max_class
+        )
+        assert got["chained"] is True
+
+
+class TestModuleEntryPoint:
+    """``python -m acklab`` from a source checkout, without installing."""
+
+    def run_module(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "acklab", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_solve(self, tmp_path):
+        path = write_instance(tmp_path, [0, 0.5, 3], {"kind": "linear_sum"})
+        proc = self.run_module(tmp_path, "solve", "--instance", path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ack_times"] == [0.5, 3.0]
+
+    def test_unknown_subcommand_exit_2(self, tmp_path):
+        proc = self.run_module(tmp_path, "nope")
+        assert proc.returncode == 2 and proc.stdout == ""
 
 
 BENCH_CONFIG = {

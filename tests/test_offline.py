@@ -19,7 +19,7 @@ from acklab import (
     top_k,
 )
 from acklab.cost import bdelay
-from acklab.offline import _blocks_ending_at, _starting_rows
+from acklab.offline import PermitSuffixTable, _blocks_ending_at, _starting_rows
 from acklab.tolerance import tol_at
 
 
@@ -31,6 +31,19 @@ def naive_suffix(arrivals, spec):
     for p in range(n - 1, -1, -1):
         G[p] = 1.0 + min(bdelay(spec, a[p : q + 1], a[q]) + G[q + 1] for q in range(p, n))
     return np.asarray(G)
+
+
+def geometric_timeline(rng, span, integer):
+    """Arrivals whose gaps mostly grow geometrically (growth 1.2 to 2.2, as
+    in the permit game's chained requests), with short gaps between, until
+    the span passes ``span``."""
+    growth = rng.uniform(1.2, 2.2)
+    a = [float(rng.integers(0, 1000))]
+    while a[-1] - a[0] < span:
+        step = a[-1] * (growth - 1.0) if rng.random() < 0.7 else 0.0
+        gap = float(int(step) + rng.integers(1, 4)) if integer else step + rng.uniform(0.1, 3.0)
+        a.append(a[-1] + gap)
+    return a
 
 
 def naive_critical_start(arrivals, spec):
@@ -196,16 +209,55 @@ class TestCriticalSuffix:
             ), arrivals
 
     def test_permit_prefix_crossing_the_switch(self):
-        # Geometric gaps like the permit adversary's timeline: each prefix of
-        # the sequence sits on one side of 1e6 or the other.
+        # Geometric gaps like the permit adversary's timeline, with prefixes
+        # spanning from 1 to past 1e12.  The permit kernel used to hand spans
+        # past 1e6 to the row scan; it now works on gaps and serves every span.
         arrivals = [1.0]
-        while arrivals[-1] < 4e6:
+        while arrivals[-1] < 1e12:
             arrivals.append(arrivals[-1] * 1.7 + 1.0)
         spec = permit_plf(num_classes=600)
         for n in range(1, len(arrivals) + 1):
             assert longest_critical_suffix(arrivals[:n], spec) == naive_critical_start(
                 arrivals[:n], spec
             )
+
+    @pytest.mark.parametrize("num_classes", [3, 32, 600])
+    def test_permit_kernel_on_geometric_timelines(self, num_classes):
+        rng = np.random.default_rng(8)
+        spec = permit_plf(num_classes=num_classes)
+        for span in (1e3, 1e6, 1e9, 1e12):
+            for i in range(6):
+                # Integer times as in the permit game, and every other
+                # timeline with fractional gaps.
+                arrivals = geometric_timeline(rng, span, integer=i % 2 == 0)
+                got = suffix_opt(arrivals, spec)
+                assert np.allclose(got, naive_suffix(arrivals, spec), rtol=1e-12, atol=0.0)
+                assert longest_critical_suffix(arrivals, spec) == naive_critical_start(
+                    arrivals, spec
+                )
+
+
+class TestPermitSuffixTable:
+    @pytest.mark.parametrize("num_classes", [1, 3, 32, 600])
+    def test_matches_suffix_kernel(self, num_classes):
+        # Folding in a few arrivals at a time, as the phase algorithm does
+        # when it asks only now and then, gives the suffix kernel's optima,
+        # also across the replays that add a class.
+        rng = np.random.default_rng(9)
+        spec = permit_plf(num_classes=num_classes)
+        timelines = [geometric_timeline(rng, 1e7, integer=i % 2 == 0) for i in range(4)]
+        timelines.append(np.sort(np.repeat(rng.uniform(0, 50, 30), 2)))  # tied arrivals
+        timelines.append(np.cumsum(rng.exponential(1.0, 120)))
+        for arrivals in timelines:
+            arrivals = np.asarray(arrivals, dtype=float)
+            table = PermitSuffixTable(num_classes)
+            n = 0
+            while n < arrivals.size:
+                n = min(arrivals.size, n + int(rng.integers(1, 6)))
+                got = table.fold(arrivals, n)
+                want = suffix_opt(arrivals[:n], spec)[:n]
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (arrivals, n)
+            assert table.size == arrivals.size
 
 
 class TestBruteForce:
