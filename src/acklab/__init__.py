@@ -42,7 +42,6 @@ from .offline import (
     DpTable,
     brute_force_optimal,
     dp_optimal,
-    dp_table,
     longest_critical_suffix,
     suffix_opt,
 )

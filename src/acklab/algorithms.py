@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 
-import numpy as np
-
 from .cost import DelayModelSpec, Objective, batch_threshold_time, check_real, f_vector
 from .engine import OnlineAlgorithm, solve_threshold_time
-from .offline import PermitSuffixTable, dp_step, longest_critical_suffix
+from .offline import DpTable
 from .tolerance import tol_at
 
 
@@ -204,11 +202,8 @@ class SumMonotonePhases(_BatchThresholdPolicy):
     recorded one.  Budgets are reassigned only when the critical batch is;
     the critical time is re-planned on every arrival.
 
-    The policy extends the offline prefix DP by one step per arrival.  When
-    one ack for everything seen is optimal, the whole prefix is the critical
-    suffix and no suffix search runs.  Otherwise the permit model asks its
-    :class:`PermitSuffixTable`, which catches up on the arrivals since it
-    was last asked, and the other models run :func:`longest_critical_suffix`.
+    The policy pushes every arrival into one offline prefix DP
+    (:class:`DpTable`) and asks it for the longest critical suffix.
     """
 
     IDLE, BUDGET, BUFFER = "idle", "budget", "buffer"
@@ -216,16 +211,7 @@ class SumMonotonePhases(_BatchThresholdPolicy):
     def __init__(self, spec: DelayModelSpec):
         _require(spec, Objective.SUM_BATCH, "phase algorithm")
         super().__init__(spec)
-        self.n_seen = 0
-        # Arrivals minus the first one, their prefix sums and prefix optima,
-        # grown by doubling.
-        self._origin = 0.0
-        self._arr = np.zeros(16)
-        self._prefix = np.zeros(17)
-        self._opt = np.zeros(17)
-        self._permits = (
-            PermitSuffixTable(spec.num_classes) if spec.kind == "permit_plf" else None
-        )
+        self._table = DpTable(spec)
         self.kind = self.IDLE
         self.buffer_index = 0
         self.suffix_start: int | None = None
@@ -240,29 +226,13 @@ class SumMonotonePhases(_BatchThresholdPolicy):
     def _critical_suffix(self, time: float) -> tuple[int, float]:
         """Record an arrival; return the start of the longest critical suffix
         and that suffix's single-ack serve cost."""
-        i = self.n_seen
-        if i == self._arr.size:
-            self._arr = np.concatenate((self._arr, np.zeros(i)))
-            self._prefix = np.concatenate((self._prefix, np.zeros(i)))
-            self._opt = np.concatenate((self._opt, np.zeros(i)))
-        if i == 0:
-            self._origin = time
-        self._arr[i] = rebased = time - self._origin
-        self._prefix[i + 1] = self._prefix[i] + rebased
-        self.n_seen = n = i + 1
-        _, blocks = dp_step(self.spec, self._arr, self._prefix, self._opt, i)
-        opt = self._opt[n]
-        if blocks[0] + 1.0 - opt <= tol_at(opt):
-            start = 0
-        elif self._permits is not None:
-            start = self._permits.critical_start(self._arr, blocks + 1.0)
-        else:
-            start = longest_critical_suffix(self._arr[:n], self.spec)
+        blocks = self._table.push(time)
+        start = self._table.critical_start(blocks)
         return start, float(blocks[start]) + 1.0
 
     def _assign_critical(self, start: int, serve_cost: float) -> None:
         self.suffix_start = start
-        self.suffix_stop = self.n_seen
+        self.suffix_stop = self._table.size
         self.serve_cost = serve_cost
         self.budget = 2.0 * serve_cost
 

@@ -169,6 +169,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     reports = verify_suite(only=args.only, samples=args.samples)
     failed = 0
     for rep in reports:

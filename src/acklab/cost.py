@@ -234,14 +234,17 @@ def model_from_json(obj: dict) -> DelayModelSpec:
     p = obj.get("p")
     if p == "inf":
         p = math.inf
+    weights = obj.get("w")
+    if "w" in obj and not isinstance(weights, list):
+        raise ValueError(f"ordered norm weights w must be a list, got {weights!r}")
     return DelayModelSpec(
         kind,
         objective,
         p=p,
         tau=obj.get("tau"),
-        num_classes=obj.get("K"),
+        num_classes=obj.get("K", DEFAULT_PERMIT_CLASSES if kind == "permit_plf" else None),
         k=obj.get("k"),
-        weights=tuple(obj["w"]) if "w" in obj else None,
+        weights=tuple(weights) if "w" in obj else None,
         prefix_len=obj.get("ell"),
         eps=obj.get("eps"),
         dim=obj.get("n"),

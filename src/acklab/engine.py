@@ -75,10 +75,6 @@ class OnlineAlgorithm(ABC):
         self._after_ack(time)
         return acked
 
-    def flush_request(self, time: float) -> list[int]:
-        """End-of-input: serve whatever is still pending at ``time``."""
-        return self.commit_ack(time)
-
     def _after_ack(self, time: float) -> None:
         """Hook for state transitions once a batch has been served."""
 
@@ -173,17 +169,8 @@ class SimulationDriver:
             self._commit(t)
         if self.algorithm.has_pending:
             t = max(horizon, self.now)
-            if self.ack_times and t <= self.ack_times[-1]:
-                raise EngineError(f"flush at {t!r} collides with an earlier ack")
-            self.now = t
             self.trace.append(TraceEvent(t, "flush", {}))
-            acked = self.algorithm.flush_request(t)
-            if not acked:
-                raise EngineError("flush served no packet despite pending packets")
-            self.ack_times.append(t)
-            self.ack_batches.append(acked)
-            self.trace.append(TraceEvent(t, "ack", {"indices": acked}))
-            self._drain()
+            self._commit(t)
         if self.algorithm.has_pending:
             raise EngineError("algorithm left packets unacknowledged after flush")
 

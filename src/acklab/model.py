@@ -213,6 +213,8 @@ def instance_to_json(instance: Instance) -> dict:
 def instance_from_json(obj: dict) -> Instance:
     if not isinstance(obj, dict) or "arrivals" not in obj or "model" not in obj:
         raise ValueError("instance must be an object with 'arrivals' and 'model'")
+    if not isinstance(obj["arrivals"], list):
+        raise ValueError(f"arrivals must be a list, got {obj['arrivals']!r}")
     return Instance(
         tuple(obj["arrivals"]),
         model_from_json(obj["model"]),

@@ -1,12 +1,13 @@
 """Exact offline solvers for the acknowledgment batching problem.
 
-* :func:`dp_optimal` — O(n^2) prefix DP for sum-aggregated batch models,
-  acknowledging each batch at its last packet's arrival (WLOG for monotone
-  batch costs: moving an ack earlier onto the batch's last arrival never
-  increases cost).
+* :class:`DpTable` / :func:`dp_optimal` — O(n^2) prefix DP for
+  sum-aggregated batch models, acknowledging each batch at its last packet's
+  arrival (WLOG for monotone batch costs: moving an ack earlier onto the
+  batch's last arrival never increases cost).  The table grows one arrival
+  at a time, and the phase-based online algorithm asks it for the longest
+  suffix whose optimum is a single acknowledgment.
 * :func:`suffix_opt` / :func:`longest_critical_suffix` — the same recurrence
-  run right-to-left, used by the phase-based online algorithm to find the
-  longest suffix whose optimum is a single acknowledgment.
+  run right-to-left; the stateless reference of that search.
 * :class:`PermitSuffixTable` — the permit model's suffix optima kept per
   permit class for a prefix that grows one arrival at a time, brought up to
   date only when the phase algorithm asks for a critical suffix.
@@ -31,6 +32,7 @@ import numpy as np
 
 from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_vector
 from .model import Schedule
+from .tolerance import TOL, tol_at
 
 
 class BruteForceInfeasibleError(ValueError):
@@ -68,50 +70,72 @@ def _starting_rows(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray):
 
 
 class DpTable:
-    """Prefix DP values and back-pointers.
+    """Prefix DP values and back-pointers of a growing arrival sequence.
 
-    ``values[i]`` is the optimal cost of serving the first ``i`` packets;
-    ``choice[i]`` is the start index of the last batch in that optimum.
+    For ``i <= size``, ``values[i]`` is the optimal cost of serving the first
+    ``i`` packets and ``choice[i]`` the start index of the last batch in that
+    optimum.  Arrivals are kept minus the first one, with their prefix sums;
+    all arrays grow by doubling.
     """
 
-    def __init__(self, values: np.ndarray, choice: np.ndarray):
-        self.values = values
-        self.choice = choice
+    def __init__(self, spec: DelayModelSpec):
+        _require_sum_batch(spec, "dp_optimal")
+        self.spec = spec
+        self.size = 0  # arrivals pushed
+        self._origin = 0.0
+        self._arr = np.zeros(16)
+        self._prefix = np.zeros(17)
+        self.values = np.zeros(17)
+        self.choice = np.zeros(17, dtype=int)
+        self._permits = PermitSuffixTable(spec.num_classes) if spec.kind == "permit_plf" else None
 
+    def push(self, time: float) -> np.ndarray:
+        """Add an arrival no earlier than the last one and fill its DP entry.
 
-def dp_step(
-    spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray, values: np.ndarray, i: int
-) -> tuple[int, np.ndarray]:
-    """One prefix-DP step: fill ``values[i + 1]`` from ``values[: i + 1]``.
+        Returns the delays of the blocks ``j..i`` acknowledged at the new
+        arrival ``i``, for every start ``j``.
+        """
+        i = self.size
+        if i == self._arr.size:
+            self._arr, self._prefix, self.values, self.choice = (
+                np.concatenate((a, np.zeros(i, dtype=a.dtype)))
+                for a in (self._arr, self._prefix, self.values, self.choice)
+            )
+        if i == 0:
+            self._origin = time
+        arr, prefix, values = self._arr, self._prefix, self.values
+        arr[i] = rebased = time - self._origin
+        prefix[i + 1] = prefix[i] + rebased
+        blocks = _blocks_ending_at(self.spec, arr, prefix, i)
+        cand = values[: i + 1] + blocks + 1.0
+        j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
+        values[i + 1] = cand[j]
+        self.choice[i + 1] = j
+        self.size = i + 1
+        return blocks
 
-    ``arr`` and ``prefix`` need to be valid only up to ``i`` and ``i + 1``.
-    Returns the start of the last batch in that optimum and the delays of the
-    blocks ``j..i`` acknowledged at ``arr[i]`` for every start ``j``.
-    """
-    blocks = _blocks_ending_at(spec, arr, prefix, i)
-    cand = values[: i + 1] + blocks + 1.0
-    j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
-    values[i + 1] = cand[j]
-    return j, blocks
+    def critical_start(self, blocks: np.ndarray) -> int:
+        """:func:`longest_critical_suffix` of the arrivals pushed so far.
 
-
-def dp_table(arrivals: Sequence[float], spec: DelayModelSpec) -> DpTable:
-    _require_sum_batch(spec, "dp_optimal")
-    arr, prefix = _rebased(arrivals)
-    n = arr.size
-    values = np.zeros(n + 1)
-    choice = np.zeros(n + 1, dtype=int)
-    for i in range(n):
-        choice[i + 1], _ = dp_step(spec, arr, prefix, values, i)
-    return DpTable(values, choice)
+        ``blocks`` is what the last :meth:`push` returned.  When one ack for
+        everything is optimal, the whole prefix is the critical suffix and
+        no suffix search runs.
+        """
+        single = blocks + 1.0
+        opt = float(self.values[self.size])
+        if single[0] - opt <= tol_at(opt):
+            return 0
+        return _critical_start(self.spec, self._arr, self._prefix, single, self._permits)
 
 
 def dp_optimal(
     arrivals: Sequence[float], spec: DelayModelSpec
 ) -> tuple[float, Schedule]:
     """Optimal cost and a realizing schedule for sum-aggregated batch models."""
-    table = dp_table(arrivals, spec)
+    table = DpTable(spec)
     arr = tuple(float(a) for a in arrivals)
+    for a in arr:
+        table.push(a)
     acks: list[float] = []
     i = len(arr)
     while i > 0:
@@ -219,8 +243,8 @@ class PermitSuffixTable:
     starts: ``open[k, p] = min(open[k, p] + g * 2**-k, best[p] + 2**k)``
     and ``open[k, i + 1] = 2**k``.
 
-    The table is lazy: :meth:`critical_start` folds in the packets that
-    arrived since its last call, so arrivals that never ask cost nothing.
+    The table is lazy: :meth:`DpTable.critical_start` folds in the packets
+    that arrived since it last asked, so arrivals that never ask cost nothing.
     No class above ``ceil(log4 span)`` serves a block more cheaply, so the
     table keeps classes ``0..min(K, ceil(log4 span) + 1)`` as of its last
     replay, and replays from the first packet once the span outgrows its
@@ -270,18 +294,6 @@ class PermitSuffixTable:
         self.size = n
         return best[:n]
 
-    def critical_start(self, arr: np.ndarray, single: np.ndarray) -> int:
-        """The result of :func:`longest_critical_suffix` on ``arr[:n]``.
-
-        ``n`` is ``single.size`` and ``single[p]`` the single-ack serve cost
-        of the suffix from ``p``.  ``arr[:n]`` extends the prefix of every
-        earlier call.
-        """
-        certified = int(np.argmax(single <= 2.0))
-        if certified == 0:
-            return 0
-        return _first_match(single, self.fold(arr, single.size), certified)
-
 
 def _suffix_table(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray) -> np.ndarray:
     n = arr.size
@@ -312,8 +324,44 @@ def _first_match(single: np.ndarray, G: np.ndarray, stop: int) -> int:
     """First start below ``stop`` whose single-ack serve cost matches the
     suffix optimum ``G`` within the criticality tolerance, else ``stop``."""
     G = G[:stop]
-    hits = np.nonzero(single[:stop] - G <= np.maximum(np.abs(G), 1.0) * 1e-9)[0]
+    hits = np.nonzero(single[:stop] - G <= np.maximum(np.abs(G), 1.0) * TOL)[0]
     return int(hits[0]) if hits.size else stop
+
+
+def _critical_start(
+    spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray, single: np.ndarray, permits=None
+) -> int:
+    """The search of :func:`longest_critical_suffix` on ``arr[:n]``.
+
+    ``n`` is ``single.size``; ``arr`` holds arrival times minus the first
+    arrival, ``prefix`` their prefix sums, and ``single[p]`` the single-ack
+    serve cost of the suffix from ``p``.  A permit table, if given, has
+    folded a prefix of ``arr[:n]`` and answers in place of the suffix kernel.
+    """
+    n = single.size
+    certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
+    if certified == 0:
+        return 0
+    if permits is not None:
+        return _first_match(single, permits.fold(arr, n), certified)
+    arr, prefix = arr[:n], prefix[: n + 1]
+    if spec.kind in ("capped_linear", "permit_plf"):
+        return _first_match(single, _suffix_table(spec, arr, prefix), certified)
+    # single[0] bounds every G[p], so this margin dominates the criticality
+    # tolerance at every earlier start and pruning never changes the answer.
+    margin = tol_at(float(single[0]))
+    row = _starting_rows(spec, arr, prefix)
+    G = np.zeros(n + 1)
+    G[certified:n] = single[certified:]
+    best = certified
+    for p in range(certified - 1, -1, -1):
+        G[p] = float(np.min(row(p) + G[p + 1 :])) + 1.0
+        slack = float(single[p]) - G[p]
+        if slack <= tol_at(G[p]):
+            best = p
+        elif slack > 1.0 + margin:
+            break
+    return best
 
 
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:
@@ -336,34 +384,14 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     ``d(p'..p-1)``: once a start's single-ack slack over its optimum exceeds
     1, no earlier start is critical.  The stop never changes the answer.
 
-    This stateless search is the reference; :class:`PermitSuffixTable` gives
-    the same answer for a permit prefix that grows one arrival at a time.
+    This stateless search is the reference; :meth:`DpTable.critical_start`
+    runs the same search on a prefix that grows one arrival at a time.
     """
     arr, prefix = _rebased(arrivals)
     n = arr.size
     if n == 0:
         raise ValueError("empty arrival prefix has no critical suffix")
-    single = _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0
-    certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
-    if certified == 0:
-        return 0
-    if spec.kind in ("capped_linear", "permit_plf"):
-        return _first_match(single, _suffix_table(spec, arr, prefix), certified)
-    # single[0] bounds every G[p], so this margin dominates the criticality
-    # tolerance at every earlier start and pruning never changes the answer.
-    margin = 1e-9 * max(1.0, float(single[0]))
-    row = _starting_rows(spec, arr, prefix)
-    G = np.zeros(n + 1)
-    G[certified:n] = single[certified:]
-    best = certified
-    for p in range(certified - 1, -1, -1):
-        G[p] = float(np.min(row(p) + G[p + 1 :])) + 1.0
-        slack = float(single[p]) - G[p]
-        if slack <= 1e-9 * max(1.0, abs(G[p])):
-            best = p
-        elif slack > 1.0 + margin:
-            break
-    return best
+    return _critical_start(spec, arr, prefix, _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0)
 
 
 def brute_force_optimal(

@@ -26,9 +26,11 @@ from acklab import (
     simulate,
     sum_vector,
 )
-from acklab import algorithms
+from acklab import offline
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
+from acklab.tolerance import tol_at
+from test_offline import naive_critical_start
 
 
 def chained_timelines(rng):
@@ -287,6 +289,10 @@ class TestSumMonotonePhases:
         ],
     )
     def test_incremental_suffix_matches_fresh_search(self, spec):
+        # The policy's table and the stateless search share one kernel, so
+        # the first 30 packets of each timeline are also checked against slow
+        # references: a prefix DP and a suffix table built from scalar bdelay
+        # on explicit slices.
         rng = np.random.default_rng(4)
         timelines = []
         for i in range(8):
@@ -294,31 +300,39 @@ class TestSumMonotonePhases:
             timelines.append(
                 gen_uniform(n, 1.0, rng) if i % 2 else gen_bursty(n, 0.3, 4.0, 0.01, rng)
             )
-        if spec.kind == "permit_plf":
-            timelines += chained_timelines(rng)
-        for k, arrivals in enumerate(timelines):
+        chained = chained_timelines(rng) if spec.kind == "permit_plf" else []
+        shifted = [tuple(1e12 + a for a in arrivals) for arrivals in timelines[:4]]
+        for arrivals in timelines + chained + shifted:
             alg = SumMonotonePhases(spec)
+            values = [0.0]
             for j, t in enumerate(arrivals):
                 start, serve = alg._critical_suffix(t)
                 assert start == longest_critical_suffix(arrivals[: j + 1], spec), (arrivals, j)
                 assert serve == pytest.approx(
                     bdelay(spec, arrivals[start : j + 1], t) + 1.0, rel=1e-12
                 )
-            if k >= 8:
+                if j < 30:
+                    values.append(1.0 + min(
+                        values[i] + bdelay(spec, arrivals[i : j + 1], t) for i in range(j + 1)
+                    ))
+                    for got, want in zip(alg._table.values[: j + 2], values, strict=True):
+                        assert abs(got - want) <= tol_at(want), (arrivals, j)
+                    assert start == naive_critical_start(arrivals[: j + 1], spec), (arrivals, j)
+            if arrivals in chained:
                 # On a chained timeline the whole-prefix shortcut fails
                 # somewhere, so the incremental permit table answered.
-                assert alg._permits.size > 0
+                assert alg._table._permits.size > 0
 
     def test_permit_never_runs_the_stateless_search(self, monkeypatch):
         def stateless(*args):
             raise AssertionError("the permit model has its own incremental table")
 
-        monkeypatch.setattr(algorithms, "longest_critical_suffix", stateless)
+        monkeypatch.setattr(offline, "_suffix_permit", stateless)
         for arrivals in chained_timelines(np.random.default_rng(5)):
             alg = SumMonotonePhases(permit_plf(num_classes=600))
             for t in arrivals:
                 alg._critical_suffix(t)
-            assert alg._permits.size > 0
+            assert alg._table._permits.size > 0
 
 
 class TestMakeAlgorithm:

@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_instance(tmp_path, arrivals, model, name="inst.json", horizon=None):
-    obj = {"arrivals": list(arrivals), "model": model}
+    obj = {"arrivals": arrivals, "model": model}
     if horizon is not None:
         obj["horizon"] = horizon
     path = tmp_path / name
@@ -62,6 +62,10 @@ class TestSolve:
             ([0, 1], {"kind": "capped_linear", "tau": "1"}, None),
             ([0, 1], {"kind": "permit_plf", "K": True}, None),
             ([0, 1], {"kind": "max_wait_pow", "p": float("nan")}, None),
+            (5, {"kind": "linear_sum"}, None),
+            (None, {"kind": "linear_sum"}, None),
+            ([0, 1], {"kind": "ordered", "w": 5}, None),
+            ([0, 1], {"kind": "ordered", "w": None}, None),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, arrivals, model, horizon):
@@ -73,6 +77,15 @@ class TestSolve:
         ):
             code, out = run_cli(capsys, *argv)
             assert code == 2 and out == ""
+
+    def test_permit_classes_default_to_32(self, tmp_path, capsys):
+        outs = []
+        for model in ({"kind": "permit_plf"}, {"kind": "permit_plf", "K": 32}):
+            path = write_instance(tmp_path, [0, 1, 5], model)
+            code, out = run_cli(capsys, "solve", "--instance", path)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -358,3 +371,8 @@ class TestVerify:
 
     def test_usage_error(self, capsys):
         assert main(["bogus-command"]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        code, out = run_cli(capsys, "verify", "--samples", samples)
+        assert code == 2 and out == ""

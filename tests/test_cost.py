@@ -288,6 +288,8 @@ class TestSpecValidation:
             {"kind": "permit_plf", "K": 2.5},
             {"kind": "permit_plf", "K": False},
             {"kind": "top_k", "k": None},
+            {"kind": "ordered", "w": 5},
+            {"kind": "ordered", "w": None},
         ],
     )
     def test_param_types_and_finiteness(self, obj):
@@ -310,6 +312,7 @@ class TestSpecValidation:
         assert model_from_json({"kind": "lp", "p": 2}) == lp_norm(2)
         assert model_from_json({"kind": "capped_linear", "tau": 1.0}) == capped_linear(1.0)
         assert model_from_json({"kind": "permit_plf", "K": 32}) == permit_plf(32)
+        assert model_from_json({"kind": "permit_plf"}) == permit_plf()  # K defaults to 32
         assert model_from_json({"kind": "ordered", "w": [2, 1, 1]}) == ordered_norm((2, 1, 1))
         assert model_from_json({"kind": "lp", "p": "inf"}) == lp_norm(math.inf)
         assert model_from_json(

@@ -3,12 +3,12 @@ import pytest
 
 from acklab import (
     BruteForceInfeasibleError,
+    DpTable,
     Instance,
     Objective,
     brute_force_optimal,
     capped_linear,
     dp_optimal,
-    dp_table,
     evaluate_schedule,
     linear_sum,
     longest_critical_suffix,
@@ -85,7 +85,9 @@ class TestDpOptimal:
         for spec in (linear_sum(), capped_linear(1.0), permit_plf()):
             for _ in range(40):
                 arrivals = tuple(sorted(rng.uniform(0, 10, rng.integers(1, 12))))
-                table = dp_table(arrivals, spec)
+                table = DpTable(spec)
+                for a in arrivals:
+                    table.push(a)
                 assert all(
                     table.values[i] <= table.values[i + 1] + 1e-12
                     for i in range(len(arrivals))
