@@ -52,7 +52,6 @@ from .engine import (
     TraceEvent,
     next_threshold,
     simulate,
-    solve_threshold_time,
 )
 from .algorithms import (
     GreedyBatchOblivious,

@@ -12,6 +12,12 @@ Four policies plus one adversary-harness variant:
   offline suffix DP; logarithmically competitive for sum-aggregated models.
 * :class:`VectorThresholdGreedy` — fixed-threshold greedy over the pending
   packets' vector cost; used by the concave lower-bound driver.
+
+Every policy plans its ack time at the exact crossing of its target: the
+batch policies from the pending batch's size, arrival sum and first arrival
+(:func:`batch_threshold_time`), the vector policies from a running aggregate
+of their delay vector (:func:`vector_threshold_time`).  None of them
+evaluates a cost on an explicit delay list or bisects.
 """
 
 from __future__ import annotations
@@ -19,8 +25,15 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 
-from .cost import DelayModelSpec, Objective, batch_threshold_time, check_real, f_vector
-from .engine import OnlineAlgorithm, solve_threshold_time
+from .cost import (
+    DelayModelSpec,
+    Objective,
+    batch_threshold_time,
+    check_real,
+    vector_aggregate,
+    vector_threshold_time,
+)
+from .engine import OnlineAlgorithm
 from .offline import DpTable
 from .tolerance import tol_at
 
@@ -94,18 +107,27 @@ class _BatchThresholdPolicy(_ThresholdPolicy):
 
 
 class _VectorThresholdPolicy(_ThresholdPolicy):
-    """Threshold policy for vector models: the ack time is found by solving
-    for the crossing of the cost of ``_delays(t)`` (:func:`solve_threshold_time`)."""
+    """Threshold policy for vector models.
 
-    @abstractmethod
-    def _delays(self, t: float) -> list[float]:
-        """Delay vector whose cost is compared with the target at time ``t``."""
+    The delay vector is kept as the model's running aggregate
+    (:func:`vector_aggregate`), with pending arrivals measured from the first
+    pending one, and the ack time is the aggregate's exact crossing
+    (:func:`vector_threshold_time`).
+    """
 
-    def _cost_at(self, t: float) -> float:
-        return f_vector(self.spec, self._delays(t))
+    def __init__(self, spec: DelayModelSpec):
+        super().__init__(spec)
+        self._aggregate = vector_aggregate(spec)
+        self._origin = 0.0
+
+    def observe_arrival(self, time: float, index: int) -> None:
+        if not self._pending:
+            self._origin = float(time)
+        self._aggregate.add(float(time) - self._origin)
+        super().observe_arrival(time, index)
 
     def _plan(self, now: float) -> float | None:
-        return solve_threshold_time(self._cost_at, now, self._target())
+        return vector_threshold_time(self._aggregate, self._origin, self._target(), now)
 
 
 class GreedyTau(_BatchThresholdPolicy):
@@ -141,33 +163,22 @@ class GreedyMaxMonotone(_BatchThresholdPolicy):
 class GreedyBatchOblivious(_VectorThresholdPolicy):
     """For vector objectives: ack whenever the delay cost grows by 1.
 
-    Delays of served packets are frozen at their ack time; the trigger level
-    is the cost at the last ack plus one.  A new arrival can jump the cost
-    past the trigger (new coordinate), in which case the ack fires at the
-    arrival itself.
+    Delays of served packets are frozen at their ack time, in the aggregate;
+    the trigger level is the cost at the last ack plus one.  A new arrival
+    can jump the cost past the trigger (new coordinate), in which case the
+    ack fires at the arrival itself.
     """
 
     def __init__(self, spec: DelayModelSpec):
         _require(spec, Objective.VECTOR, "batch-oblivious greedy")
         super().__init__(spec)
-        self.frozen: dict[int, float] = {}
         self.baseline = 0.0
 
     def _target(self) -> float:
         return self.baseline + 1.0
 
-    def _delays(self, t: float) -> list[float]:
-        d = list(self.frozen.values())
-        d.extend(max(0.0, t - a) for _, a in self._pending)
-        return d
-
-    def commit_ack(self, time: float) -> list[int]:
-        for idx, a in self._pending:
-            self.frozen[idx] = max(0.0, time - a)
-        return super().commit_ack(time)
-
     def _after_ack(self, time: float) -> None:
-        self.baseline = f_vector(self.spec, list(self.frozen.values()))
+        self.baseline = self._aggregate.freeze(time - self._origin)
 
 
 class VectorThresholdGreedy(_VectorThresholdPolicy):
@@ -187,8 +198,8 @@ class VectorThresholdGreedy(_VectorThresholdPolicy):
     def _target(self) -> float:
         return self.tau
 
-    def _delays(self, t: float) -> list[float]:
-        return [max(0.0, t - a) for _, a in self._pending]
+    def _after_ack(self, time: float) -> None:
+        self._aggregate.clear()
 
 
 class SumMonotonePhases(_BatchThresholdPolicy):

@@ -14,7 +14,9 @@ Two families of models are supported:
   reaches a target (:func:`batch_threshold_time`);
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
-  ``sum_vector``).
+  ``sum_vector``).  Online, each is kept as a running aggregate of the
+  growing delay vector (:func:`vector_aggregate`) whose crossing of a
+  target is exact too (:func:`vector_threshold_time`).
 
 The module also provides the piecewise-linear permit cost curve
 :func:`plf_eval` and randomized property testers for monotonicity and the
@@ -23,10 +25,12 @@ lattice (continuous-submodularity) inequality.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -355,33 +359,53 @@ def _crossing(spec: DelayModelSpec, m: int, total: float, first: float, target: 
     return first + span
 
 
+def _first_float_at(
+    cost: Callable[[float], float], t: float | None, t_lo: float, target: float, goal: float
+) -> float | None:
+    """Earliest float time from ``t_lo`` on at which ``cost`` reaches ``goal``.
+
+    ``t`` is the crossing, exact up to a few rounding errors, or None when
+    the goal is out of reach.  Returns ``t_lo`` when the cost there is
+    already within tolerance of ``target``.  Otherwise the crossing is moved
+    one float at a time, down while the cost one float earlier still
+    reaches the goal and up while the cost falls short of it, so the ack
+    lands at the exact crossing even where float spacing exceeds the
+    tolerance.
+    """
+    if cost(t_lo) >= target - tol_at(target):
+        return t_lo
+    if t is None:
+        return None
+    t = max(t_lo, t)
+    while t > t_lo and cost(math.nextafter(t, -math.inf)) >= goal:
+        t = math.nextafter(t, -math.inf)
+    while cost(t) < goal:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def batch_threshold_time(
     spec: DelayModelSpec, m: int, total: float, first: float, target: float, t_lo: float
 ) -> float | None:
     """Earliest ``t >= t_lo`` at which a batch's delay cost reaches ``target``.
 
     The batch is given by its size, arrival sum and first arrival, as in
-    :func:`batch_cost`.  Returns ``t_lo`` when the cost there is already
-    within tolerance of the target, and None when the target is out of reach
-    (the capped model with its cap below the target).  Otherwise the
-    closed-form crossing is moved up to the first float time at which the
-    evaluated cost reaches the target, so the ack lands at the exact
-    crossing even where float spacing exceeds the tolerance.
+    :func:`batch_cost`.  The time is the closed-form crossing moved to its
+    first float (:func:`_first_float_at`); None means the target is out of
+    reach (the capped model with its cap below the target).
     """
-    tol = tol_at(target)
     goal = target
     if spec.kind == "capped_linear":
-        if spec.tau < target - tol:
+        if spec.tau < target - tol_at(target):
             return None
         goal = min(target, spec.tau)
-    if batch_cost(spec, m, total, first, t_lo) >= target - tol:
-        return t_lo
-    t = max(t_lo, _crossing(spec, m, total, first, goal))
-    # The closed form is off by a few rounding errors at most, and the cost
-    # grows without bound (or reaches the cap), so this ends within a few steps.
-    while batch_cost(spec, m, total, first, t) < goal:
-        t = math.nextafter(t, math.inf)
-    return t
+    return _first_float_at(
+        partial(batch_cost, spec, m, total, first),
+        _crossing(spec, m, total, first, goal),
+        t_lo,
+        target,
+        goal,
+    )
 
 
 def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> float:
@@ -443,6 +467,341 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
         tail = float(d[ell:].sum())
         return min(spec.eps * head + tail, (spec.dim / ell) * head + spec.eps * tail)
     raise AssertionError(kind)
+
+
+# ---------------------------------------------------------------------------
+# Vector aggregates: the cost of a growing delay vector without the vector
+# ---------------------------------------------------------------------------
+#
+# A vector policy's delay vector has two parts: frozen delays of served
+# packets and the delays ``s - x`` of the pending packets, where ``x`` is an
+# arrival and ``s`` the time, both measured from the first pending arrival
+# (so shifted inputs keep their digits).  Each aggregate keeps what its model
+# needs of both parts and implements:
+#
+# * ``add(x)`` — a packet arrives at offset ``x``;
+# * ``cost(s)`` — :func:`f_vector` of the whole vector at offset ``s``;
+# * ``crossing(goal)`` — an offset at which the cost reaches ``goal``,
+#   exact up to rounding, or None when it never does;
+# * ``freeze(s)`` — serve the pending packets at ``s``, keep their delays,
+#   and return the cost of the frozen part alone;
+# * ``clear()`` — drop the pending packets without keeping their delays.
+
+
+def _affine_crossing(slope: float, value0: float, goal: float) -> float:
+    """Where ``value0 + slope * s`` reaches ``goal`` (±inf when flat)."""
+    if slope > 0.0:
+        return (goal - value0) / slope
+    return -math.inf if value0 >= goal else math.inf
+
+
+def _newton_down(value_slope, s: float, lo: float) -> float:
+    """Newton's method from ``s``, at or right of the root of a convex,
+    increasing function, never going below ``lo``.  Each step lands on the
+    root of a tangent, which lies below the function, so the iterates fall
+    monotonically towards the root; on a piecewise-linear function each step
+    enters a new piece and the last one is exact."""
+    while True:
+        v, d = value_slope(s)
+        if v <= 0.0 or d <= 0.0:
+            return s
+        nxt = max(lo, s - v / d)
+        if nxt >= s:
+            return s
+        s = nxt
+
+
+class _SumAggregate:
+    """``sum_vector`` and ``lp`` with p = 1: a count and an arrival sum."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.frozen = 0.0
+        self.m = 0
+        self.total = 0.0
+
+    def add(self, x: float) -> None:
+        self.m += 1
+        self.total += x
+
+    def cost(self, s: float) -> float:
+        return self.frozen + max(0.0, self.m * s - self.total)
+
+    def crossing(self, goal: float) -> float | None:
+        return (goal - self.frozen + self.total) / self.m
+
+    def freeze(self, s: float) -> float:
+        self.frozen = self.cost(s)
+        self.clear()
+        return self.frozen
+
+    def clear(self) -> None:
+        self.m = 0
+        self.total = 0.0
+
+
+class _MaxAggregate:
+    """``lp`` with p = inf: the running maximum.  The first pending packet,
+    at offset 0, has the largest pending delay ``s``."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.frozen = 0.0
+
+    def add(self, x: float) -> None:
+        pass
+
+    def cost(self, s: float) -> float:
+        return max(self.frozen, s)
+
+    def crossing(self, goal: float) -> float | None:
+        return goal
+
+    def freeze(self, s: float) -> float:
+        self.frozen = self.cost(s)
+        return self.frozen
+
+    def clear(self) -> None:
+        pass
+
+
+class _PowerAggregate:
+    """``lp`` with any other p: the norm of the frozen delays and the pending
+    offsets.  Every delay is divided by the largest one in play before it
+    is raised to the p-th power, so no power overflows however large p is.
+    The pending sum of p-th powers is convex and increasing in ``s``, so its
+    crossing comes from Newton's method started above it; each step costs
+    O(pending)."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.p = float(spec.p)
+        self.frozen = 0.0
+        self.xs: list[float] = []
+
+    def add(self, x: float) -> None:
+        self.xs.append(x)
+
+    def cost(self, s: float) -> float:
+        # Policies evaluate the aggregate with packets pending, and the first
+        # of them, at offset 0, has the largest pending delay s.
+        scale = max(self.frozen, s)
+        if scale <= 0.0:
+            return 0.0
+        p = self.p
+        powers = (self.frozen / scale) ** p + sum((max(0.0, s - x) / scale) ** p for x in self.xs)
+        return scale * powers ** (1.0 / p)
+
+    def crossing(self, goal: float) -> float | None:
+        # In units of goal: sum ((s - x) / goal)**p must reach need.
+        p, xs = self.p, self.xs
+        need = 1.0 - (self.frozen / goal) ** p
+        per = goal * (need / len(xs)) ** (1.0 / p)
+
+        def value_slope(s):
+            d = [max(0.0, s - x) / goal for x in xs]
+            return sum(v ** p for v in d) - need, p / goal * sum(v ** (p - 1.0) for v in d)
+
+        # Every offset is at least 0 and at most xs[-1], so the root lies in
+        # [per, xs[-1] + per] and below goal * need**(1/p).
+        return _newton_down(value_slope, min(goal * need ** (1.0 / p), xs[-1] + per), per)
+
+    def freeze(self, s: float) -> float:
+        self.frozen = self.cost(s)
+        self.clear()
+        return self.frozen
+
+    def clear(self) -> None:
+        self.xs = []
+
+
+class _TopKAggregate:
+    """``top_k``: the k largest frozen delays and the first k pending
+    offsets.  The j largest pending delays are those of the first j pending
+    packets, so the cost is the maximum over j of ``j s - X_j + H_{k-j}``
+    (X: pending prefix sums, H: sums of the largest frozen delays) and its
+    crossing the minimum of the pieces' crossings."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.k = spec.k
+        self.top: list[float] = []  # decreasing
+        self.top_sums = [0.0]  # H_r for r = 0 .. len(top)
+        self.xs: list[float] = []
+
+    def add(self, x: float) -> None:
+        if len(self.xs) < self.k:
+            self.xs.append(x)
+
+    def _pieces(self):
+        """``(j, X_j, H_{k-j})`` for j = 0 .. the pending count (at most k)."""
+        sums, last = self.top_sums, len(self.top_sums) - 1
+        total = 0.0
+        yield 0, total, sums[min(self.k, last)]
+        for j, x in enumerate(self.xs, 1):
+            total += x
+            yield j, total, sums[min(self.k - j, last)]
+
+    def cost(self, s: float) -> float:
+        return max(j * s - total + frozen for j, total, frozen in self._pieces())
+
+    def crossing(self, goal: float) -> float | None:
+        return min((goal - frozen + total) / j for j, total, frozen in self._pieces() if j)
+
+    def freeze(self, s: float) -> float:
+        self.top = heapq.nlargest(self.k, [*self.top, *(max(0.0, s - x) for x in self.xs)])
+        self.top_sums = [0.0]
+        for v in self.top:
+            self.top_sums.append(self.top_sums[-1] + v)
+        self.clear()
+        return self.top_sums[-1]
+
+    def clear(self) -> None:
+        self.xs = []
+
+
+class _OrderedAggregate:
+    """``ordered``: the largest frozen delays, one per weight, in decreasing
+    order, and the first pending offsets, one per weight.  The cost at ``s``
+    is one sorted merge of the two; it is convex and piecewise linear in
+    ``s`` with the weights at the pending packets' places as its slope, so
+    Newton's method from above reaches the crossing exactly, one merge per
+    step."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.w = spec.weights
+        self.top: list[float] = []
+        self.xs: list[float] = []
+
+    def add(self, x: float) -> None:
+        if len(self.xs) < len(self.w):
+            self.xs.append(x)
+
+    def _merge(self, s: float) -> tuple[float, float]:
+        """Cost at ``s`` and its slope there."""
+        top, xs = self.top, self.xs
+        value = slope = 0.0
+        q = i = 0
+        for w in self.w[: len(top) + len(xs)]:
+            if i < len(xs) and (q == len(top) or s - xs[i] >= top[q]):
+                value += w * max(0.0, s - xs[i])
+                slope += w
+                i += 1
+            else:
+                value += w * top[q]
+                q += 1
+        return value, slope
+
+    def cost(self, s: float) -> float:
+        return self._merge(s)[0]
+
+    def crossing(self, goal: float) -> float | None:
+        if self.w[0] <= 0.0:
+            return None
+
+        def value_slope(s):
+            value, slope = self._merge(s)
+            return value - goal, slope
+
+        # The first pending packet's delay is s, so the cost is at least w[0] s.
+        return _newton_down(value_slope, goal / self.w[0], 0.0)
+
+    def freeze(self, s: float) -> float:
+        self.top = heapq.nlargest(len(self.w), [*self.top, *(max(0.0, s - x) for x in self.xs)])
+        self.clear()
+        return self.cost(0.0)
+
+    def clear(self) -> None:
+        self.xs = []
+
+
+class _ConcaveAggregate:
+    """``concave_two_piece``: a count and an arrival sum each for the head
+    (the first ``ell`` packets the aggregate holds) and the tail.  The cost
+    is the minimum of two affine functions, so its crossing is the later of
+    their crossings."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.ell = spec.prefix_len
+        self.eps = spec.eps
+        self.ratio = spec.dim / spec.prefix_len
+        self.frozen_head = self.frozen_tail = 0.0
+        self.held = 0  # packets held, frozen ones included
+        self._drop_pending()
+
+    def add(self, x: float) -> None:
+        if self.held < self.ell:
+            self.m_head += 1
+            self.x_head += x
+        else:
+            self.m_tail += 1
+            self.x_tail += x
+        self.held += 1
+
+    def _parts(self, s: float) -> tuple[float, float]:
+        return (
+            self.frozen_head + max(0.0, self.m_head * s - self.x_head),
+            self.frozen_tail + max(0.0, self.m_tail * s - self.x_tail),
+        )
+
+    def cost(self, s: float) -> float:
+        head, tail = self._parts(s)
+        return min(self.eps * head + tail, self.ratio * head + self.eps * tail)
+
+    def crossing(self, goal: float) -> float | None:
+        eps, ratio = self.eps, self.ratio
+        head0 = self.frozen_head - self.x_head
+        tail0 = self.frozen_tail - self.x_tail
+        m_head, m_tail = self.m_head, self.m_tail
+        s = max(
+            _affine_crossing(eps * m_head + m_tail, eps * head0 + tail0, goal),
+            _affine_crossing(ratio * m_head + eps * m_tail, ratio * head0 + eps * tail0, goal),
+        )
+        return s if s < math.inf else None
+
+    def freeze(self, s: float) -> float:
+        self.frozen_head, self.frozen_tail = self._parts(s)
+        self._drop_pending()
+        return self.cost(0.0)
+
+    def clear(self) -> None:
+        self.held -= self.m_head + self.m_tail
+        self._drop_pending()
+
+    def _drop_pending(self) -> None:
+        self.m_head = self.m_tail = 0
+        self.x_head = self.x_tail = 0.0
+
+
+_AGGREGATES = {
+    "sum_vector": _SumAggregate,
+    "top_k": _TopKAggregate,
+    "ordered": _OrderedAggregate,
+    "concave_two_piece": _ConcaveAggregate,
+}
+_LP_AGGREGATES = {1: _SumAggregate, math.inf: _MaxAggregate}
+
+
+def vector_aggregate(spec: DelayModelSpec):
+    """Empty running aggregate of a vector model's delay vector."""
+    if spec.is_batch_kind:
+        raise ValueError(f"{spec.kind!r} is a batch model; use batch_threshold_time")
+    if spec.kind == "lp":
+        return _LP_AGGREGATES.get(spec.p, _PowerAggregate)(spec)
+    return _AGGREGATES[spec.kind](spec)
+
+
+def vector_threshold_time(aggregate, origin: float, target: float, t_lo: float) -> float | None:
+    """Earliest ``t >= t_lo`` at which an aggregate's cost reaches ``target``.
+
+    ``origin`` is the time the aggregate's offsets are measured from.  The
+    time is the aggregate's crossing moved to its first float
+    (:func:`_first_float_at`); None means the target is out of reach.
+    """
+    s = aggregate.crossing(target)
+    return _first_float_at(
+        lambda t: aggregate.cost(t - origin),
+        None if s is None else origin + s,
+        t_lo,
+        target,
+        target,
+    )
 
 
 # ---------------------------------------------------------------------------

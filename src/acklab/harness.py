@@ -23,6 +23,7 @@ from .cost import (
     PropertyReport,
     capped_linear,
     check_continuous_submodular,
+    check_real,
     check_monotone,
     linear_sum,
     lp_norm,
@@ -79,24 +80,33 @@ def gen_bursty(
     return tuple(sorted(out[:n]))
 
 
+def _gen_param(gen_spec: dict, key: str, default: float, allow_zero: bool = False) -> float:
+    """A generator parameter: a positive number (or non-negative)."""
+    what = f"{gen_spec.get('kind', 'uniform')} generator {key}"
+    value = float(check_real(gen_spec.get(key, default), what))
+    if value < 0.0 or (value == 0.0 and not allow_zero):
+        raise ValueError(f"{what} must be {'non-negative' if allow_zero else 'positive'}")
+    return value
+
+
 def generate_instance(
     gen_spec: dict, n: int, model: DelayModelSpec, seed: int
 ) -> Instance:
     kind = gen_spec.get("kind", "uniform")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
-        arrivals = gen_uniform(n, float(gen_spec.get("rate", 1.0)), rng)
+        arrivals = gen_uniform(n, _gen_param(gen_spec, "rate", 1.0), rng)
     elif kind == "bursty":
         arrivals = gen_bursty(
             n,
-            float(gen_spec.get("cluster_rate", 0.25)),
-            float(gen_spec.get("burst_mean", 4.0)),
-            float(gen_spec.get("intra_scale", 0.01)),
+            _gen_param(gen_spec, "cluster_rate", 0.25),
+            _gen_param(gen_spec, "burst_mean", 4.0),
+            _gen_param(gen_spec, "intra_scale", 0.01, allow_zero=True),
             rng,
         )
     elif kind == "greedy_tau_hard":
-        tau = float(gen_spec.get("tau", 1.0))
-        eps = float(gen_spec.get("eps", 1e-3))
+        tau = _gen_param(gen_spec, "tau", 1.0)
+        eps = _gen_param(gen_spec, "eps", 1e-3)
         return Instance(
             adv.gen_greedy_tau_hard(n, tau, eps).arrivals, model
         )
@@ -151,16 +161,43 @@ def _optimum(instance: Instance, oracle: str) -> tuple[float, str]:
     return cost, "brute"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_list(config: dict, key: str, default: list, ok: Callable, what: str) -> list:
+    value = config.get(key, default)
+    if not isinstance(value, list) or not all(ok(v) for v in value):
+        raise ValueError(f"bench config {key!r} must be a list of {what}, got {value!r}")
+    return value
+
+
 def run_bench(config: dict) -> list[BenchRow]:
-    """Run the configured sweep; rows come out in deterministic order."""
-    generators = config.get("generators", [{"kind": "uniform", "rate": 1.0}])
-    models = [model_from_json(m) for m in config.get("models", [])]
-    algorithms = config.get("algorithms", [])
-    sizes = config.get("n", [])
+    """Run the configured sweep; rows come out in deterministic order.
+
+    Raises ValueError on a config field of the wrong type.
+    """
+    generators, models, algorithms = (
+        _config_list(config, key, default, lambda v: isinstance(v, dict), "objects")
+        for key, default in (
+            ("generators", [{"kind": "uniform", "rate": 1.0}]),
+            ("models", []),
+            ("algorithms", []),
+        )
+    )
+    models = [model_from_json(m) for m in models]
+    sizes = _config_list(config, "n", [], lambda v: _is_int(v) and v > 0, "positive integers")
     seeds = config.get("seeds", 1)
-    oracle = config.get("oracle", "auto")
-    if isinstance(seeds, int):
+    if _is_int(seeds) and seeds >= 0:
         seeds = list(range(base_seed(), base_seed() + seeds))
+    else:
+        seeds = _config_list(
+            config, "seeds", [], lambda v: _is_int(v) and v >= 0,
+            "non-negative integers (or a count)",
+        )
+    oracle = config.get("oracle", "auto")
+    if oracle not in ("auto", "dp", "brute"):
+        raise ValueError(f"bench config 'oracle' must be auto, dp or brute, got {oracle!r}")
     rows: list[BenchRow] = []
     for gen_spec in generators:
         for model in models:

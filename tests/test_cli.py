@@ -135,6 +135,24 @@ class TestRun:
         got = json.loads(out)
         assert got["delay"] == 48.0 and got["acks"] == 3
 
+    @pytest.mark.parametrize(
+        "alg, ack_times",
+        [
+            ('{"alg":"vector_greedy"}', [1.0, 4.0, 8.0, 13.0, 19.0, 26.0, 34.0]),
+            ('{"alg":"greedy_tau_vector","tau":3.0}', [3.0 + 4 * i for i in range(8)]),
+        ],
+    )
+    def test_lp_with_large_p(self, tmp_path, capsys, alg, ack_times):
+        # Delays past 5.9 have a 400th power beyond the float range; the
+        # policies' ack times must not depend on it.
+        path = write_instance(tmp_path, list(range(30)), {"kind": "lp", "p": 400})
+        code, out = run_cli(
+            capsys, "run", "--instance", path, "--alg", alg,
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0
+        assert json.loads(out)["ack_times"] == ack_times
+
     def test_mismatch_exit_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})
         code, _ = run_cli(
@@ -330,6 +348,51 @@ class TestBench:
         cfg.write_text(json.dumps({"models": [{"kind": "bogus"}], "algorithms": [], "n": []}))
         code, _ = run_cli(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"models": 5},
+            {"models": [5]},
+            {"models": {"kind": "linear_sum"}},
+            {"generators": "uniform"},
+            {"generators": [["uniform"]]},
+            {"algorithms": {"alg": "greedy_tau"}},
+            {"algorithms": ["greedy_tau"]},
+            {"n": 5},
+            {"n": [0]},
+            {"n": [-4]},
+            {"n": [4.0]},
+            {"n": [True]},
+            {"n": ["4"]},
+            {"seeds": "x"},
+            {"seeds": [1, "2"]},
+            {"seeds": 1.5},
+            {"seeds": [True]},
+            {"seeds": -2},
+            {"seeds": [-1]},
+            {"oracle": "bogus"},
+            {"oracle": ["dp"]},
+            {"generators": [{"kind": "uniform", "rate": None}]},
+            {"generators": [{"kind": "uniform", "rate": 0}]},
+            {"generators": [{"kind": "uniform", "rate": "2"}]},
+            {"generators": [{"kind": "bursty", "burst_mean": 0}]},
+            {"generators": [{"kind": "bursty", "intra_scale": -1}]},
+            {"generators": [{"kind": "greedy_tau_hard", "tau": None}]},
+        ],
+    )
+    def test_bad_config_field_exit_2(self, tmp_path, capsys, field):
+        config = dict(
+            {"models": [{"kind": "linear_sum"}], "algorithms": [{"alg": "greedy_tau"}], "n": [4]},
+            **field,
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_hard_family_sweep_ratio_equals_n(self, tmp_path, capsys):
         import csv as csv_mod

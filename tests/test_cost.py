@@ -26,7 +26,7 @@ from acklab import (
 )
 from acklab.adversary import plf_round_up
 from acklab.cost import batch_cost, batch_threshold_time
-from acklab.engine import solve_threshold_time
+from bisection_reference import solve_threshold_time
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
 ALL_VECTOR = [
@@ -143,6 +143,9 @@ class TestBatchThresholdTime:
             assert batch_cost(spec, len(batch), math.fsum(batch), batch[0], got) >= (
                 goal if got > t_lo else goal - 1e-9 * max(1.0, goal)
             )
+            if got > t_lo:  # and not one float earlier
+                before = math.nextafter(got, -math.inf)
+                assert batch_cost(spec, len(batch), math.fsum(batch), batch[0], before) < goal
 
     def test_capped_target_above_cap_is_unreachable(self):
         assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.5, 0.5) is None

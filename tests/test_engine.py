@@ -16,10 +16,10 @@ from acklab import (
     next_threshold,
     permit_plf,
     simulate,
-    solve_threshold_time,
 )
 from acklab.cost import batch_cost
 from acklab.engine import OnlineAlgorithm, SimulationDriver
+from bisection_reference import solve_threshold_time
 
 
 class TestSolveThresholdTime:
