@@ -13,11 +13,12 @@ Four policies plus one adversary-harness variant:
 * :class:`VectorThresholdGreedy` — fixed-threshold greedy over the pending
   packets' vector cost; used by the concave lower-bound driver.
 
-Every policy plans its ack time at the exact crossing of its target: the
-batch policies from the pending batch's size, arrival sum and first arrival
-(:func:`batch_threshold_time`), the vector policies from a running aggregate
-of their delay vector (:func:`vector_threshold_time`).  None of them
-evaluates a cost on an explicit delay list or bisects.
+Every policy is the greedy rule "acknowledge once the pending packets'
+delay cost reaches a target" with its own target.  Each keeps its model's
+running aggregate (:func:`aggregate`), with pending arrivals measured from
+the first pending one, and plans its ack at the aggregate's exact crossing
+(:func:`threshold_time`).  None of them evaluates a cost on an explicit
+delay list or bisects.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 
-from .cost import (
-    DelayModelSpec,
-    Objective,
-    batch_threshold_time,
-    check_real,
-    vector_aggregate,
-    vector_threshold_time,
-)
+from .cost import DelayModelSpec, Objective, aggregate, check_real, threshold_time
 from .engine import OnlineAlgorithm
 from .offline import DpTable
 from .tolerance import tol_at
@@ -48,24 +42,29 @@ def _require(spec: DelayModelSpec, objective: Objective, who: str) -> None:
 class _ThresholdPolicy(OnlineAlgorithm):
     """Acknowledge once the pending packets' delay cost reaches ``_target()``.
 
-    Every arrival re-plans the ack time with ``_plan``; every ack clears it.
+    The cost is the model's running aggregate, with offsets measured from
+    the first pending arrival.  Every arrival re-plans the ack time at the
+    aggregate's crossing; every ack drops the plan and, by default, the
+    pending packets from the aggregate.
     """
 
     def __init__(self, spec: DelayModelSpec):
         super().__init__(spec)
+        self._aggregate = aggregate(spec)
+        self._origin = 0.0
         self._planned: float | None = None
 
     @abstractmethod
     def _target(self) -> float:
         """Delay cost at which the pending packets are acknowledged."""
 
-    @abstractmethod
-    def _plan(self, now: float) -> float | None:
-        """Earliest time from ``now`` on at which the cost reaches the target."""
-
     def observe_arrival(self, time: float, index: int) -> None:
-        self._register_arrival(time, index)
-        self._planned = self._plan(self.last_arrival_time)
+        now = float(time)
+        if not self._pending:
+            self._origin = now
+        self._aggregate.add(now - self._origin)
+        self._register_arrival(now, index)
+        self._planned = threshold_time(self._aggregate, self._origin, self._target(), now)
 
     def planned_ack_time(self) -> float | None:
         return self._planned
@@ -74,67 +73,18 @@ class _ThresholdPolicy(OnlineAlgorithm):
         self._planned = None
         return super().commit_ack(time)
 
-
-class _BatchThresholdPolicy(_ThresholdPolicy):
-    """Threshold policy for batch models.
-
-    The pending batch is kept as its size, arrival sum and first arrival,
-    which is all a batch model's cost depends on, and the ack time comes from
-    the model's closed-form inverse (:func:`batch_threshold_time`).
-    """
-
-    def __init__(self, spec: DelayModelSpec):
-        super().__init__(spec)
-        self._pending_sum = 0.0
-
-    def observe_arrival(self, time: float, index: int) -> None:
-        self._pending_sum += float(time)
-        super().observe_arrival(time, index)
-
-    def _plan(self, now: float) -> float | None:
-        return batch_threshold_time(
-            self.spec,
-            len(self._pending),
-            self._pending_sum,
-            self._pending[0][1],
-            self._target(),
-            now,
-        )
-
-    def commit_ack(self, time: float) -> list[int]:
-        self._pending_sum = 0.0
-        return super().commit_ack(time)
+    def _after_ack(self, time: float) -> None:
+        self._aggregate.clear()
 
 
-class _VectorThresholdPolicy(_ThresholdPolicy):
-    """Threshold policy for vector models.
-
-    The delay vector is kept as the model's running aggregate
-    (:func:`vector_aggregate`), with pending arrivals measured from the first
-    pending one, and the ack time is the aggregate's exact crossing
-    (:func:`vector_threshold_time`).
-    """
-
-    def __init__(self, spec: DelayModelSpec):
-        super().__init__(spec)
-        self._aggregate = vector_aggregate(spec)
-        self._origin = 0.0
-
-    def observe_arrival(self, time: float, index: int) -> None:
-        if not self._pending:
-            self._origin = float(time)
-        self._aggregate.add(float(time) - self._origin)
-        super().observe_arrival(time, index)
-
-    def _plan(self, now: float) -> float | None:
-        return vector_threshold_time(self._aggregate, self._origin, self._target(), now)
-
-
-class GreedyTau(_BatchThresholdPolicy):
+class GreedyTau(_ThresholdPolicy):
     """Acknowledge once the pending batch's delay cost reaches ``tau``."""
 
+    _objective = Objective.SUM_BATCH
+    _who = "greedy_tau"
+
     def __init__(self, spec: DelayModelSpec, tau: float = 1.0):
-        _require(spec, Objective.SUM_BATCH, "greedy_tau")
+        _require(spec, self._objective, self._who)
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be positive and finite")
         super().__init__(spec)
@@ -144,7 +94,7 @@ class GreedyTau(_BatchThresholdPolicy):
         return self.tau
 
 
-class GreedyMaxMonotone(_BatchThresholdPolicy):
+class GreedyMaxMonotone(_ThresholdPolicy):
     """For max-aggregated objectives: the i-th batch is held until its delay
     cost reaches i, so each ack raises the total cost by exactly one."""
 
@@ -157,10 +107,11 @@ class GreedyMaxMonotone(_BatchThresholdPolicy):
         return float(self.acks_made + 1)
 
     def _after_ack(self, time: float) -> None:
+        super()._after_ack(time)
         self.acks_made += 1
 
 
-class GreedyBatchOblivious(_VectorThresholdPolicy):
+class GreedyBatchOblivious(_ThresholdPolicy):
     """For vector objectives: ack whenever the delay cost grows by 1.
 
     Delays of served packets are frozen at their ack time, in the aggregate;
@@ -181,28 +132,18 @@ class GreedyBatchOblivious(_VectorThresholdPolicy):
         self.baseline = self._aggregate.freeze(time - self._origin)
 
 
-class VectorThresholdGreedy(_VectorThresholdPolicy):
+class VectorThresholdGreedy(GreedyTau):
     """Fixed-threshold greedy over the pending packets' vector cost.
 
     The vector-model counterpart of :class:`GreedyTau`: served packets drop
     out of the cost entirely and the trigger level stays ``tau``.
     """
 
-    def __init__(self, spec: DelayModelSpec, tau: float = 1.0):
-        _require(spec, Objective.VECTOR, "vector threshold greedy")
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValueError("tau must be positive and finite")
-        super().__init__(spec)
-        self.tau = float(tau)
-
-    def _target(self) -> float:
-        return self.tau
-
-    def _after_ack(self, time: float) -> None:
-        self._aggregate.clear()
+    _objective = Objective.VECTOR
+    _who = "vector threshold greedy"
 
 
-class SumMonotonePhases(_BatchThresholdPolicy):
+class SumMonotonePhases(_ThresholdPolicy):
     """Phase-based policy for sum-aggregated monotone batch costs.
 
     Every arrival finds the longest critical suffix of all packets seen so
@@ -280,6 +221,7 @@ class SumMonotonePhases(_BatchThresholdPolicy):
         super().observe_arrival(time, index)
 
     def _after_ack(self, time: float) -> None:
+        super()._after_ack(time)
         if self.kind == self.BUDGET:
             self.kind = self.BUFFER
             self.buffer_index = 1

@@ -9,14 +9,17 @@ Two families of models are supported:
   and :func:`batch_cost` is the one evaluator of all five: it takes those
   numbers as floats, for the online policies, or as NumPy arrays, for the
   offline kernels' blocks.  :func:`bdelay` feeds it times relative to the
-  batch's first arrival, so costs keep their digits at any time offset.
-  Each model has a closed-form inverse that gives the exact time its cost
-  reaches a target (:func:`batch_threshold_time`);
+  batch's first arrival, so costs keep their digits at any time offset;
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
-  ``sum_vector``).  Online, each is kept as a running aggregate of the
-  growing delay vector (:func:`vector_aggregate`) whose crossing of a
-  target is exact too (:func:`vector_threshold_time`).
+  ``sum_vector``).
+
+Online, every model is kept as a running aggregate (:func:`aggregate`): a
+batch model's pending batch as its size and arrival offsets, with the
+model's closed-form inverse as its crossing, and a vector model's growing
+delay vector as what its kind needs of it.  :func:`threshold_time` turns
+any aggregate's crossing into the exact float time its cost reaches a
+target.
 
 The module also provides the piecewise-linear permit cost curve
 :func:`plf_eval` and randomized property testers for monotonicity and the
@@ -30,7 +33,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -336,78 +338,6 @@ def batch_cost(spec: DelayModelSpec, m, total, first, t):
     raise ValueError(f"{kind!r} is a vector model; use f_vector")
 
 
-def _crossing(spec: DelayModelSpec, m: int, total: float, first: float, target: float) -> float:
-    """Closed-form inverse of :func:`batch_cost`: the earliest real ``t`` at
-    which the cost reaches ``target > 0`` (for the capped model, a target no
-    larger than the cap)."""
-    kind = spec.kind
-    if kind in ("linear_sum", "capped_linear"):
-        return (target + total) / m
-    if kind == "max_wait":
-        return first + target
-    if kind == "max_wait_pow":
-        return first + target ** (1.0 / spec.p)
-    # permit_plf: min_k 2**k + x * 2**-k >= level holds iff x >= 2**k (level - 2**k)
-    # for every class k.  That bound is concave in 2**k with its peak at
-    # level / 2, so the classes next to log2(level / 2) attain the maximum.
-    level = target + 1.0
-    base = math.floor(math.log2(level / 2.0))
-    span = 0.0
-    for cand in (base - 1, base, base + 1):
-        w = 2.0 ** min(max(cand, 0), spec.num_classes)
-        span = max(span, w * (level - w))
-    return first + span
-
-
-def _first_float_at(
-    cost: Callable[[float], float], t: float | None, t_lo: float, target: float, goal: float
-) -> float | None:
-    """Earliest float time from ``t_lo`` on at which ``cost`` reaches ``goal``.
-
-    ``t`` is the crossing, exact up to a few rounding errors, or None when
-    the goal is out of reach.  Returns ``t_lo`` when the cost there is
-    already within tolerance of ``target``.  Otherwise the crossing is moved
-    one float at a time, down while the cost one float earlier still
-    reaches the goal and up while the cost falls short of it, so the ack
-    lands at the exact crossing even where float spacing exceeds the
-    tolerance.
-    """
-    if cost(t_lo) >= target - tol_at(target):
-        return t_lo
-    if t is None:
-        return None
-    t = max(t_lo, t)
-    while t > t_lo and cost(math.nextafter(t, -math.inf)) >= goal:
-        t = math.nextafter(t, -math.inf)
-    while cost(t) < goal:
-        t = math.nextafter(t, math.inf)
-    return t
-
-
-def batch_threshold_time(
-    spec: DelayModelSpec, m: int, total: float, first: float, target: float, t_lo: float
-) -> float | None:
-    """Earliest ``t >= t_lo`` at which a batch's delay cost reaches ``target``.
-
-    The batch is given by its size, arrival sum and first arrival, as in
-    :func:`batch_cost`.  The time is the closed-form crossing moved to its
-    first float (:func:`_first_float_at`); None means the target is out of
-    reach (the capped model with its cap below the target).
-    """
-    goal = target
-    if spec.kind == "capped_linear":
-        if spec.tau < target - tol_at(target):
-            return None
-        goal = min(target, spec.tau)
-    return _first_float_at(
-        partial(batch_cost, spec, m, total, first),
-        _crossing(spec, m, total, first, goal),
-        t_lo,
-        target,
-        goal,
-    )
-
-
 def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> float:
     """Delay cost of acknowledging the given batch at time ``t``.
 
@@ -448,7 +378,17 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
             return float(d.max())
         if spec.p == 1:
             return float(d.sum())
-        return float((d ** spec.p).sum() ** (1.0 / spec.p))
+        # Brute force calls this once per partition, so the reductions skip
+        # the Python wrappers of ndarray.max and ndarray.sum (same results).
+        top = float(np.maximum.reduce(d))
+        if top == 0.0:
+            return 0.0
+        # The largest p-th power within 2**+-1000 keeps the sum of the powers
+        # inside the float range and the digits of every power that matters.
+        if abs(spec.p * math.log2(top)) < 1000.0 - math.log2(d.size):
+            return float(np.add.reduce(d ** spec.p) ** (1.0 / spec.p))
+        # Otherwise divide by the largest delay first, so no power overflows.
+        return top * float(np.add.reduce((d / top) ** spec.p)) ** (1.0 / spec.p)
     if kind == "top_k":
         if d.size == 0:
             return 0.0
@@ -470,22 +410,26 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vector aggregates: the cost of a growing delay vector without the vector
+# Running aggregates: the cost of the pending batch or of a growing delay
+# vector, without the batch or the vector
 # ---------------------------------------------------------------------------
 #
-# A vector policy's delay vector has two parts: frozen delays of served
-# packets and the delays ``s - x`` of the pending packets, where ``x`` is an
-# arrival and ``s`` the time, both measured from the first pending arrival
-# (so shifted inputs keep their digits).  Each aggregate keeps what its model
-# needs of both parts and implements:
+# An online policy's cost has two parts: frozen delays of served packets
+# (only ``vector_greedy`` keeps them) and the delays ``s - x`` of the pending
+# packets, where ``x`` is an arrival and ``s`` the time, both measured from
+# the first pending arrival (so shifted inputs keep their digits).  Each
+# aggregate keeps what its model needs of both parts and implements:
 #
 # * ``add(x)`` — a packet arrives at offset ``x``;
-# * ``cost(s)`` — :func:`f_vector` of the whole vector at offset ``s``;
+# * ``cost(s)`` — the cost at offset ``s``: :func:`batch_cost` of the
+#   pending batch, or :func:`f_vector` of the whole delay vector;
 # * ``crossing(goal)`` — an offset at which the cost reaches ``goal``,
 #   exact up to rounding, or None when it never does;
-# * ``freeze(s)`` — serve the pending packets at ``s``, keep their delays,
-#   and return the cost of the frozen part alone;
-# * ``clear()`` — drop the pending packets without keeping their delays.
+# * ``freeze(s)`` (vector models) — serve the pending packets at ``s``,
+#   keep their delays, and return the cost of the frozen part alone;
+# * ``clear()`` — drop the pending packets without keeping their delays;
+# * ``cap`` (batch models) — the least upper bound of the cost: the capped
+#   model's ``tau``, inf for the others and for every vector model.
 
 
 def _affine_crossing(slope: float, value0: float, goal: float) -> float:
@@ -509,6 +453,52 @@ def _newton_down(value_slope, s: float, lo: float) -> float:
         if nxt >= s:
             return s
         s = nxt
+
+
+class _BatchAggregate:
+    """A batch model's pending batch: its size and the sum of its arrival
+    offsets, the first arrival being at offset 0, which is all
+    :func:`batch_cost` needs.  The crossing is the model's closed-form
+    inverse; a goal more than a tolerance above ``cap`` is unreachable."""
+
+    def __init__(self, spec: DelayModelSpec):
+        self.spec = spec
+        self.cap = spec.tau if spec.kind == "capped_linear" else math.inf
+        self.clear()
+
+    def add(self, x: float) -> None:
+        self.m += 1
+        self.total += x
+
+    def cost(self, s: float) -> float:
+        return batch_cost(self.spec, self.m, self.total, 0.0, s)
+
+    def crossing(self, goal: float) -> float | None:
+        if self.cap < goal:
+            if self.cap < goal - tol_at(goal):
+                return None
+            goal = self.cap
+        kind = self.spec.kind
+        if kind in ("linear_sum", "capped_linear"):
+            return (goal + self.total) / self.m
+        if kind == "max_wait":
+            return goal
+        if kind == "max_wait_pow":
+            return goal ** (1.0 / self.spec.p)
+        # permit_plf: min_k 2**k + x * 2**-k >= level holds iff x >= 2**k (level - 2**k)
+        # for every class k.  That bound is concave in 2**k with its peak at
+        # level / 2, so the classes next to log2(level / 2) attain the maximum.
+        level = goal + 1.0
+        base = math.floor(math.log2(level / 2.0))
+        span = 0.0
+        for cand in (base - 1, base, base + 1):
+            w = 2.0 ** min(max(cand, 0), self.spec.num_classes)
+            span = max(span, w * (level - w))
+        return span
+
+    def clear(self) -> None:
+        self.m = 0
+        self.total = 0.0
 
 
 class _SumAggregate:
@@ -770,6 +760,7 @@ class _ConcaveAggregate:
 
 
 _AGGREGATES = {
+    **dict.fromkeys(BATCH_KINDS, _BatchAggregate),
     "sum_vector": _SumAggregate,
     "top_k": _TopKAggregate,
     "ordered": _OrderedAggregate,
@@ -778,30 +769,38 @@ _AGGREGATES = {
 _LP_AGGREGATES = {1: _SumAggregate, math.inf: _MaxAggregate}
 
 
-def vector_aggregate(spec: DelayModelSpec):
-    """Empty running aggregate of a vector model's delay vector."""
-    if spec.is_batch_kind:
-        raise ValueError(f"{spec.kind!r} is a batch model; use batch_threshold_time")
+def aggregate(spec: DelayModelSpec):
+    """Empty running aggregate of a model's pending batch or delay vector."""
     if spec.kind == "lp":
         return _LP_AGGREGATES.get(spec.p, _PowerAggregate)(spec)
     return _AGGREGATES[spec.kind](spec)
 
 
-def vector_threshold_time(aggregate, origin: float, target: float, t_lo: float) -> float | None:
-    """Earliest ``t >= t_lo`` at which an aggregate's cost reaches ``target``.
+def threshold_time(aggregate, origin: float, target: float, t_lo: float) -> float | None:
+    """Earliest float time ``t >= t_lo`` at which an aggregate's cost
+    reaches ``target``; None means the target is out of reach.
 
-    ``origin`` is the time the aggregate's offsets are measured from.  The
-    time is the aggregate's crossing moved to its first float
-    (:func:`_first_float_at`); None means the target is out of reach.
+    ``origin`` is the time the aggregate's offsets are measured from.
+    Returns ``t_lo`` when the cost there is already within tolerance of the
+    target.  Otherwise the aggregate's crossing is moved one float at a
+    time, down while the cost one float earlier still reaches the goal and
+    up while the cost falls short of it, so the time is exact even where
+    float spacing exceeds the tolerance.  The goal is the target, or the
+    cost's cap when the target lies within tolerance above it.
     """
+    cost = aggregate.cost
+    if cost(t_lo - origin) >= target - tol_at(target):
+        return t_lo
     s = aggregate.crossing(target)
-    return _first_float_at(
-        lambda t: aggregate.cost(t - origin),
-        None if s is None else origin + s,
-        t_lo,
-        target,
-        target,
-    )
+    if s is None:
+        return None
+    goal = min(target, getattr(aggregate, "cap", math.inf))
+    t = max(t_lo, origin + s)
+    while t > t_lo and cost(math.nextafter(t, -math.inf) - origin) >= goal:
+        t = math.nextafter(t, -math.inf)
+    while cost(t - origin) < goal:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 # ---------------------------------------------------------------------------

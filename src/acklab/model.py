@@ -148,33 +148,22 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Batch]:
     Every ack must serve at least one packet (an idle ack only adds cost, so
     it is treated as a schedule bug rather than silently dropped).
     """
-    arr = instance.arrivals
     acks = schedule.ack_times
-    if not arr:
-        if acks:
-            raise InvalidScheduleError("acknowledgments scheduled with no packets")
-        return []
-    if not acks or acks[-1] < arr[-1]:
-        raise InvalidScheduleError("last ack precedes the last arrival")
-    batches: list[Batch] = []
-    start = 0
-    for t in acks:
-        stop = bisect_right(arr, t)
-        if stop == start:
+    batches = batches_from_acks(instance.arrivals, acks)
+    for i, t in enumerate(acks):
+        if i == len(batches) or batches[i].ack_time != t:
             raise InvalidScheduleError(f"ack at {t!r} serves no pending packet")
-        batches.append(Batch(start, stop, float(t)))
-        start = stop
     return batches
+
+
+def _delays(arrivals: Sequence[float], batches: list[Batch]) -> DelayVector:
+    """Per-packet waiting times under the batches, in packet order."""
+    return tuple(max(0.0, b.ack_time - arrivals[j]) for b in batches for j in b.indices)
 
 
 def delay_vector_of(arrivals: Sequence[float], schedule: Schedule) -> DelayVector:
     """Per-packet waiting times under the schedule."""
-    arr = list(arrivals)
-    d = [0.0] * len(arr)
-    for batch in batches_from_acks(arr, schedule.ack_times):
-        for j in batch.indices:
-            d[j] = max(0.0, batch.ack_time - arr[j])
-    return tuple(d)
+    return _delays(arrivals, batches_from_acks(arrivals, schedule.ack_times))
 
 
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> CostBreakdown:
@@ -183,7 +172,7 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> CostBreakdown:
     spec = instance.model
     k = len(batches)
     if spec.objective is Objective.VECTOR:
-        delay = f_vector(spec, delay_vector_of(instance.arrivals, schedule))
+        delay = f_vector(spec, _delays(instance.arrivals, batches))
     else:
         per_batch = [
             bdelay(spec, instance.arrivals[b.start : b.stop], b.ack_time)

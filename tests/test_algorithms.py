@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,6 +334,61 @@ class TestSumMonotonePhases:
             for t in arrivals:
                 alg._critical_suffix(t)
             assert alg._table._permits.size > 0
+
+
+# ---------------------------------------------------------------------------
+# Exact batch crossings at large offsets
+# ---------------------------------------------------------------------------
+
+GRID_POLICIES = {
+    "greedy_tau-1-linear_sum": lambda: GreedyTau(linear_sum(), 1.0),
+    "greedy_tau-0.7-linear_sum": lambda: GreedyTau(linear_sum(), 0.7),
+    "greedy_tau-1-capped_linear": lambda: GreedyTau(capped_linear(1.0), 1.0),
+    "greedy_tau-0.7-capped_linear": lambda: GreedyTau(capped_linear(1.0), 0.7),
+    "phases-linear_sum": lambda: SumMonotonePhases(linear_sum()),
+    "max_mono-max_wait_pow": lambda: GreedyMaxMonotone(max_wait_pow(2)),
+}
+
+
+def exact_batch_cost(spec, batch, t):
+    """The cost at ``t`` of the batch's packets arrived by then, computed in
+    exact arithmetic and rounded once to a float: no float evaluation of the
+    cost can do better."""
+    t = Fraction(t)
+    waits = [t - Fraction(a) for a in batch if a <= t]
+    if spec.kind == "max_wait_pow":
+        return float(max(waits) ** int(spec.p))
+    cost = sum(waits)
+    return float(min(cost, Fraction(spec.tau)) if spec.kind == "capped_linear" else cost)
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0**33, 2.0**40])
+@pytest.mark.parametrize("policy", list(GRID_POLICIES))
+def test_batch_acks_at_exact_crossings_at_large_offsets(policy, shift):
+    # Arrivals on a 1/64 grid keep every offset from the first pending
+    # arrival exact at these shifts, so the cost the policy plans with has
+    # no cancellation.  A sum of absolute arrival times near 2**40 would be
+    # a multiple of 2**-11 and miss crossings by up to that much.
+    rng = np.random.default_rng(1)
+    grid = np.round(np.cumsum(rng.exponential(1.0, 300)) * 64) / 64
+    alg = GRID_POLICIES[policy]()
+    instance = Instance(tuple(shift + grid), alg.spec)
+    commits = []
+    commit = alg.commit_ack
+
+    def recording_commit(t):
+        planned = t == alg.planned_ack_time()
+        commits.append((t, alg._target(), [a for _, a in alg._pending], planned))
+        return commit(t)
+
+    alg.commit_ack = recording_commit
+    simulate(instance, alg)
+    planned = [(t, target, batch) for t, target, batch, flag in commits if flag]
+    assert len(planned) > 40
+    for t, target, batch in planned:  # the first float at which the cost reaches the target
+        assert exact_batch_cost(alg.spec, batch, t) >= target, (t, target)
+        before = math.nextafter(t, -math.inf)
+        assert exact_batch_cost(alg.spec, batch, before) < target, (t, target)
 
 
 class TestMakeAlgorithm:

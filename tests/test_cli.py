@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from acklab import batches_from_acks, lp_norm
 from acklab.cli import main
+from acklab.cost import aggregate
+from acklab.tolerance import tol_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,6 +21,20 @@ def write_instance(tmp_path, arrivals, model, name="inst.json", horizon=None):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def frozen_baseline(spec, arrivals, ack_times):
+    """The vector cost of a schedule as ``vector_greedy`` keeps it: its
+    running aggregate with every batch frozen at its ack, which is the
+    policy's final baseline when the schedule is its own."""
+    frozen = aggregate(spec)
+    cost = 0.0
+    for batch in batches_from_acks(arrivals, ack_times):
+        origin = arrivals[batch.start]
+        for j in batch.indices:
+            frozen.add(arrivals[j] - origin)
+        cost = frozen.freeze(batch.ack_time - origin)
+    return cost
 
 
 BAD_TAUS = ["null", "[1]", "true", '"inf"', '"1"', "NaN", "Infinity", "0", "-1"]
@@ -135,6 +152,20 @@ class TestRun:
         got = json.loads(out)
         assert got["delay"] == 48.0 and got["acks"] == 3
 
+    def run_lp_400(self, tmp_path, capsys, alg, arrivals):
+        """``ack run`` on ``lp`` with p = 400; checks the printed delay
+        against the cost the policy's aggregate freezes for the schedule."""
+        path = write_instance(tmp_path, arrivals, {"kind": "lp", "p": 400})
+        code, out = run_cli(
+            capsys, "run", "--instance", path, "--alg", alg,
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0
+        got = json.loads(out)
+        want = frozen_baseline(lp_norm(400), arrivals, got["ack_times"])
+        assert abs(got["delay"] - want) <= tol_at(want)
+        return got["ack_times"]
+
     @pytest.mark.parametrize(
         "alg, ack_times",
         [
@@ -144,14 +175,14 @@ class TestRun:
     )
     def test_lp_with_large_p(self, tmp_path, capsys, alg, ack_times):
         # Delays past 5.9 have a 400th power beyond the float range; the
-        # policies' ack times must not depend on it.
-        path = write_instance(tmp_path, list(range(30)), {"kind": "lp", "p": 400})
-        code, out = run_cli(
-            capsys, "run", "--instance", path, "--alg", alg,
-            "--trace", str(tmp_path / "t.jsonl"),
-        )
-        assert code == 0
-        assert json.loads(out)["ack_times"] == ack_times
+        # policies' ack times and the printed delay must not depend on it.
+        assert self.run_lp_400(tmp_path, capsys, alg, list(range(30))) == ack_times
+
+    def test_lp_with_large_p_and_small_delays(self, tmp_path, capsys):
+        # Delays near 1e-3 have a 400th power below the float range.
+        alg = '{"alg":"greedy_tau_vector","tau":3e-3}'
+        acks = self.run_lp_400(tmp_path, capsys, alg, [1e-3 * i for i in range(30)])
+        assert acks == pytest.approx([3e-3 + 4e-3 * i for i in range(8)], rel=1e-12)
 
     def test_mismatch_exit_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})

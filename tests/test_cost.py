@@ -25,7 +25,7 @@ from acklab import (
     top_k,
 )
 from acklab.adversary import plf_round_up
-from acklab.cost import batch_cost, batch_threshold_time
+from acklab.cost import aggregate, batch_cost, threshold_time
 from bisection_reference import solve_threshold_time
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
@@ -87,9 +87,10 @@ def _batch_fn(spec, batch):
 
 
 def _threshold_time(spec, batch, target, t_lo):
-    return batch_threshold_time(
-        spec, len(batch), math.fsum(batch), min(batch), target, t_lo
-    )
+    pending = aggregate(spec)
+    for a in batch:
+        pending.add(a - batch[0])
+    return threshold_time(pending, batch[0], target, t_lo)
 
 
 class TestBatchCost:
@@ -140,16 +141,19 @@ class TestBatchThresholdTime:
             assert got is not None and got >= t_lo
             assert got == pytest.approx(want, rel=4e-9, abs=4e-9)
             goal = min(target, spec.tau) if spec.kind == "capped_linear" else target
-            assert batch_cost(spec, len(batch), math.fsum(batch), batch[0], got) >= (
+            # Costs are what evaluate_schedule charges: relative to the first
+            # arrival, so a large offset does not cancel their digits.
+            assert bdelay(spec, batch, got) >= (
                 goal if got > t_lo else goal - 1e-9 * max(1.0, goal)
             )
             if got > t_lo:  # and not one float earlier
-                before = math.nextafter(got, -math.inf)
-                assert batch_cost(spec, len(batch), math.fsum(batch), batch[0], before) < goal
+                assert bdelay(spec, batch, math.nextafter(got, -math.inf)) < goal
 
     def test_capped_target_above_cap_is_unreachable(self):
         assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.5, 0.5) is None
         assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.0, 0.5) == 0.75
+        # A target within tolerance above the cap is met where the cap is.
+        assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.0 + 1e-12, 0.5) == 0.75
 
     def test_already_met_returns_t_lo(self):
         assert _threshold_time(linear_sum(), [0.0, 3.0], 1.0, 3.0) == 3.0
@@ -181,6 +185,19 @@ class TestFVector:
 
     def test_lp_inf(self):
         assert f_vector(lp_norm(math.inf), (1, 4, 2)) == 4.0
+
+    def test_lp_powers_out_of_float_range(self):
+        # 7**400 overflows and (1e-3)**400 underflows; neither may show.
+        assert f_vector(lp_norm(400), [7.0, 3.0, 7.0]) == pytest.approx(7.0 * 2 ** (1 / 400))
+        assert f_vector(lp_norm(400), [1e-3] * 5) == pytest.approx(1e-3 * 5 ** (1 / 400))
+        assert f_vector(lp_norm(2), [1e200, 1e200]) == pytest.approx(1e200 * math.sqrt(2))
+
+    @pytest.mark.parametrize("p", [1.5, 2, 3, 17])
+    def test_lp_in_float_range_is_the_plain_power_sum(self, p):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            d = rng.uniform(0, 10, rng.integers(1, 14))
+            assert f_vector(lp_norm(p), d) == float((d ** p).sum() ** (1.0 / p))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -15,10 +15,13 @@ import pytest
 import acklab
 from acklab import (
     GreedyBatchOblivious,
+    GreedyTau,
     Instance,
+    SumMonotonePhases,
     VectorThresholdGreedy,
     concave_two_piece,
     f_vector,
+    linear_sum,
     lp_norm,
     ordered_norm,
     run_concave_adversary,
@@ -26,8 +29,8 @@ from acklab import (
     sum_vector,
     top_k,
 )
-from acklab import engine
-from acklab.algorithms import _VectorThresholdPolicy
+from acklab import algorithms, cost, engine
+from acklab.algorithms import _ThresholdPolicy
 from acklab.cli import main
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
@@ -211,5 +214,16 @@ def test_no_bisection_left_in_the_library():
     assert not hasattr(acklab, "solve_threshold_time")
     assert not hasattr(engine, "solve_threshold_time")
     assert not hasattr(engine, "logging")
-    for cls in (_VectorThresholdPolicy, GreedyBatchOblivious, VectorThresholdGreedy):
+    for cls in (_ThresholdPolicy, GreedyBatchOblivious, VectorThresholdGreedy):
         assert not hasattr(cls, "_delays") and not hasattr(cls, "_cost_at"), cls
+    # One threshold core: batch and vector policies plan through the same
+    # aggregate and the same threshold_time.
+    for name in ("_BatchThresholdPolicy", "_VectorThresholdPolicy"):
+        assert not hasattr(algorithms, name), name
+    for name in ("batch_threshold_time", "vector_aggregate", "vector_threshold_time"):
+        assert not hasattr(cost, name), name
+    for alg in (
+        GreedyTau(linear_sum()), SumMonotonePhases(linear_sum()), GreedyBatchOblivious(lp_norm(2))
+    ):
+        alg.observe_arrival(0.0, 0)
+        assert not hasattr(alg, "_plan") and not hasattr(alg, "_pending_sum"), alg
