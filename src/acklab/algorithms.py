@@ -167,7 +167,6 @@ class SumMonotonePhases(_ThresholdPolicy):
         self.kind = self.IDLE
         self.buffer_index = 0
         self.suffix_start: int | None = None
-        self.suffix_stop: int | None = None
         self.serve_cost = 0.0
         self.budget = 0.0
 
@@ -184,7 +183,6 @@ class SumMonotonePhases(_ThresholdPolicy):
 
     def _assign_critical(self, start: int, serve_cost: float) -> None:
         self.suffix_start = start
-        self.suffix_stop = self._table.size
         self.serve_cost = serve_cost
         self.budget = 2.0 * serve_cost
 
@@ -247,7 +245,6 @@ class SumMonotonePhases(_ThresholdPolicy):
             self.kind = self.IDLE
             self.buffer_index = 0
             self.suffix_start = None
-            self.suffix_stop = None
             self.serve_cost = 0.0
             self.budget = 0.0
 

@@ -332,7 +332,15 @@ def batch_cost(spec: DelayModelSpec, m, total, first, t):
     if kind == "max_wait":
         return maximum(0.0, t - first)
     if kind == "max_wait_pow":
-        return maximum(0.0, t - first) ** spec.p
+        # A power past the float range saturates at +inf: the cost is
+        # monotone, so such a batch is never cheaper than any finite one.
+        if maximum is max:
+            try:
+                return max(0.0, t - first) ** spec.p
+            except OverflowError:
+                return math.inf
+        with np.errstate(over="ignore"):
+            return maximum(0.0, t - first) ** spec.p
     if kind == "permit_plf":
         return plf_eval(maximum(0.0, t - first), spec.num_classes) - 1.0
     raise ValueError(f"{kind!r} is a vector model; use f_vector")

@@ -52,7 +52,6 @@ class OnlineAlgorithm(ABC):
         self._pending: list[tuple[int, float]] = []  # (packet index, arrival time)
         self._events: list[tuple[str, dict]] = []
         self.last_arrival_index: int | None = None
-        self.last_arrival_time: float | None = None
 
     # -- observation / commitment ------------------------------------------
 
@@ -79,7 +78,6 @@ class OnlineAlgorithm(ABC):
     def _register_arrival(self, time: float, index: int) -> None:
         self._pending.append((index, float(time)))
         self.last_arrival_index = index
-        self.last_arrival_time = float(time)
 
     @property
     def has_pending(self) -> bool:

@@ -4,13 +4,15 @@
   sum-aggregated batch models, acknowledging each batch at its last packet's
   arrival (WLOG for monotone batch costs: moving an ack earlier onto the
   batch's last arrival never increases cost).  The table grows one arrival
-  at a time, and the phase-based online algorithm asks it for the longest
-  suffix whose optimum is a single acknowledgment.
-* :func:`suffix_opt` / :func:`longest_critical_suffix` — the same recurrence
-  run right-to-left; the stateless reference of that search.
+  at a time and holds the one critical-suffix search: the phase-based online
+  algorithm asks it for the longest suffix whose optimum is a single
+  acknowledgment after every arrival.
+* :func:`suffix_opt` / :func:`longest_critical_suffix` — push a fixed
+  arrival list into a fresh :class:`DpTable` and ask it for its suffix
+  optima or its longest critical suffix.
 * :class:`PermitSuffixTable` — the permit model's suffix optima kept per
   permit class for a prefix that grows one arrival at a time, brought up to
-  date only when the phase algorithm asks for a critical suffix.
+  date only when the table is asked.
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions;
   the independent oracle for every objective kind (and the only exact one for
   max- and vector-aggregated objectives).
@@ -20,7 +22,7 @@ their costs keep their digits however far from zero the instance lies, and
 they evaluate blocks through :func:`acklab.cost.batch_cost`, with one array
 entry per block.  The capped and permit suffix kernels are the exceptions:
 they use the cap and the permit class decomposition directly, and the permit
-ones work on the gaps between neighbouring arrivals at any span.
+table works on the gaps between neighbouring arrivals at any span.
 """
 
 from __future__ import annotations
@@ -39,52 +41,27 @@ class BruteForceInfeasibleError(ValueError):
     """Instance too large for exhaustive partition enumeration."""
 
 
-def _require_sum_batch(spec: DelayModelSpec, what: str) -> None:
-    if spec.objective is not Objective.SUM_BATCH:
-        raise ValueError(f"{what} requires a sum-aggregated batch model, got {spec.kind!r}/{spec.objective.value}")
-
-
-def _rebased(arrivals: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival times minus the first arrival, and their prefix sums."""
-    arr = np.asarray(arrivals, dtype=float)
-    if arr.size:
-        arr = arr - arr[0]
-    return arr, np.concatenate(([0.0], np.cumsum(arr)))
-
-
-def _blocks_ending_at(
-    spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray, i: int
-) -> np.ndarray:
-    """bdelay(arr[j..i], arr[i]) for every block start j in 0..i."""
-    counts = np.arange(i + 1, 0, -1, dtype=float)
-    return batch_cost(spec, counts, prefix[i + 1] - prefix[: i + 1], arr[: i + 1], arr[i])
-
-
-def _starting_rows(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray):
-    """Row factory: ``row(p)[q - p] = bdelay(arr[p..q], arr[q])`` for q >= p."""
-    n = arr.size
-    counts = np.arange(1.0, n + 1.0)
-    return lambda p: batch_cost(
-        spec, counts[: n - p], prefix[p + 1 :] - prefix[p], arr[p], arr[p:]
-    )
-
-
 class DpTable:
     """Prefix DP values and back-pointers of a growing arrival sequence.
 
     For ``i <= size``, ``values[i]`` is the optimal cost of serving the first
     ``i`` packets and ``choice[i]`` the start index of the last batch in that
-    optimum.  Arrivals are kept minus the first one, with their prefix sums;
-    all arrays grow by doubling.
+    optimum.  Arrivals are kept minus the first one, with their prefix sums
+    and the batch sizes ``1..capacity``; all arrays grow by doubling.
     """
 
     def __init__(self, spec: DelayModelSpec):
-        _require_sum_batch(spec, "dp_optimal")
+        if spec.objective is not Objective.SUM_BATCH:
+            raise ValueError(
+                "the prefix DP requires a sum-aggregated batch model, "
+                f"got {spec.kind!r}/{spec.objective.value}"
+            )
         self.spec = spec
         self.size = 0  # arrivals pushed
         self._origin = 0.0
         self._arr = np.zeros(16)
         self._prefix = np.zeros(17)
+        self._counts = np.arange(1.0, 17.0)
         self.values = np.zeros(17)
         self.choice = np.zeros(17, dtype=int)
         self._permits = PermitSuffixTable(spec.num_classes) if spec.kind == "permit_plf" else None
@@ -101,12 +78,15 @@ class DpTable:
                 np.concatenate((a, np.zeros(i, dtype=a.dtype)))
                 for a in (self._arr, self._prefix, self.values, self.choice)
             )
+            self._counts = np.arange(1.0, 2 * i + 1.0)
         if i == 0:
             self._origin = time
         arr, prefix, values = self._arr, self._prefix, self.values
         arr[i] = rebased = time - self._origin
         prefix[i + 1] = prefix[i] + rebased
-        blocks = _blocks_ending_at(self.spec, arr, prefix, i)
+        blocks = batch_cost(
+            self.spec, self._counts[i::-1], prefix[i + 1] - prefix[: i + 1], arr[: i + 1], rebased
+        )
         cand = values[: i + 1] + blocks + 1.0
         j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
         values[i + 1] = cand[j]
@@ -114,18 +94,67 @@ class DpTable:
         self.size = i + 1
         return blocks
 
+    def _row(self, p: int) -> np.ndarray:
+        """``bdelay`` of the blocks ``p..q`` acknowledged at ``q``, for every
+        end ``q`` from ``p`` to the last arrival."""
+        n, arr, prefix = self.size, self._arr, self._prefix
+        return batch_cost(
+            self.spec, self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
+        )
+
+    def suffix_optima(self) -> np.ndarray:
+        """Optimal cost of serving each suffix of the arrivals pushed so far.
+
+        Returns ``G`` of length ``size + 1`` with ``G[p]`` the optimal cost
+        of serving packets ``p..size-1`` on their own and ``G[size] = 0``.
+        The capped model runs its windowed kernel, the permit model folds
+        the new arrivals into its class table, and the other models scan one
+        row of block delays per start.
+        """
+        n = self.size
+        if n == 0:
+            return np.zeros(1)
+        if self._permits is not None:
+            return np.append(self._permits.fold(self._arr, n), 0.0)
+        if self.spec.kind == "capped_linear":
+            return _suffix_capped(self._arr[:n], self._prefix[: n + 1], self.spec.tau)
+        G = np.zeros(n + 1)
+        for p in range(n - 1, -1, -1):
+            G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
+        return G
+
     def critical_start(self, blocks: np.ndarray) -> int:
-        """:func:`longest_critical_suffix` of the arrivals pushed so far.
+        """Start index of the longest critical suffix of the arrivals pushed
+        so far: see :func:`longest_critical_suffix`.
 
         ``blocks`` is what the last :meth:`push` returned.  When one ack for
         everything is optimal, the whole prefix is the critical suffix and
         no suffix search runs.
         """
         single = blocks + 1.0
-        opt = float(self.values[self.size])
+        n = self.size
+        opt = float(self.values[n])
         if single[0] - opt <= tol_at(opt):
             return 0
-        return _critical_start(self.spec, self._arr, self._prefix, single, self._permits)
+        certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
+        if certified == 0:
+            return 0
+        if self.spec.kind in ("capped_linear", "permit_plf"):
+            return _first_match(single, self.suffix_optima(), certified)
+        # single[0] bounds every G[p], so this margin dominates the criticality
+        # tolerance at every earlier start and pruning never changes the answer.
+        margin = tol_at(float(single[0]))
+        G = np.zeros(n + 1)
+        G[certified:n] = single[certified:]
+        best = certified
+        for p in range(certified - 1, -1, -1):
+            G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
+            slack = float(single[p]) - G[p]
+            if slack <= tol_at(G[p]):
+                best = p
+            elif slack > 1.0 + margin:
+                break
+        return best
 
 
 def dp_optimal(
@@ -183,11 +212,11 @@ def _suffix_capped(arr: np.ndarray, prefix: np.ndarray, tau: float) -> np.ndarra
 
 
 def _permit_classes(span: float, num_classes: int) -> int:
-    """Highest permit class a suffix kernel needs for blocks up to ``span``.
+    """Highest permit class the suffix table needs for blocks up to ``span``.
 
     Class k costs ``2**k + x * 2**-k``; for ``x <= 4**k`` every higher class
-    costs more, so classes up to ``ceil(log4 span)`` suffice.  The kernels
-    keep one more, capped at ``num_classes``.
+    costs more, so classes up to ``ceil(log4 span)`` suffice.  The table
+    keeps one more, capped at ``num_classes``.
     """
     k = 0
     while 4.0 ** k < span:
@@ -195,62 +224,29 @@ def _permit_classes(span: float, num_classes: int) -> int:
     return min(num_classes, k + 1)
 
 
-def _suffix_permit(arr: np.ndarray, num_classes: int) -> np.ndarray:
-    """Suffix DP for the permit price curve in O(n * classes).
-
-    The serve cost of a block is ``min_k (2**k + span * 2**-k)``, a minimum
-    of affine functions of the span, so the DP splits per class.
-    ``C_k(p)``, the cheapest cost of serving ``p..n-1`` when the block that
-    starts at ``p`` is served by class k, less its ``2**k``, obeys
-    ``C_k(p) = min(G[p + 1], C_k(p + 1) + (a[p + 1] - a[p]) * 2**-k)`` and
-    ``G[p] = min_k 2**k + C_k(p)``.  It works on the gaps between
-    neighbouring arrivals, never on absolute times, so one kernel serves
-    every span.
-    """
-    n = arr.size
-    a = arr.tolist()
-    ks = range(_permit_classes(a[-1] - a[0], num_classes) + 1)
-    costs = [2.0 ** k for k in ks]
-    slopes = [2.0 ** (-k) for k in ks]
-    C = [0.0 for _ in ks]
-    G = [0.0] * (n + 1)
-    G[n - 1] = 1.0
-    for p in range(n - 2, -1, -1):
-        gp1 = G[p + 1]
-        gap = a[p + 1] - a[p]
-        best = math.inf
-        for k in ks:
-            c = C[k] + gap * slopes[k]
-            if gp1 < c:
-                c = gp1
-            C[k] = c
-            v = costs[k] + c
-            if v < best:
-                best = v
-        G[p] = best
-    return np.asarray(G)
-
-
 class PermitSuffixTable:
     """Suffix optima of a growing permit-model arrival prefix, kept per class.
 
-    The forward form of :func:`_suffix_permit`, for a policy that sees one
-    arrival at a time.  With ``i`` the last packet folded in, ``open[k, p]``
-    is the cheapest cost of serving packets ``p..i`` when the last block is
-    served by class k, and ``best[p] = min_k open[k, p]`` is the suffix
-    optimum ``G[p]``.  Packet ``i + 1``, a gap ``g`` later, either extends
-    that block or starts a new one, one vectorized min-plus step over all
-    starts: ``open[k, p] = min(open[k, p] + g * 2**-k, best[p] + 2**k)``
-    and ``open[k, i + 1] = 2**k``.
+    The serve cost of a block is ``min_k (2**k + span * 2**-k)``, a minimum
+    of affine functions of the span, so the suffix DP splits per class.
+    With ``i`` the last packet folded in, ``open[k, p]`` is the cheapest cost
+    of serving packets ``p..i`` when the last block is served by class k,
+    and ``best[p] = min_k open[k, p]`` is the suffix optimum ``G[p]``.
+    Packet ``i + 1``, a gap ``g`` later, either extends that block or starts
+    a new one, one vectorized min-plus step over all starts:
+    ``open[k, p] = min(open[k, p] + g * 2**-k, best[p] + 2**k)`` and
+    ``open[k, i + 1] = 2**k``.  It works on gaps, never on absolute times,
+    so it serves every span.
 
-    The table is lazy: :meth:`DpTable.critical_start` folds in the packets
+    The table is lazy: :meth:`DpTable.suffix_optima` folds in the packets
     that arrived since it last asked, so arrivals that never ask cost nothing.
     No class above ``ceil(log4 span)`` serves a block more cheaply, so the
     table keeps classes ``0..min(K, ceil(log4 span) + 1)`` as of its last
     replay, and replays from the first packet once the span outgrows its
-    top class: at most about ``log4(span) / 2`` times.  Columns (starts)
-    grow by doubling.  A class is a row of ``open``, so the minimum over
-    classes runs across whole rows.
+    top class: at most about ``log4(span) / 2`` times.  A fresh table asked
+    once folds the whole list in one pass, sized from its final span, and
+    never replays.  Columns (starts) grow by doubling.  A class is a row of
+    ``open``, so the minimum over classes runs across whole rows.
     """
 
     def __init__(self, num_classes: int):
@@ -295,29 +291,16 @@ class PermitSuffixTable:
         return best[:n]
 
 
-def _suffix_table(spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray) -> np.ndarray:
-    n = arr.size
-    if n == 0:
-        return np.zeros(1)
-    if spec.kind == "capped_linear":
-        return _suffix_capped(arr, prefix, spec.tau)
-    if spec.kind == "permit_plf":
-        return _suffix_permit(arr, spec.num_classes)
-    row = _starting_rows(spec, arr, prefix)
-    G = np.zeros(n + 1)
-    for p in range(n - 1, -1, -1):
-        G[p] = float(np.min(row(p) + G[p + 1 :])) + 1.0
-    return G
-
-
 def suffix_opt(arrivals: Sequence[float], spec: DelayModelSpec) -> np.ndarray:
     """Optimal cost of serving each suffix of the arrival prefix.
 
     Returns ``G`` of length ``n + 1`` with ``G[p]`` the optimal cost of
     serving packets ``p..n-1`` on their own and ``G[n] = 0``.
     """
-    _require_sum_batch(spec, "suffix_opt")
-    return _suffix_table(spec, *_rebased(arrivals))
+    table = DpTable(spec)
+    for a in arrivals:
+        table.push(float(a))
+    return table.suffix_optima()
 
 
 def _first_match(single: np.ndarray, G: np.ndarray, stop: int) -> int:
@@ -328,48 +311,13 @@ def _first_match(single: np.ndarray, G: np.ndarray, stop: int) -> int:
     return int(hits[0]) if hits.size else stop
 
 
-def _critical_start(
-    spec: DelayModelSpec, arr: np.ndarray, prefix: np.ndarray, single: np.ndarray, permits=None
-) -> int:
-    """The search of :func:`longest_critical_suffix` on ``arr[:n]``.
-
-    ``n`` is ``single.size``; ``arr`` holds arrival times minus the first
-    arrival, ``prefix`` their prefix sums, and ``single[p]`` the single-ack
-    serve cost of the suffix from ``p``.  A permit table, if given, has
-    folded a prefix of ``arr[:n]`` and answers in place of the suffix kernel.
-    """
-    n = single.size
-    certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
-    if certified == 0:
-        return 0
-    if permits is not None:
-        return _first_match(single, permits.fold(arr, n), certified)
-    arr, prefix = arr[:n], prefix[: n + 1]
-    if spec.kind in ("capped_linear", "permit_plf"):
-        return _first_match(single, _suffix_table(spec, arr, prefix), certified)
-    # single[0] bounds every G[p], so this margin dominates the criticality
-    # tolerance at every earlier start and pruning never changes the answer.
-    margin = tol_at(float(single[0]))
-    row = _starting_rows(spec, arr, prefix)
-    G = np.zeros(n + 1)
-    G[certified:n] = single[certified:]
-    best = certified
-    for p in range(certified - 1, -1, -1):
-        G[p] = float(np.min(row(p) + G[p + 1 :])) + 1.0
-        slack = float(single[p]) - G[p]
-        if slack <= tol_at(G[p]):
-            best = p
-        elif slack > 1.0 + margin:
-            break
-    return best
-
-
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:
     """Start index of the longest suffix whose optimum is one acknowledgment.
 
     A suffix starting at ``p`` is critical when serving it with a single ack
     at its last packet's arrival is offline-optimal (ties count as critical).
     The singleton suffix always qualifies, so the result is well defined.
+    Like :func:`dp_optimal`, it takes sum-aggregated batch models only.
 
     A start whose single-ack cost is at most 2 is critical, since any split
     pays at least two acks.  The single-ack cost never increases with the
@@ -384,14 +332,16 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     ``d(p'..p-1)``: once a start's single-ack slack over its optimum exceeds
     1, no earlier start is critical.  The stop never changes the answer.
 
-    This stateless search is the reference; :meth:`DpTable.critical_start`
-    runs the same search on a prefix that grows one arrival at a time.
+    The search is :meth:`DpTable.critical_start`, asked once after the whole
+    list is pushed; the phase algorithm asks its own table after every
+    arrival.
     """
-    arr, prefix = _rebased(arrivals)
-    n = arr.size
-    if n == 0:
+    table = DpTable(spec)
+    if len(arrivals) == 0:
         raise ValueError("empty arrival prefix has no critical suffix")
-    return _critical_start(spec, arr, prefix, _blocks_ending_at(spec, arr, prefix, n - 1) + 1.0)
+    for a in arrivals:
+        blocks = table.push(float(a))
+    return table.critical_start(blocks)
 
 
 def brute_force_optimal(

@@ -27,7 +27,6 @@ from acklab import (
     simulate,
     sum_vector,
 )
-from acklab import offline
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
 from acklab.tolerance import tol_at
@@ -290,10 +289,10 @@ class TestSumMonotonePhases:
         ],
     )
     def test_incremental_suffix_matches_fresh_search(self, spec):
-        # The policy's table and the stateless search share one kernel, so
-        # the first 30 packets of each timeline are also checked against slow
-        # references: a prefix DP and a suffix table built from scalar bdelay
-        # on explicit slices.
+        # The policy's growing table and a fresh table asked once run one
+        # search, so the first 30 packets of each timeline are also checked
+        # against slow references: a prefix DP and a suffix table built from
+        # scalar bdelay on explicit slices.
         rng = np.random.default_rng(4)
         timelines = []
         for i in range(8):
@@ -323,17 +322,6 @@ class TestSumMonotonePhases:
                 # On a chained timeline the whole-prefix shortcut fails
                 # somewhere, so the incremental permit table answered.
                 assert alg._table._permits.size > 0
-
-    def test_permit_never_runs_the_stateless_search(self, monkeypatch):
-        def stateless(*args):
-            raise AssertionError("the permit model has its own incremental table")
-
-        monkeypatch.setattr(offline, "_suffix_permit", stateless)
-        for arrivals in chained_timelines(np.random.default_rng(5)):
-            alg = SumMonotonePhases(permit_plf(num_classes=600))
-            for t in arrivals:
-                alg._critical_suffix(t)
-            assert alg._table._permits.size > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acklab import batches_from_acks, lp_norm
+from acklab.algorithms import ALGORITHM_NAMES
 from acklab.cli import main
-from acklab.cost import aggregate
+from acklab.cost import BATCH_KINDS, VECTOR_KINDS, aggregate
 from acklab.tolerance import tol_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +42,8 @@ def frozen_baseline(spec, arrivals, ack_times):
         cost = frozen.freeze(batch.ack_time - origin)
     return cost
 
+
+OVERFLOW_ARRIVALS = [0, 1, 2.5, 100]
 
 BAD_TAUS = ["null", "[1]", "true", '"inf"', '"1"', "NaN", "Infinity", "0", "-1"]
 
@@ -110,6 +118,16 @@ class TestSolve:
         code, _ = run_cli(capsys, "solve", "--instance", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("oracle, objective", [("brute", "max"), ("dp", "sum")])
+    def test_power_past_float_range(self, tmp_path, capsys, oracle, objective):
+        # 2.5**200 and 99**200 leave the float range; those batches cost
+        # +inf and the optimum, one ack per packet, stays finite.
+        model = {"kind": "max_wait_pow", "p": 200, "objective": objective}
+        path = write_instance(tmp_path, OVERFLOW_ARRIVALS, model)
+        code, out = run_cli(capsys, "solve", "--instance", path, "--oracle", oracle)
+        assert code == 0
+        assert json.loads(out)["total"] == 4.0
+
 
 class TestRun:
     def test_phases_example(self, tmp_path, capsys):
@@ -127,6 +145,15 @@ class TestRun:
         assert all(
             a["time"] <= b["time"] for a, b in zip(events, events[1:])
         )
+
+    def test_phases_with_power_past_float_range(self, tmp_path, capsys):
+        model = {"kind": "max_wait_pow", "p": 1e300, "objective": "sum"}
+        path = write_instance(tmp_path, OVERFLOW_ARRIVALS, model)
+        code, _ = run_cli(
+            capsys, "run", "--instance", path, "--alg", '{"alg":"phases"}',
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0
 
     def test_greedy_single(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0], {"kind": "linear_sum"})
@@ -470,3 +497,141 @@ class TestVerify:
     def test_samples_below_one_exit_2(self, capsys, samples):
         code, out = run_cli(capsys, "verify", "--samples", samples)
         assert code == 2 and out == ""
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the CLI boundary
+# ---------------------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.integers(-3, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 2.0, 1e-300, 1e300]),
+)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2)
+)
+VALUES = NUMBERS | JUNK
+
+
+def mostly(valid):
+    """``valid`` nine times in ten, else any number or a value of the wrong type."""
+    return st.sampled_from(range(10)).flatmap(lambda i: VALUES if i == 9 else valid)
+
+
+TIMES = st.lists(st.floats(0.0, 100.0), max_size=12).map(sorted)
+ARRIVALS = mostly(TIMES | TIMES.map(lambda a: [1e12 + x for x in a]))
+MODEL_PARAMS = {
+    "linear_sum": {},
+    "max_wait": {},
+    "max_wait_pow": {"p": st.integers(1, 300) | st.just(1e300)},
+    "capped_linear": {"tau": st.floats(0.01, 10.0)},
+    "permit_plf": {"K": st.integers(1, 40)},
+    "lp": {"p": st.floats(1.0, 8.0) | st.sampled_from(["inf", 300, 1e300])},
+    "top_k": {"k": st.integers(1, 6)},
+    "ordered": {
+        "w": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(
+            lambda w: sorted(w, reverse=True)
+        )
+    },
+    "concave_two_piece": {"ell": st.integers(1, 6), "eps": st.floats(0.0, 1.0), "n": st.integers(6, 12)},
+    "sum_vector": {},
+}
+assert set(MODEL_PARAMS) == {*BATCH_KINDS, *VECTOR_KINDS}
+MODELS = mostly(
+    st.one_of(
+        *(
+            st.fixed_dictionaries(
+                {"kind": st.just(kind), **{key: mostly(v) for key, v in params.items()}},
+                optional={"objective": mostly(st.sampled_from(["sum", "max", "vector"]))},
+            )
+            for kind, params in MODEL_PARAMS.items()
+        ),
+        st.just({"kind": "bogus"}),
+    )
+)
+ALG_OBJECTS = mostly(
+    st.fixed_dictionaries(
+        {"alg": st.sampled_from([*ALGORITHM_NAMES, "bogus"])},
+        optional={"tau": mostly(st.floats(0.1, 3.0))},
+    )
+)
+ALGS = ALG_OBJECTS.map(json.dumps) | st.sampled_from(["", "[", "{}"])
+INSTANCES = mostly(
+    st.fixed_dictionaries(
+        {"arrivals": ARRIVALS, "model": MODELS}, optional={"horizon": mostly(st.floats(100.0, 200.0))}
+    )
+)
+GENERATORS = mostly(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["uniform", "bursty", "greedy_tau_hard", "bogus"])},
+        optional={
+            key: mostly(st.floats(0.01, 2.0))
+            for key in ("rate", "cluster_rate", "burst_mean", "intra_scale", "tau", "eps")
+        },
+    )
+)
+BENCH_CONFIGS = mostly(
+    st.fixed_dictionaries(
+        {
+            "models": mostly(st.lists(MODELS, min_size=1, max_size=2)),
+            "algorithms": mostly(st.lists(ALG_OBJECTS, min_size=1, max_size=2)),
+            "n": mostly(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
+        },
+        optional={
+            "generators": mostly(st.lists(GENERATORS, max_size=2)),
+            "seeds": mostly(st.integers(0, 2) | st.lists(st.integers(0, 3), max_size=2)),
+            "oracle": mostly(st.sampled_from(["auto", "dp", "brute"])),
+        },
+    )
+)
+GENERATOR_FLOATS = st.sampled_from(["1", "0.5", "2", "1e-3", "0", "-1", "nan", "inf"])
+CLI_CALLS = st.one_of(
+    st.tuples(st.just("solve"), INSTANCES, st.sampled_from([["--oracle", "dp"], ["--oracle", "brute"]])),
+    st.tuples(st.just("run"), INSTANCES, ALGS.map(lambda alg: ["--alg", alg])),
+    st.tuples(st.just("bench"), BENCH_CONFIGS, st.just([])),
+    st.tuples(
+        st.just("adversary"),
+        st.none(),
+        st.tuples(
+            st.sampled_from(["greedy_tau", "concave", "permit"]),
+            st.integers(4, 40) | st.integers(-2, 3),
+            ALGS,
+            GENERATOR_FLOATS,
+            GENERATOR_FLOATS,
+        ).map(lambda a: ["--kind", a[0], "--n", str(a[1]), "--alg", a[2], "--tau", a[3], "--eps", a[4]]),
+    ),
+)
+
+
+def overflow_call(command, objective, p, args):
+    model = {"kind": "max_wait_pow", "p": p, "objective": objective}
+    return command, {"arrivals": OVERFLOW_ARRIVALS, "model": model}, args
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(CLI_CALLS)
+@example(overflow_call("solve", "max", 200, ["--oracle", "brute"]))
+@example(overflow_call("solve", "sum", 200, ["--oracle", "dp"]))
+@example(overflow_call("run", "sum", 1e300, ["--alg", '{"alg":"phases"}']))
+def test_cli_keeps_its_exit_codes_on_random_input(call):
+    # Whatever JSON reaches solve, run, bench or adversary, main returns one
+    # of its four exit codes: no exception escapes, and a NumPy overflow
+    # warning fails the test as an error.
+    command, payload, args = call
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(
+        io.StringIO()
+    ):
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        if command == "solve":
+            argv = ["solve", "--instance", path, *args]
+        elif command == "run":
+            argv = ["run", "--instance", path, *args, "--trace", os.path.join(tmp, "t.jsonl")]
+        elif command == "bench":
+            argv = ["bench", "--config", path, "--out", os.path.join(tmp, "out")]
+        else:
+            argv = ["adversary", *args]
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, payload)

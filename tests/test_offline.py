@@ -19,7 +19,8 @@ from acklab import (
     top_k,
 )
 from acklab.cost import bdelay
-from acklab.offline import PermitSuffixTable, _blocks_ending_at, _starting_rows
+import acklab.offline as offline
+from acklab.offline import PermitSuffixTable
 from acklab.tolerance import tol_at
 
 
@@ -165,6 +166,12 @@ class TestCriticalSuffix:
         with pytest.raises(ValueError):
             longest_critical_suffix([], linear_sum())
 
+    def test_max_objective_rejected(self):
+        # The search runs on the sum DP's table, so a max-aggregated model
+        # is refused as dp_optimal refuses it.
+        with pytest.raises(ValueError, match="sum-aggregated"):
+            longest_critical_suffix([0, 1, 2.5], max_wait())
+
     def test_matches_unpruned_scan(self):
         rng = np.random.default_rng(3)
         specs = [
@@ -243,8 +250,8 @@ class TestPermitSuffixTable:
     @pytest.mark.parametrize("num_classes", [1, 3, 32, 600])
     def test_matches_suffix_kernel(self, num_classes):
         # Folding in a few arrivals at a time, as the phase algorithm does
-        # when it asks only now and then, gives the suffix kernel's optima,
-        # also across the replays that add a class.
+        # when it asks only now and then, gives the scalar reference's
+        # optima, also across the replays that add a class.
         rng = np.random.default_rng(9)
         spec = permit_plf(num_classes=num_classes)
         timelines = [geometric_timeline(rng, 1e7, integer=i % 2 == 0) for i in range(4)]
@@ -257,7 +264,7 @@ class TestPermitSuffixTable:
             while n < arrivals.size:
                 n = min(arrivals.size, n + int(rng.integers(1, 6)))
                 got = table.fold(arrivals, n)
-                want = suffix_opt(arrivals[:n], spec)[:n]
+                want = naive_suffix(arrivals[:n], spec)[:n]
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (arrivals, n)
             assert table.size == arrivals.size
 
@@ -312,15 +319,31 @@ def test_vectorized_blocks_match_scalar_bdelay():
         for _ in range(30):
             n = int(rng.integers(1, 10))
             arr = np.sort(rng.uniform(0, 10, n))
-            prefix = np.concatenate(([0.0], np.cumsum(arr)))
-            i = int(rng.integers(n))
-            ending = _blocks_ending_at(spec, arr, prefix, i)
-            for j in range(i + 1):
-                assert ending[j] == pytest.approx(
-                    bdelay(spec, arr[j : i + 1], arr[i]), rel=1e-12, abs=1e-12
+            table = DpTable(spec)
+            for i, t in enumerate(arr):
+                ending = table.push(t)
+                for j in range(i + 1):
+                    assert ending[j] == pytest.approx(
+                        bdelay(spec, arr[j : i + 1], arr[i]), rel=1e-12, abs=1e-12
+                    )
+            p = int(rng.integers(n))
+            row = table._row(p)
+            assert row.size == n - p
+            for q in range(p, n):
+                assert row[q - p] == pytest.approx(
+                    bdelay(spec, arr[p : q + 1], arr[q]), rel=1e-12, abs=1e-12
                 )
-            row = _starting_rows(spec, arr, prefix)(i)
-            for q in range(i, n):
-                assert row[q - i] == pytest.approx(
-                    bdelay(spec, arr[i : q + 1], arr[q]), rel=1e-12, abs=1e-12
-                )
+
+
+def test_one_critical_suffix_search_left_in_the_library():
+    # DpTable holds the only suffix search; the stateless twin, its
+    # re-basing, the backward permit kernel and the block helpers are gone.
+    for name in (
+        "_rebased",
+        "_blocks_ending_at",
+        "_starting_rows",
+        "_suffix_table",
+        "_critical_start",
+        "_suffix_permit",
+    ):
+        assert not hasattr(offline, name), name
