@@ -21,6 +21,7 @@ from .cost import (
     ordered_norm,
     permit_plf,
     plf_eval,
+    plf_round_up,
     sum_vector,
     top_k,
 )
@@ -71,7 +72,6 @@ from .adversary import (
     gen_greedy_tau_hard,
     permit_cover_optimal,
     permits_to_tcp_schedule,
-    plf_round_up,
     run_concave_adversary,
     run_pp_adversary,
 )

@@ -4,9 +4,10 @@
   greedy pays a factor-n more than the offline optimum.
 * :func:`run_concave_adversary` — the adaptive two-branch adversary for
   concave vector costs.
-* The permit reduction: :func:`plf_round_up`, :class:`TcpPermitAdapter`,
-  :func:`run_pp_adversary`,
-  :func:`permit_cover_optimal`, and :func:`permits_to_tcp_schedule`.
+* The permit reduction: :class:`TcpPermitAdapter` (which rounds each wait
+  up to a permit class with :func:`acklab.cost.plf_round_up`),
+  :func:`run_pp_adversary`, :func:`permit_cover_optimal`, and
+  :func:`permits_to_tcp_schedule`.
 
 Permit timelines are exact integers (spans grow geometrically under the
 adversary and quickly exceed float precision for consecutive timestamps);
@@ -25,7 +26,7 @@ from .cost import (
     capped_linear,
     concave_two_piece,
     plf_eval,
-    plf_probe,
+    plf_round_up,
 )
 from .engine import OnlineAlgorithm, SimulationDriver, next_threshold
 from .model import Instance, Schedule, evaluate_schedule
@@ -225,33 +226,8 @@ def run_concave_adversary(
 
 
 # ---------------------------------------------------------------------------
-# Permit rounding and the reduction
+# The permit reduction
 # ---------------------------------------------------------------------------
-
-def plf_round_up(x: float) -> int:
-    """Smallest useful permit class for a span of ``x``.
-
-    Returns ``k*`` with ``4**k* >= x`` and ``2**k* <= 2 * plf_eval(x)``
-    (classes unbounded).  The class attaining the price curve is used when
-    its duration already covers ``x``; otherwise the smallest class whose
-    duration reaches ``x`` is used.  On the boundary ``x == 4**k`` the
-    cheaper class wins.
-    """
-    if x < 0:
-        raise ValueError("span must be non-negative")
-    base, low, high = plf_probe(x, num_classes=None)
-    attain = base if low <= high else base + 1
-    if x <= 4 ** attain:
-        kstar = attain
-    else:
-        kstar = attain + 1
-        while 4 ** kstar < x:
-            kstar += 1
-    f_x = min(low, high)
-    if not (4 ** kstar >= x and 2 ** kstar <= 2.0 * f_x):
-        raise AssertionError(f"round-up postcondition failed for x={x!r}: k*={kstar}")
-    return kstar
-
 
 @dataclass(frozen=True)
 class PermitPurchase:
@@ -360,10 +336,7 @@ def permit_cover_optimal(request_times: Sequence[int]) -> tuple[int, list[Permit
         return 0, []
     if m > 10_000:
         raise ValueError("too many requests for the exact cover DP")
-    span = times[-1] - times[0]
-    k_max = 0
-    while 4 ** k_max < span:
-        k_max += 1
+    k_max = plf_round_up(times[-1] - times[0])
     best = [0] * (m + 1)
     pick = [0] * m
     for i in range(m - 1, -1, -1):

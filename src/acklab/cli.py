@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import adversary as adv
 from .algorithms import make_algorithm
-from .cost import permit_plf
+from .cost import dump_json, permit_plf
 from .engine import simulate
 from .harness import (
     run_bench,
@@ -76,7 +76,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = breakdown.to_json()
     out["ack_times"] = list(schedule.ack_times)
     out["oracle"] = args.oracle
-    print(json.dumps(out))
+    print(dump_json(out))
     return EXIT_OK
 
 
@@ -95,7 +95,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = evaluate_schedule(instance, schedule).to_json()
     out["ack_times"] = list(schedule.ack_times)
     out["trace"] = trace_path
-    print(json.dumps(out))
+    print(dump_json(out))
     return EXIT_OK
 
 
@@ -142,7 +142,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             "chained": result.chained,
             "max_class": max(p.k for pur in result.purchases for p in pur.permits),
         }
-    print(json.dumps(report))
+    print(dump_json(report))
     return EXIT_OK
 
 
@@ -160,11 +160,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench.csv").write_text(rows_to_csv(rows), encoding="utf-8")
     (out_dir / "summary.json").write_text(
-        json.dumps(summarize(rows), indent=2) + "\n", encoding="utf-8"
+        dump_json(summarize(rows), indent=2) + "\n", encoding="utf-8"
     )
     if config.get("svg", False):
         (out_dir / "ratio.svg").write_text(svg_ratio_chart(rows), encoding="utf-8")
-    print(json.dumps({"rows": len(rows), "out": str(out_dir)}))
+    print(dump_json({"rows": len(rows), "out": str(out_dir)}))
     return EXIT_OK
 
 
@@ -177,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if rep.passed else "FAIL"
         line = f"{status} {rep.name} ({rep.samples} samples)"
         if not rep.passed:
-            line += f" counterexample={json.dumps(rep.counterexample)}"
+            line += f" counterexample={dump_json(rep.counterexample)}"
             failed += 1
         print(line)
     print(f"{len(reports) - failed}/{len(reports)} properties passed")

@@ -12,7 +12,11 @@ Two families of models are supported:
   batch's first arrival, so costs keep their digits at any time offset;
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
-  ``sum_vector``).
+  ``sum_vector``).  ``top_k`` and ``lp`` with p = inf are ordered norms
+  (:func:`order_weights`) and share the ``ordered`` evaluator, and ``lp``
+  with p = 1 shares ``sum_vector``'s.  Online, ``lp`` with p = inf also
+  shares the ``ordered`` aggregate; ``top_k`` keeps its own, whose affine
+  pieces land nearer the exact crossing than the sorted merge does.
 
 Online, every model is kept as a running aggregate (:func:`aggregate`): a
 batch model's pending batch as its size and arrival offsets, with the
@@ -21,14 +25,17 @@ delay vector as what its kind needs of it.  :func:`threshold_time` turns
 any aggregate's crossing into the exact float time its cost reaches a
 target.
 
-The module also provides the piecewise-linear permit cost curve
-:func:`plf_eval` and randomized property testers for monotonicity and the
-lattice (continuous-submodularity) inequality.
+The module also provides the JSON wire format (:func:`model_to_json`,
+:func:`dump_json`), the piecewise-linear permit cost curve :func:`plf_eval`
+with its class round-up :func:`plf_round_up`, and randomized property
+testers for monotonicity and the lattice (continuous-submodularity)
+inequality.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -206,6 +213,26 @@ def sum_vector() -> DelayModelSpec:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+def _inf_as_string(obj):
+    if isinstance(obj, float) and obj == math.inf:
+        return "inf"
+    if isinstance(obj, dict):
+        return {key: _inf_as_string(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_inf_as_string(value) for value in obj]
+    return obj
+
+
+def dump_json(obj, **kwargs) -> str:
+    """Strict JSON text of ``obj``: +inf is written as the string ``"inf"``,
+    as ``lp`` writes its p, and any other non-finite float raises
+    ValueError.  ``kwargs`` go to :func:`json.dumps`."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        return json.dumps(_inf_as_string(obj), allow_nan=False, **kwargs)
+
+
 def model_to_json(spec: DelayModelSpec) -> dict:
     out: dict = {"kind": spec.kind}
     if spec.kind in ("max_wait_pow", "lp"):
@@ -261,47 +288,56 @@ def model_from_json(obj: dict) -> DelayModelSpec:
 # Permit price curve and batch costs, for floats or NumPy arrays
 # ---------------------------------------------------------------------------
 
-def plf_probe(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
-    """The two permit classes that can attain the price curve at span ``x``.
-
-    Class k costs ``2**k + x * 2**-k``, which is convex in k and minimal at
-    ``k = log4(x)``: class k wins for spans in ``[4**k / 2, 2 * 4**k]``.  So
-    the minimum over ``0 <= k <= num_classes`` is attained at ``base`` or
-    ``base + 1`` with ``base = floor(log4(max(x, 1)))`` clipped to
-    ``num_classes - 1``.  Returns ``(base, cost of base, cost of base + 1)``;
-    ``x`` may be a float or an array.
-    """
-    if isinstance(x, np.ndarray):
-        base = np.floor(0.5 * np.log2(np.maximum(x, 1.0)))
-        if num_classes is not None:
-            base = np.minimum(base, num_classes - 1.0)
-        w = np.exp2(base)
-    else:
-        base = math.floor(0.5 * math.log2(max(x, 1.0)))
-        if num_classes is not None:
-            base = min(base, num_classes - 1)
-        w = 2.0 ** base
-    ratio = x / w
-    return base, w + ratio, 2.0 * w + 0.5 * ratio
-
-
 def plf_eval(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
     """Cheapest cost of covering a span of ``x`` with one permit class.
 
     Evaluates ``min_k 2**k + x * 2**-k`` over ``0 <= k <= num_classes``
     (all ``k >= 0`` when ``num_classes`` is None) for a float or,
-    elementwise, an array of spans, probing only the two classes of
-    :func:`plf_probe`.
+    elementwise, an array of spans.  Class k's cost is convex in k and
+    minimal at ``k = log4(x)``: class k wins for spans in
+    ``[4**k / 2, 2 * 4**k]``.  So the minimum is attained at ``base`` or
+    ``base + 1`` with ``base = floor(log4(max(x, 1)))`` clipped to
+    ``num_classes - 1``, and only those two classes are probed.
     """
     if isinstance(x, np.ndarray):
         if x.size and float(x.min()) < 0.0:
             raise ValueError("span must be non-negative")
-        _, low, high = plf_probe(x, num_classes)
-        return np.minimum(low, high)
+        base = np.floor(0.5 * np.log2(np.maximum(x, 1.0)))
+        if num_classes is not None:
+            base = np.minimum(base, num_classes - 1.0)
+        w, minimum = np.exp2(base), np.minimum
+    else:
+        if x < 0:
+            raise ValueError("span must be non-negative")
+        base = math.floor(0.5 * math.log2(max(x, 1.0)))
+        if num_classes is not None:
+            base = min(base, num_classes - 1)
+        w, minimum = 2.0 ** base, min
+    ratio = x / w
+    return minimum(w + ratio, 2.0 * w + 0.5 * ratio)
+
+
+def plf_round_up(x: float) -> int:
+    """Smallest permit class whose duration covers a span of ``x``: the
+    smallest ``k >= 0`` with ``4**k >= x``.
+
+    That is also the smallest useful class: the class attaining the price
+    curve covers ``x`` only when ``x`` lies in ``[4**a / 2, 4**a]``, and
+    there class ``a - 1`` does not cover ``x``.  ``4**k`` is compared with
+    ``x`` exactly, so integer spans past 2**53 round up correctly.  The
+    result also satisfies ``2**k <= 2 * plf_eval(x)`` (classes unbounded).
+    """
     if x < 0:
         raise ValueError("span must be non-negative")
-    _, low, high = plf_probe(x, num_classes)
-    return min(low, high)
+    k = 0
+    while 4 ** k < x:
+        k += 1
+    # The price curve is at least 1 and, by AM-GM, at least 2 sqrt(x), so
+    # 4**k <= max(1, 16 x) gives 2**k <= 2 * plf_eval(x).  Compared exactly,
+    # so integer spans past the float range are checked too.
+    if not 4 ** k <= max(1, 16 * x):
+        raise AssertionError(f"round-up postcondition failed for x={x!r}: k*={k}")
+    return k
 
 
 def batch_cost(spec: DelayModelSpec, m, total, first, t):
@@ -369,6 +405,25 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
 # Vector evaluators
 # ---------------------------------------------------------------------------
 
+def order_weights(spec: DelayModelSpec, n: int | None = None) -> tuple[float, ...] | None:
+    """The weights an ordered norm puts on the ``n`` largest delays (all its
+    weights when it has fewer, or when ``n`` is None); None for any other
+    model.
+
+    An ordered norm's cost is the dot product of its weights with the
+    delays sorted in decreasing order: ``top_k`` puts weight 1 on the k
+    largest delays, ``lp`` with p = inf on the largest one.  Pass ``n`` for
+    ``top_k``: only weights that meet a delay are built, so a huge k costs
+    nothing."""
+    if spec.kind == "ordered":
+        return spec.weights[:n]
+    if spec.kind == "top_k":
+        return (1.0,) * min(spec.k, n)
+    if spec.kind == "lp" and spec.p == math.inf:
+        return (1.0,)[:n]
+    return None
+
+
 def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
     """Delay cost of the full per-packet delay vector."""
     if spec.is_batch_kind:
@@ -377,44 +432,33 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
     if d.size and float(d.min()) < 0.0:
         raise ValueError("delay vector entries must be non-negative")
     kind = spec.kind
-    if kind == "sum_vector":
+    if kind == "sum_vector" or (kind == "lp" and spec.p == 1):
         return float(d.sum())
-    if kind == "lp":
-        if d.size == 0:
-            return 0.0
-        if spec.p == math.inf:
-            return float(d.max())
-        if spec.p == 1:
-            return float(d.sum())
-        # Brute force calls this once per partition, so the reductions skip
-        # the Python wrappers of ndarray.max and ndarray.sum (same results).
-        top = float(np.maximum.reduce(d))
-        if top == 0.0:
-            return 0.0
-        # The largest p-th power within 2**+-1000 keeps the sum of the powers
-        # inside the float range and the digits of every power that matters.
-        if abs(spec.p * math.log2(top)) < 1000.0 - math.log2(d.size):
-            return float(np.add.reduce(d ** spec.p) ** (1.0 / spec.p))
-        # Otherwise divide by the largest delay first, so no power overflows.
-        return top * float(np.add.reduce((d / top) ** spec.p)) ** (1.0 / spec.p)
-    if kind == "top_k":
-        if d.size == 0:
-            return 0.0
-        top = np.sort(d)[::-1][: spec.k]
-        return float(top.sum())
-    if kind == "ordered":
-        if d.size == 0:
-            return 0.0
-        w = np.asarray(spec.weights, dtype=float)
-        m = min(w.size, d.size)
-        s = np.sort(d)[::-1][:m]
-        return float(np.dot(w[:m], s))
     if kind == "concave_two_piece":
         ell = spec.prefix_len
         head = float(d[:ell].sum())
         tail = float(d[ell:].sum())
         return min(spec.eps * head + tail, (spec.dim / ell) * head + spec.eps * tail)
-    raise AssertionError(kind)
+    if d.size == 0:
+        return 0.0
+    weights = order_weights(spec, d.size)
+    if weights is not None and len(weights) > 1:
+        return float(np.dot(weights, np.sort(d)[::-1][: len(weights)]))
+    # Brute force calls this once per partition, so a single weight takes the
+    # largest delay without sorting, and the reductions skip the Python
+    # wrappers of ndarray.max and ndarray.sum (same results).
+    top = float(np.maximum.reduce(d))
+    if weights is not None:
+        return weights[0] * top
+    # lp with 1 < p < inf.
+    if top == 0.0:
+        return 0.0
+    # The largest p-th power within 2**+-1000 keeps the sum of the powers
+    # inside the float range and the digits of every power that matters.
+    if abs(spec.p * math.log2(top)) < 1000.0 - math.log2(d.size):
+        return float(np.add.reduce(d ** spec.p) ** (1.0 / spec.p))
+    # Otherwise divide by the largest delay first, so no power overflows.
+    return top * float(np.add.reduce((d / top) ** spec.p)) ** (1.0 / spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -537,30 +581,6 @@ class _SumAggregate:
         self.total = 0.0
 
 
-class _MaxAggregate:
-    """``lp`` with p = inf: the running maximum.  The first pending packet,
-    at offset 0, has the largest pending delay ``s``."""
-
-    def __init__(self, spec: DelayModelSpec):
-        self.frozen = 0.0
-
-    def add(self, x: float) -> None:
-        pass
-
-    def cost(self, s: float) -> float:
-        return max(self.frozen, s)
-
-    def crossing(self, goal: float) -> float | None:
-        return goal
-
-    def freeze(self, s: float) -> float:
-        self.frozen = self.cost(s)
-        return self.frozen
-
-    def clear(self) -> None:
-        pass
-
-
 class _PowerAggregate:
     """``lp`` with any other p: the norm of the frozen delays and the pending
     offsets.  Every delay is divided by the largest one in play before it
@@ -655,15 +675,16 @@ class _TopKAggregate:
 
 
 class _OrderedAggregate:
-    """``ordered``: the largest frozen delays, one per weight, in decreasing
-    order, and the first pending offsets, one per weight.  The cost at ``s``
-    is one sorted merge of the two; it is convex and piecewise linear in
-    ``s`` with the weights at the pending packets' places as its slope, so
-    Newton's method from above reaches the crossing exactly, one merge per
-    step."""
+    """``ordered`` and ``lp`` with p = inf (the single weight 1, see
+    :func:`order_weights`): the largest frozen delays, one per weight, in
+    decreasing order, and the first pending offsets, one per weight.  The
+    cost at ``s`` is one sorted merge of the two; it is convex and piecewise
+    linear in ``s`` with the weights at the pending packets' places as its
+    slope, so Newton's method from above reaches the crossing exactly, one
+    merge per step."""
 
     def __init__(self, spec: DelayModelSpec):
-        self.w = spec.weights
+        self.w = order_weights(spec)
         self.top: list[float] = []
         self.xs: list[float] = []
 
@@ -774,7 +795,7 @@ _AGGREGATES = {
     "ordered": _OrderedAggregate,
     "concave_two_piece": _ConcaveAggregate,
 }
-_LP_AGGREGATES = {1: _SumAggregate, math.inf: _MaxAggregate}
+_LP_AGGREGATES = {1: _SumAggregate, math.inf: _OrderedAggregate}
 
 
 def aggregate(spec: DelayModelSpec):

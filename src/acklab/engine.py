@@ -12,11 +12,10 @@ reads that plan.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .cost import DelayModelSpec
+from .cost import DelayModelSpec, dump_json
 from .model import Instance, Schedule
 from .tolerance import tol_at
 
@@ -34,7 +33,7 @@ class TraceEvent:
     detail: dict
 
     def to_json_line(self) -> str:
-        return json.dumps({"time": self.time, "kind": self.kind, "detail": self.detail})
+        return dump_json({"time": self.time, "kind": self.kind, "detail": self.detail})
 
 
 class OnlineAlgorithm(ABC):

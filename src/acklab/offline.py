@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_vector
+from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_vector, plf_round_up
 from .model import Schedule
 from .tolerance import TOL, tol_at
 
@@ -218,10 +218,7 @@ def _permit_classes(span: float, num_classes: int) -> int:
     costs more, so classes up to ``ceil(log4 span)`` suffice.  The table
     keeps one more, capped at ``num_classes``.
     """
-    k = 0
-    while 4.0 ** k < span:
-        k += 1
-    return min(num_classes, k + 1)
+    return min(num_classes, plf_round_up(span) + 1)
 
 
 class PermitSuffixTable:

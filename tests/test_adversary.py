@@ -75,6 +75,12 @@ class TestPlfRoundUp:
             assert 4 ** k >= x
             assert 2 ** k <= 2.0 * plf_eval(float(x), num_classes=None)
 
+    def test_integer_spans_past_the_float_range(self):
+        # 4**664 < 10**400 <= 4**665; the span never becomes a float.
+        assert plf_round_up(10**400) == 665
+        assert plf_round_up(4**700) == 700
+        assert plf_round_up(4**700 + 1) == 701
+
     def test_matches_enumerated_classes_at_boundaries(self):
         # The attaining class, ties to the cheaper one, found over every class.
         def reference(x):
@@ -152,6 +158,10 @@ class TestPermitCoverOptimal:
 
     def test_empty(self):
         assert permit_cover_optimal([])[0] == 0
+
+    def test_span_past_the_float_range(self):
+        cost, permits = permit_cover_optimal([0, 1, 10**400])
+        assert cost == 2 and permits == [Permit(0, 0), Permit(10**400, 0)]
 
     def test_cover_is_valid_and_matches_cost(self):
         rng = np.random.default_rng(1)

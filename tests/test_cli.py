@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from acklab import batches_from_acks, lp_norm
 from acklab.algorithms import ALGORITHM_NAMES
 from acklab.cli import main
 from acklab.cost import BATCH_KINDS, VECTOR_KINDS, aggregate
+from acklab.engine import TraceEvent
 from acklab.tolerance import tol_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +46,16 @@ def frozen_baseline(spec, arrivals, ack_times):
 
 
 OVERFLOW_ARRIVALS = [0, 1, 2.5, 100]
+SATURATED_MODEL = {"kind": "max_wait_pow", "p": 1e300, "objective": "sum"}
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects ``Infinity``, ``-Infinity`` and ``NaN``."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 BAD_TAUS = ["null", "[1]", "true", '"inf"', '"1"', "NaN", "Infinity", "0", "-1"]
 
@@ -147,13 +159,33 @@ class TestRun:
         )
 
     def test_phases_with_power_past_float_range(self, tmp_path, capsys):
-        model = {"kind": "max_wait_pow", "p": 1e300, "objective": "sum"}
-        path = write_instance(tmp_path, OVERFLOW_ARRIVALS, model)
+        path = write_instance(tmp_path, OVERFLOW_ARRIVALS, SATURATED_MODEL)
         code, _ = run_cli(
             capsys, "run", "--instance", path, "--alg", '{"alg":"phases"}',
             "--trace", str(tmp_path / "t.jsonl"),
         )
         assert code == 0
+
+    def test_infinite_cost_is_strict_json(self, tmp_path, capsys):
+        # The first ack lands one float after 1.0, where the batch cost jumps
+        # from 1 to +inf, so the run's delay and total are +inf.
+        path = write_instance(tmp_path, OVERFLOW_ARRIVALS, SATURATED_MODEL)
+        trace = tmp_path / "t.jsonl"
+        code, out = run_cli(
+            capsys, "run", "--instance", path, "--alg", '{"alg":"phases"}',
+            "--trace", str(trace),
+        )
+        assert code == 0
+        got = strict_loads(out)
+        assert (got["delay"], got["total"]) == ("inf", "inf")
+        for line in trace.read_text().splitlines():
+            strict_loads(line)
+
+    def test_trace_lines_are_strict_json(self):
+        line = TraceEvent(1.0, "budget_update", {"new": math.inf}).to_json_line()
+        assert strict_loads(line)["detail"]["new"] == "inf"
+        with pytest.raises(ValueError):
+            TraceEvent(1.0, "budget_update", {"new": math.nan}).to_json_line()
 
     def test_greedy_single(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0], {"kind": "linear_sum"})
@@ -360,6 +392,22 @@ class TestBench:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert all(g["max_ratio"] >= g["mean_ratio"] - 1e-12 for g in summary["groups"])
         assert (out_dir / "ratio.svg").read_text().startswith("<svg")
+
+    def test_infinite_ratio_is_strict_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "generators": [{"kind": "uniform", "rate": 1.0}],
+            "models": [SATURATED_MODEL],
+            "algorithms": [{"alg": "phases"}],
+            "n": [4],
+            "seeds": [1, 2, 3],
+        }))
+        out_dir = tmp_path / "out"
+        code, out = run_cli(capsys, "bench", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0
+        strict_loads(out)
+        (group,) = strict_loads((out_dir / "summary.json").read_text())["groups"]
+        assert group["max_ratio"] == "inf"
 
     def test_empty_sweep_header_only(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -119,6 +119,63 @@ def test_planned_times_match_bisection_reference(spec, policy):
 
 
 # ---------------------------------------------------------------------------
+# top_k and lp with p = inf are ordered norms
+# ---------------------------------------------------------------------------
+
+SEEDS = 40
+ORDERED_TWINS = [
+    *((top_k(k), ordered_norm((1.0,) * k)) for k in (1, 2, 3, 9)),
+    (lp_norm(math.inf), ordered_norm((1.0,))),
+]
+# top_k with k >= 2 keeps its own aggregate: its affine pieces round
+# differently from the sorted merge, and land on the exact crossing more
+# often, so only these twins plan float-identical acks.
+PLANNING_TWINS = [(top_k(1), ordered_norm((1.0,))), (lp_norm(math.inf), ordered_norm((1.0,)))]
+
+
+def planned_times(spec, factory, arrivals):
+    """The policy's planned ack time after every arrival, and its acks."""
+    driver = engine.SimulationDriver(factory(spec))
+    planned = []
+    for index, a in enumerate(arrivals):
+        driver.deliver(a, index)
+        planned.append(driver.algorithm.planned_ack_time())
+    driver.finish(arrivals[-1])
+    return planned, driver.ack_times
+
+
+@pytest.mark.parametrize("policy", list(policies()))
+@pytest.mark.parametrize("spec, twin", PLANNING_TWINS, ids=spec_id)
+def test_ordered_twins_plan_the_same_acks(spec, twin, policy):
+    factory = policies()[policy]
+    for seed in range(SEEDS):
+        for family, base in timelines(np.random.default_rng(seed)).items():
+            for shift in (0.0, 1e6, 1e12):
+                arrivals = tuple(shift + a for a in base)
+                where = (seed, family, shift)
+                assert planned_times(spec, factory, arrivals) == planned_times(
+                    twin, factory, arrivals
+                ), where
+
+
+@pytest.mark.parametrize("spec, twin", ORDERED_TWINS, ids=spec_id)
+def test_ordered_twins_cost_the_same(spec, twin):
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 3, 5, 9, 20, 100):
+        for _ in range(50):
+            d = rng.exponential(1.0, size) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert f_vector(spec, d) == f_vector(twin, d), d
+
+
+def test_top_k_beyond_the_packet_count_builds_no_weights():
+    # Only the weights that meet a delay are built, so k = 1e15 costs like
+    # k = the packet count instead of allocating 1e15 weights.
+    huge = top_k(10**15)
+    assert cost.order_weights(huge, 3) == (1.0, 1.0, 1.0)
+    assert f_vector(huge, [1.0, 2.0, 3.0]) == 6.0
+
+
+# ---------------------------------------------------------------------------
 # The concave lower-bound game
 # ---------------------------------------------------------------------------
 
@@ -227,3 +284,11 @@ def test_no_bisection_left_in_the_library():
     ):
         alg.observe_arrival(0.0, 0)
         assert not hasattr(alg, "_plan") and not hasattr(alg, "_pending_sum"), alg
+
+
+def test_one_ordered_norm_aggregate():
+    for name in ("_MaxAggregate", "plf_probe"):
+        assert not hasattr(cost, name), name
+    assert not hasattr(acklab.adversary, "plf_probe")
+    specs = (lp_norm(math.inf), ordered_norm((2.0, 1.0)))
+    assert len({type(cost.aggregate(spec)) for spec in specs}) == 1
