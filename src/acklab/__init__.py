@@ -51,7 +51,6 @@ from .engine import (
     OnlineAlgorithm,
     SimulationDriver,
     TraceEvent,
-    next_threshold,
     simulate,
 )
 from .algorithms import (

@@ -28,7 +28,7 @@ from .cost import (
     plf_eval,
     plf_round_up,
 )
-from .engine import OnlineAlgorithm, SimulationDriver, next_threshold
+from .engine import OnlineAlgorithm, SimulationDriver
 from .model import Instance, Schedule, evaluate_schedule
 
 
@@ -241,16 +241,16 @@ class TcpPermitAdapter:
     """Permit strategy derived from an acknowledgment algorithm.
 
     For each uncovered request the adapter forwards the arrival to the
-    algorithm, simulates it forward (no further input) to find when the
-    request would be acknowledged, rounds that waiting span up to a permit
-    class, and buys one permit starting at the request.
+    algorithm and reads its planned ack time: every ack serves all pending
+    packets, so that is when the request would be acknowledged absent
+    further input.  It rounds that waiting span up to a permit class and
+    buys one permit starting at the request.
     """
 
     def __init__(self, algorithm: OnlineAlgorithm):
         self.algorithm = algorithm
         self.driver = SimulationDriver(algorithm)
         self.account = PermitAccount()
-        self.requests: list[int] = []
         self.next_times: list[float] = []
         self._index = 0
 
@@ -258,7 +258,7 @@ class TcpPermitAdapter:
         ft = float(t)
         self.driver.deliver(ft, self._index)
         self._index += 1
-        nt = next_threshold(self.algorithm)
+        nt = self.algorithm.planned_ack_time()
         if nt is None:
             # The algorithm would hold the packet until a flush; treat the
             # wait as zero and buy the smallest permit.
@@ -267,7 +267,6 @@ class TcpPermitAdapter:
             span = max(0.0, nt - ft)
         permit = Permit(start=t, k=plf_round_up(span))
         self.account.add(permit)
-        self.requests.append(t)
         self.next_times.append(nt if nt is not None else ft)
         return permit
 
@@ -334,8 +333,6 @@ def permit_cover_optimal(request_times: Sequence[int]) -> tuple[int, list[Permit
     m = len(times)
     if m == 0:
         return 0, []
-    if m > 10_000:
-        raise ValueError("too many requests for the exact cover DP")
     k_max = plf_round_up(times[-1] - times[0])
     best = [0] * (m + 1)
     pick = [0] * m

@@ -10,6 +10,7 @@ Four policies plus one adversary-harness variant:
   global delay cost has grown by 1 since the last ack.
 * :class:`SumMonotonePhases` — budget/buffer phase algorithm driven by the
   offline suffix DP; logarithmically competitive for sum-aggregated models.
+  Its state in a phase is one service counter.
 * :class:`VectorThresholdGreedy` — fixed-threshold greedy over the pending
   packets' vector cost; used by the concave lower-bound driver.
 
@@ -18,7 +19,9 @@ delay cost reaches a target" with its own target.  Each keeps its model's
 running aggregate (:func:`aggregate`), with pending arrivals measured from
 the first pending one, and plans its ack at the aggregate's exact crossing
 (:func:`threshold_time`).  None of them evaluates a cost on an explicit
-delay list or bisects.
+delay list or bisects, and the planned ack time is all a caller needs to
+look ahead: with no further arrivals, it is when every pending packet is
+acknowledged.
 """
 
 from __future__ import annotations
@@ -156,17 +159,16 @@ class SumMonotonePhases(_ThresholdPolicy):
 
     The policy pushes every arrival into one offline prefix DP
     (:class:`DpTable`) and asks it for the longest critical suffix.
+    ``service`` is None between phases, 0 in a budget service and 1-3 in
+    a buffer service.
     """
-
-    IDLE, BUDGET, BUFFER = "idle", "budget", "buffer"
 
     def __init__(self, spec: DelayModelSpec):
         _require(spec, Objective.SUM_BATCH, "phase algorithm")
         super().__init__(spec)
         self._table = DpTable(spec)
-        self.kind = self.IDLE
-        self.buffer_index = 0
-        self.suffix_start: int | None = None
+        self.service: int | None = None
+        self.suffix_start = 0
         self.serve_cost = 0.0
         self.budget = 0.0
 
@@ -189,9 +191,8 @@ class SumMonotonePhases(_ThresholdPolicy):
     def observe_arrival(self, time: float, index: int) -> None:
         start, serve = self._critical_suffix(float(time))
 
-        if self.kind == self.IDLE:
-            self.kind = self.BUDGET
-            self.buffer_index = 0
+        if self.service is None:
+            self.service = 0
             self._assign_critical(start, serve)
             self._emit(
                 "service_start",
@@ -200,53 +201,37 @@ class SumMonotonePhases(_ThresholdPolicy):
                 serve_cost=serve,
                 suffix_start=start,
             )
-        elif self.kind == self.BUDGET:
-            if self.suffix_start is not None and start <= self.suffix_start:
+        elif self.service == 0:
+            if start <= self.suffix_start:
                 old = self.budget
                 self._assign_critical(start, serve)
                 self._emit("budget_update", old=old, new=self.budget, serve_cost=serve)
-        else:  # buffer service
-            if serve >= 2.0 * self.serve_cost - tol_at(2.0 * self.serve_cost):
-                self._assign_critical(start, serve)
-                self.kind = self.BUDGET
-                self.buffer_index = 0
-                self._emit(
-                    "promotion",
-                    budget=self.budget,
-                    serve_cost=serve,
-                    suffix_start=start,
-                )
+        elif serve >= 2.0 * self.serve_cost - tol_at(2.0 * self.serve_cost):
+            self._assign_critical(start, serve)
+            self.service = 0
+            self._emit(
+                "promotion",
+                budget=self.budget,
+                serve_cost=serve,
+                suffix_start=start,
+            )
         super().observe_arrival(time, index)
 
     def _after_ack(self, time: float) -> None:
         super()._after_ack(time)
-        if self.kind == self.BUDGET:
-            self.kind = self.BUFFER
-            self.buffer_index = 1
-            old = self.budget
-            self.budget = 2.0 * old
-            self._emit(
-                "service_start",
-                service="buffer",
-                index=1,
-                budget=self.budget,
-                serve_cost=self.serve_cost,
-            )
-        elif self.kind == self.BUFFER and self.buffer_index < 3:
-            self.buffer_index += 1
-            self._emit(
-                "service_start",
-                service="buffer",
-                index=self.buffer_index,
-                budget=self.budget,
-                serve_cost=self.serve_cost,
-            )
-        else:
-            self.kind = self.IDLE
-            self.buffer_index = 0
-            self.suffix_start = None
-            self.serve_cost = 0.0
-            self.budget = 0.0
+        if self.service == 3:
+            self.service = None
+            return
+        if self.service == 0:
+            self.budget *= 2.0
+        self.service += 1
+        self._emit(
+            "service_start",
+            service="buffer",
+            index=self.service,
+            budget=self.budget,
+            serve_cost=self.serve_cost,
+        )
 
 
 ALGORITHM_NAMES = ("greedy_tau", "max_mono", "vector_greedy", "phases", "greedy_tau_vector")

@@ -21,9 +21,10 @@ Two families of models are supported:
 Online, every model is kept as a running aggregate (:func:`aggregate`): a
 batch model's pending batch as its size and arrival offsets, with the
 model's closed-form inverse as its crossing, and a vector model's growing
-delay vector as what its kind needs of it.  :func:`threshold_time` turns
-any aggregate's crossing into the exact float time its cost reaches a
-target.
+delay vector as what its kind needs of it (``concave_two_piece``: one sum
+aggregate for its head and one for its tail).  :func:`threshold_time` turns
+any aggregate's crossing into the first float time at which its cost
+reaches a target; only the capped model's cap is given a tolerance.
 
 The module also provides the JSON wire format (:func:`model_to_json`,
 :func:`dump_json`), the piecewise-linear permit cost curve :func:`plf_eval`
@@ -418,7 +419,7 @@ def order_weights(spec: DelayModelSpec, n: int | None = None) -> tuple[float, ..
     if spec.kind == "ordered":
         return spec.weights[:n]
     if spec.kind == "top_k":
-        return (1.0,) * min(spec.k, n)
+        return (1.0,) * (spec.k if n is None else min(spec.k, n))
     if spec.kind == "lp" and spec.p == math.inf:
         return (1.0,)[:n]
     return None
@@ -731,61 +732,46 @@ class _OrderedAggregate:
 
 
 class _ConcaveAggregate:
-    """``concave_two_piece``: a count and an arrival sum each for the head
-    (the first ``ell`` packets the aggregate holds) and the tail.  The cost
-    is the minimum of two affine functions, so its crossing is the later of
+    """``concave_two_piece``: one sum aggregate for the head (the first
+    ``ell`` packets the aggregate holds) and one for the tail.  The cost is
+    the minimum of two affine functions, so its crossing is the later of
     their crossings."""
 
     def __init__(self, spec: DelayModelSpec):
         self.ell = spec.prefix_len
         self.eps = spec.eps
         self.ratio = spec.dim / spec.prefix_len
-        self.frozen_head = self.frozen_tail = 0.0
+        self.head = _SumAggregate(spec)
+        self.tail = _SumAggregate(spec)
         self.held = 0  # packets held, frozen ones included
-        self._drop_pending()
 
     def add(self, x: float) -> None:
-        if self.held < self.ell:
-            self.m_head += 1
-            self.x_head += x
-        else:
-            self.m_tail += 1
-            self.x_tail += x
+        (self.head if self.held < self.ell else self.tail).add(x)
         self.held += 1
 
-    def _parts(self, s: float) -> tuple[float, float]:
-        return (
-            self.frozen_head + max(0.0, self.m_head * s - self.x_head),
-            self.frozen_tail + max(0.0, self.m_tail * s - self.x_tail),
-        )
-
     def cost(self, s: float) -> float:
-        head, tail = self._parts(s)
+        head, tail = self.head.cost(s), self.tail.cost(s)
         return min(self.eps * head + tail, self.ratio * head + self.eps * tail)
 
     def crossing(self, goal: float) -> float | None:
-        eps, ratio = self.eps, self.ratio
-        head0 = self.frozen_head - self.x_head
-        tail0 = self.frozen_tail - self.x_tail
-        m_head, m_tail = self.m_head, self.m_tail
+        eps, ratio, head, tail = self.eps, self.ratio, self.head, self.tail
+        head0 = head.frozen - head.total
+        tail0 = tail.frozen - tail.total
         s = max(
-            _affine_crossing(eps * m_head + m_tail, eps * head0 + tail0, goal),
-            _affine_crossing(ratio * m_head + eps * m_tail, ratio * head0 + eps * tail0, goal),
+            _affine_crossing(eps * head.m + tail.m, eps * head0 + tail0, goal),
+            _affine_crossing(ratio * head.m + eps * tail.m, ratio * head0 + eps * tail0, goal),
         )
         return s if s < math.inf else None
 
     def freeze(self, s: float) -> float:
-        self.frozen_head, self.frozen_tail = self._parts(s)
-        self._drop_pending()
+        self.head.freeze(s)
+        self.tail.freeze(s)
         return self.cost(0.0)
 
     def clear(self) -> None:
-        self.held -= self.m_head + self.m_tail
-        self._drop_pending()
-
-    def _drop_pending(self) -> None:
-        self.m_head = self.m_tail = 0
-        self.x_head = self.x_tail = 0.0
+        self.held -= self.head.m + self.tail.m
+        self.head.clear()
+        self.tail.clear()
 
 
 _AGGREGATES = {
@@ -810,15 +796,15 @@ def threshold_time(aggregate, origin: float, target: float, t_lo: float) -> floa
     reaches ``target``; None means the target is out of reach.
 
     ``origin`` is the time the aggregate's offsets are measured from.
-    Returns ``t_lo`` when the cost there is already within tolerance of the
-    target.  Otherwise the aggregate's crossing is moved one float at a
-    time, down while the cost one float earlier still reaches the goal and
-    up while the cost falls short of it, so the time is exact even where
-    float spacing exceeds the tolerance.  The goal is the target, or the
-    cost's cap when the target lies within tolerance above it.
+    Returns ``t_lo`` when the cost there already reaches the target.
+    Otherwise the aggregate's crossing is moved one float at a time, down
+    while the cost one float earlier still reaches the goal and up while the
+    cost falls short of it, so the time is exact even where float spacing
+    exceeds the tolerance.  The goal is the target, or the cost's cap when
+    the target lies within tolerance above it.
     """
     cost = aggregate.cost
-    if cost(t_lo - origin) >= target - tol_at(target):
+    if cost(t_lo - origin) >= target:
         return t_lo
     s = aggregate.crossing(target)
     if s is None:

@@ -5,9 +5,9 @@ end-of-input flushing; algorithms own their trigger logic and expose it via
 the :class:`OnlineAlgorithm` contract.  :class:`SimulationDriver` is the
 incremental core so adaptive adversaries can interleave releases with the
 algorithm's reactions; :func:`simulate` replays a fixed instance through it.
-The engine solves no threshold equations: each policy plans its own ack
-time at the exact crossing of its cost, and :func:`next_threshold` only
-reads that plan.
+The engine solves no threshold equations and looks no further ahead than
+the policy: each policy plans its own ack time at the exact crossing of its
+cost, and :meth:`OnlineAlgorithm.planned_ack_time` is the only look-ahead.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class OnlineAlgorithm(ABC):
         self.spec = spec
         self._pending: list[tuple[int, float]] = []  # (packet index, arrival time)
         self._events: list[tuple[str, dict]] = []
-        self.last_arrival_index: int | None = None
 
     # -- observation / commitment ------------------------------------------
 
@@ -76,7 +75,6 @@ class OnlineAlgorithm(ABC):
 
     def _register_arrival(self, time: float, index: int) -> None:
         self._pending.append((index, float(time)))
-        self.last_arrival_index = index
 
     @property
     def has_pending(self) -> bool:
@@ -182,19 +180,3 @@ def simulate(
     if served != instance.n:
         raise EngineError(f"schedule served {served} of {instance.n} packets")
     return Schedule(tuple(driver.ack_times)), driver.trace
-
-
-def next_threshold(algorithm: OnlineAlgorithm) -> float | None:
-    """Time at which the most recent packet gets acknowledged absent arrivals.
-
-    Every ack serves all pending packets, so while that packet is pending
-    this is the algorithm's planned ack time: the first ack of a run with no
-    further input.  None means it would be held until a flush.
-    """
-    target = algorithm.last_arrival_index
-    if target is None:
-        raise EngineError("next_threshold needs at least one observed arrival")
-    pending = algorithm._pending
-    if not pending or pending[-1][0] != target:
-        raise EngineError("the most recent packet is already acknowledged")
-    return algorithm.planned_ack_time()

@@ -27,6 +27,7 @@ from acklab import (
     simulate,
     sum_vector,
 )
+from acklab.engine import SimulationDriver
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
 from acklab.tolerance import tol_at
@@ -193,6 +194,11 @@ class TestVectorThresholdGreedy:
             assert a == pytest.approx(b, abs=1e-9)
 
 
+PINNED_PHASE_ARRIVALS = (
+    1.0, 1.25, 2.25, 2.5, 5.5, 7.5, 7.75, 7.75, 8.0, 9.5, 9.75, 12.0, 12.0, 13.0
+)
+
+
 class TestSumMonotonePhases:
     def test_single_packet(self):
         inst = Instance((0,), linear_sum())
@@ -269,6 +275,61 @@ class TestSumMonotonePhases:
                             budget, abs=1e-6 * max(1.0, budget)
                         )
                     pending = []
+
+    def test_full_trace_pinned(self):
+        # One run through every phase transition: budget service with a
+        # budget update, buffers 1-3, the end of the phase (no event), a new
+        # budget service, a promotion and the buffer after it.
+        arrivals = PINNED_PHASE_ARRIVALS
+        _, trace = simulate(Instance(arrivals, linear_sum()), SumMonotonePhases(linear_sum()))
+        events = [(ev.time, ev.kind, ev.detail) for ev in trace if ev.kind != "arrival"]
+
+        def buffer(index, budget, serve_cost):
+            return {"service": "buffer", "index": index, "budget": budget, "serve_cost": serve_cost}
+
+        assert events == [
+            (1.0, "service_start",
+             {"service": "budget", "budget": 2.0, "serve_cost": 1.0, "suffix_start": 0}),
+            (1.25, "budget_update", {"old": 2.0, "new": 2.5, "serve_cost": 1.25}),
+            (1.875, "ack", {"indices": [0, 1]}),
+            (1.875, "service_start", buffer(1, 5.0, 1.25)),
+            (4.375, "ack", {"indices": [2, 3]}),
+            (4.375, "service_start", buffer(2, 5.0, 1.25)),
+            (8.100000000000001, "ack", {"indices": [4, 5, 6, 7, 8]}),
+            (8.100000000000001, "service_start", buffer(3, 5.0, 1.25)),
+            (11.625, "ack", {"indices": [9, 10]}),
+            (12.0, "service_start",
+             {"service": "budget", "budget": 2.0, "serve_cost": 1.0, "suffix_start": 11}),
+            (12.0, "budget_update", {"old": 2.0, "new": 2.0, "serve_cost": 1.0}),
+            (12.5, "ack", {"indices": [11, 12]}),
+            (12.5, "service_start", buffer(1, 4.0, 1.0)),
+            (13.0, "promotion", {"budget": 4.0, "serve_cost": 2.0, "suffix_start": 12}),
+            (16.0, "ack", {"indices": [13]}),
+            (16.0, "service_start", buffer(1, 8.0, 2.0)),
+        ]
+        arrival_times = [ev.time for ev in trace if ev.kind == "arrival"]
+        assert arrival_times == list(arrivals)
+
+    def test_phase_is_one_service_counter(self):
+        # None between phases, 0 in a budget service, 1-3 in a buffer service.
+        alg = SumMonotonePhases(linear_sum())
+        for name in ("kind", "buffer_index", "IDLE", "BUDGET", "BUFFER"):
+            assert not hasattr(alg, name), name
+        driver = SimulationDriver(alg)
+        services = [alg.service]
+
+        def record():
+            if alg.service != services[-1]:
+                services.append(alg.service)
+
+        for index, a in enumerate(PINNED_PHASE_ARRIVALS):
+            driver.run_until(a)
+            record()
+            driver.deliver(a, index)
+            record()
+        driver.finish(PINNED_PHASE_ARRIVALS[-1])
+        record()
+        assert services == [None, 0, 1, 2, 3, None, 0, 1, 0, 1]
 
     def test_requires_sum_objective(self):
         with pytest.raises(ValueError):

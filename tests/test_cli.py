@@ -346,6 +346,15 @@ class TestAdversary:
         )
         assert got["chained"] is True
 
+    def test_permit_game_past_ten_thousand_requests(self, capsys):
+        # The exact cover DP has no request limit: the game's optimum is
+        # reported however many requests it plays.
+        code, out = run_cli(capsys, "adversary", "--kind", "permit", "--n", "10001")
+        assert code == 0
+        got = json.loads(out)
+        assert (got["n_requests"], got["alg_cost"], got["reference_cost"]) == (10001, 10001.0, 192.0)
+        assert got["chained"] is True
+
 
 class TestModuleEntryPoint:
     """``python -m acklab`` from a source checkout, without installing."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import acklab
 from acklab import (
     EngineError,
     GreedyTau,
@@ -13,10 +14,11 @@ from acklab import (
     capped_linear,
     evaluate_schedule,
     linear_sum,
-    next_threshold,
     permit_plf,
     simulate,
 )
+from acklab import engine
+from acklab.adversary import TcpPermitAdapter
 from acklab.cost import batch_cost
 from acklab.engine import OnlineAlgorithm, SimulationDriver
 from bisection_reference import solve_threshold_time
@@ -131,62 +133,66 @@ class TestSimulate:
             simulate(inst, GreedyTau(linear_sum(), 1.0))
 
 
-class TestNextThreshold:
+class TestPlannedAckTime:
+    """The plan is the only look-ahead: after an arrival, the planned ack
+    time is when the newest packet gets acknowledged absent arrivals."""
+
     def test_greedy_single_packet(self):
         alg = GreedyTau(linear_sum(), 1.0)
         alg.observe_arrival(5.0, 0)
-        assert next_threshold(alg) == pytest.approx(6.0, abs=1e-9)
+        assert alg.planned_ack_time() == pytest.approx(6.0, abs=1e-9)
 
     def test_phases_single_packet(self):
         alg = SumMonotonePhases(linear_sum())
         alg.observe_arrival(0.0, 0)
-        assert next_threshold(alg) == pytest.approx(1.0, abs=1e-9)
+        assert alg.planned_ack_time() == pytest.approx(1.0, abs=1e-9)
 
     def test_phases_permit_model(self):
         alg = SumMonotonePhases(permit_plf())
         alg.observe_arrival(1.0, 0)
-        assert next_threshold(alg) == pytest.approx(2.0, abs=1e-9)
+        assert alg.planned_ack_time() == pytest.approx(2.0, abs=1e-9)
 
-    def test_state_restored(self):
+    def test_reading_the_plan_changes_no_state(self):
         alg = GreedyTau(linear_sum(), 1.0)
         alg.observe_arrival(0.0, 0)
         before = copy.deepcopy(alg.__dict__)
-        next_threshold(alg)
+        alg.planned_ack_time()
         # Aggregates define no __eq__, so theirs is compared by its fields.
         assert vars(alg.__dict__.pop("_aggregate")) == vars(before.pop("_aggregate"))
         assert alg.__dict__ == before
-
-    def test_rejects_acknowledged_latest_packet(self):
-        alg = GreedyTau(linear_sum(), 1.0)
-        alg.observe_arrival(0.0, 0)
-        alg.commit_ack(1.0)
-        with pytest.raises(EngineError):
-            next_threshold(alg)
 
     def test_none_when_never_acked(self):
         spec = capped_linear(0.25)
         alg = SumMonotonePhases(spec)
         alg.observe_arrival(0.0, 0)  # budget 2, cap 0.25: trigger unreachable
-        assert next_threshold(alg) is None
+        assert alg.planned_ack_time() is None
 
-    def test_threshold_consistency_on_spread_sequence(self):
-        # build arrivals so each lands after the previous one's look-ahead time
+    def test_plan_agrees_with_a_replay_on_spread_sequence(self):
+        # build arrivals so each lands after the previous one's planned ack
         spec = linear_sum()
         alg = GreedyTau(spec, 1.0)
         driver = SimulationDriver(alg)
-        arrivals, nexts = [], []
+        arrivals, plans = [], []
         t = 0.7
         for j in range(8):
             driver.deliver(t, j)
             arrivals.append(t)
-            nt = next_threshold(alg)
-            nexts.append(nt)
-            t = nt + 0.3 + 0.1 * j
+            plan = alg.planned_ack_time()
+            plans.append(plan)
+            t = plan + 0.3 + 0.1 * j
         fresh = GreedyTau(spec, 1.0)
         sched, _ = simulate(Instance(tuple(arrivals), spec), fresh)
-        assert len(sched.ack_times) == len(arrivals)
-        for got, want in zip(sched.ack_times, nexts):
-            assert got == pytest.approx(want, abs=1e-9 * max(1.0, want))
+        assert sched.ack_times == tuple(plans)
+
+    def test_second_look_ahead_is_gone(self):
+        assert not hasattr(acklab, "next_threshold")
+        assert not hasattr(engine, "next_threshold")
+        alg = GreedyTau(linear_sum(), 1.0)
+        alg.observe_arrival(0.0, 0)
+        assert not hasattr(alg, "last_arrival_index")
+        adapter = TcpPermitAdapter(SumMonotonePhases(permit_plf()))
+        adapter.on_request(1)
+        assert not hasattr(adapter, "requests")
 
 
 class _EagerAcker(OnlineAlgorithm):

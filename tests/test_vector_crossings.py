@@ -8,6 +8,7 @@ delay vector from the run and check every planned ack time against
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +176,37 @@ def test_top_k_beyond_the_packet_count_builds_no_weights():
     assert f_vector(huge, [1.0, 2.0, 3.0]) == 6.0
 
 
+def test_top_k_weights_without_a_packet_count():
+    # With n = None an ordered norm gives all its weights: k unit weights.
+    assert cost.order_weights(top_k(3)) == (1.0, 1.0, 1.0)
+    assert cost.order_weights(top_k(3), 2) == (1.0, 1.0)
+
+
+def exact_ordered_cost(weights, delays):
+    return sum(Fraction(w) * d for w, d in zip(weights, sorted(delays, reverse=True)))
+
+
+def test_vector_greedy_ack_reaches_its_exact_target():
+    # Seed 9's 0.5-grid timeline, shifted by 1e6: at 1000003.5, the third
+    # ack's arrival, the exact cost is 1.16e-10 short of the target, so the
+    # ack lands one float later, where the exact cost first reaches it.
+    weights = (2.0, 1.0)
+    spec = ordered_norm(weights)
+    arrivals = tuple(1e6 + a for a in timelines(np.random.default_rng(9))["tied"])
+    schedule, _ = simulate(Instance(arrivals, spec), GreedyBatchOblivious(spec))
+    assert schedule.ack_times[2] == 1000003.5000000001
+    frozen: list[Fraction] = []
+    for batch in batches_from_acks(arrivals, schedule.ack_times)[:3]:
+        target = exact_ordered_cost(weights, frozen) + 1
+        pending = [Fraction(a) for a in arrivals[batch.start : batch.stop]]
+        t = Fraction(batch.ack_time)
+        before = Fraction(math.nextafter(batch.ack_time, -math.inf))
+        assert exact_ordered_cost(weights, frozen + [t - a for a in pending]) >= target
+        waiting = [before - a for a in pending if a <= before]
+        assert exact_ordered_cost(weights, frozen + waiting) < target
+        frozen += [t - a for a in pending]
+
+
 # ---------------------------------------------------------------------------
 # The concave lower-bound game
 # ---------------------------------------------------------------------------
@@ -284,6 +316,15 @@ def test_no_bisection_left_in_the_library():
     ):
         alg.observe_arrival(0.0, 0)
         assert not hasattr(alg, "_plan") and not hasattr(alg, "_pending_sum"), alg
+
+
+def test_concave_aggregate_is_two_sum_aggregates():
+    agg = cost.aggregate(concave_two_piece(4, 0.05, 16))
+    assert type(agg.head) is type(agg.tail) is type(cost.aggregate(sum_vector()))
+    for name in ("m_head", "x_head", "frozen_head", "m_tail", "x_tail", "frozen_tail"):
+        assert not hasattr(agg, name), name
+    for name in ("_parts", "_drop_pending"):
+        assert not hasattr(type(agg), name), name
 
 
 def test_one_ordered_norm_aggregate():
