@@ -11,6 +11,7 @@ from .cost import (
     check_continuous_submodular,
     check_monotone,
     concave_two_piece,
+    f_rows,
     f_vector,
     linear_sum,
     lp_norm,
@@ -41,8 +42,10 @@ from .model import (
 from .offline import (
     BruteForceInfeasibleError,
     DpTable,
+    ORACLES,
     brute_force_optimal,
     dp_optimal,
+    exact_optimum,
     longest_critical_suffix,
     suffix_opt,
 )

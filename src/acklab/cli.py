@@ -26,7 +26,7 @@ from .harness import (
     verify_suite,
 )
 from .model import Instance, evaluate_schedule, instance_from_json
-from .offline import BruteForceInfeasibleError, brute_force_optimal, dp_optimal
+from .offline import ORACLES, BruteForceInfeasibleError, dp_optimal, exact_optimum
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -65,17 +65,16 @@ def _load_instance(path: str) -> Instance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    if args.oracle == "dp":
-        try:
-            cost, schedule = dp_optimal(instance.arrivals, instance.model)
-        except ValueError as exc:
-            raise UsageError(f"dp oracle rejected: {exc}") from exc
-    else:
-        cost, schedule = brute_force_optimal(instance.arrivals, instance.model)
+    try:
+        _, schedule, used = exact_optimum(instance.arrivals, instance.model, args.oracle)
+    except BruteForceInfeasibleError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"{args.oracle} oracle rejected: {exc}") from exc
     breakdown = evaluate_schedule(instance, schedule)
     out = breakdown.to_json()
     out["ack_times"] = list(schedule.ack_times)
-    out["oracle"] = args.oracle
+    out["oracle"] = used
     print(dump_json(out))
     return EXIT_OK
 
@@ -193,7 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute the offline optimum of an instance")
     p_solve.add_argument("--instance", required=True, help="instance JSON file")
-    p_solve.add_argument("--oracle", choices=("dp", "brute"), default="dp")
+    p_solve.add_argument(
+        "--oracle",
+        choices=ORACLES,
+        default="auto",
+        help="dp (sum objectives), brute (n <= 22) or auto: dp where it applies, else brute",
+    )
     p_solve.set_defaults(fn=cmd_solve)
 
     p_run = sub.add_parser("run", help="simulate an online algorithm on an instance")

@@ -12,9 +12,11 @@ Two families of models are supported:
   batch's first arrival, so costs keep their digits at any time offset;
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
-  ``sum_vector``).  ``top_k`` and ``lp`` with p = inf are ordered norms
-  (:func:`order_weights`) and share the ``ordered`` evaluator, and ``lp``
-  with p = 1 shares ``sum_vector``'s.  Online, ``lp`` with p = inf also
+  ``sum_vector``).  It is the one-row case of :func:`f_rows`, which costs
+  every row of a matrix of delay vectors at once, as brute force and the
+  submodularity tester need.  ``top_k`` and ``lp`` with p = inf are ordered
+  norms (:func:`order_weights`) and share the ``ordered`` evaluator, and
+  ``lp`` with p = 1 shares ``sum_vector``'s.  Online, ``lp`` with p = inf also
   shares the ``ordered`` aggregate; ``top_k`` keeps its own, whose affine
   pieces land nearer the exact crossing than the sorted merge does.
 
@@ -425,41 +427,63 @@ def order_weights(spec: DelayModelSpec, n: int | None = None) -> tuple[float, ..
     return None
 
 
-def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
-    """Delay cost of the full per-packet delay vector."""
+def f_rows(spec: DelayModelSpec, delays: np.ndarray) -> np.ndarray:
+    """Delay cost of each row of a matrix of per-packet delay vectors.
+
+    Every reduction runs along a row in the order one vector's would, so
+    row ``r`` costs exactly ``f_vector(spec, delays[r])``: sums use NumPy's
+    row reductions, an ordered norm's weighted sum ``np.vecdot`` (the dot
+    product of ``np.dot``, fused multiply-adds included), and ``lp``'s root
+    is taken one row at a time in Python, because NumPy's vector ``power``
+    rounds differently in the last bit.  Its vector ``log2`` does too, so
+    rows whose scaling test lies near its bound repeat the test in Python.
+    """
     if spec.is_batch_kind:
         raise ValueError(f"{spec.kind!r} is a batch model; use bdelay")
-    d = np.asarray(delays, dtype=float)
-    if d.size and float(d.min()) < 0.0:
+    D = np.ascontiguousarray(delays, dtype=float)
+    if D.size and float(D.min()) < 0.0:
         raise ValueError("delay vector entries must be non-negative")
+    rows, n = D.shape
     kind = spec.kind
     if kind == "sum_vector" or (kind == "lp" and spec.p == 1):
-        return float(d.sum())
+        return np.add.reduce(D, axis=1)
     if kind == "concave_two_piece":
         ell = spec.prefix_len
-        head = float(d[:ell].sum())
-        tail = float(d[ell:].sum())
-        return min(spec.eps * head + tail, (spec.dim / ell) * head + spec.eps * tail)
-    if d.size == 0:
-        return 0.0
-    weights = order_weights(spec, d.size)
+        head = np.add.reduce(D[:, :ell], axis=1)
+        tail = np.add.reduce(D[:, ell:], axis=1)
+        first = spec.eps * head + tail
+        second = (spec.dim / ell) * head + spec.eps * tail
+        return np.where(second < first, second, first)
+    if n == 0:
+        return np.zeros(rows)
+    weights = order_weights(spec, n)
     if weights is not None and len(weights) > 1:
-        return float(np.dot(weights, np.sort(d)[::-1][: len(weights)]))
-    # Brute force calls this once per partition, so a single weight takes the
-    # largest delay without sorting, and the reductions skip the Python
-    # wrappers of ndarray.max and ndarray.sum (same results).
-    top = float(np.maximum.reduce(d))
+        largest = np.sort(D, axis=1)[:, : -len(weights) - 1 : -1]
+        return np.vecdot(np.ascontiguousarray(largest), weights)
+    top = np.maximum.reduce(D, axis=1)
     if weights is not None:
         return weights[0] * top
     # lp with 1 < p < inf.
-    if top == 0.0:
-        return 0.0
+    p, root = spec.p, 1.0 / spec.p
     # The largest p-th power within 2**+-1000 keeps the sum of the powers
     # inside the float range and the digits of every power that matters.
-    if abs(spec.p * math.log2(top)) < 1000.0 - math.log2(d.size):
-        return float(np.add.reduce(d ** spec.p) ** (1.0 / spec.p))
-    # Otherwise divide by the largest delay first, so no power overflows.
-    return top * float(np.add.reduce((d / top) ** spec.p)) ** (1.0 / spec.p)
+    bound = 1000.0 - math.log2(n)
+    with np.errstate(over="ignore"):
+        exponent = np.abs(p * np.log2(top, out=np.zeros(rows), where=top > 0.0))
+    scaled = exponent >= bound
+    for r in np.flatnonzero(np.abs(exponent - bound) <= 1e-9 * bound):
+        scaled[r] = abs(p * math.log2(top[r])) >= bound
+    # Otherwise divide by the largest delay first, so no power overflows
+    # (the other rows are divided by 1, which changes no bit).
+    scale = np.where(scaled, top, 1.0)
+    sums = np.add.reduce((D / scale[:, None]) ** p, axis=1)
+    return scale * np.array([s ** root for s in sums.tolist()])
+
+
+def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
+    """Delay cost of the full per-packet delay vector: :func:`f_rows` of
+    one row."""
+    return float(f_rows(spec, np.asarray(delays, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -895,33 +919,33 @@ def check_continuous_submodular(
 ) -> PropertyReport:
     """Sample vector pairs and test the lattice inequality
     ``f(x v y) + f(x ^ y) <= f(x) + f(y)``.
+
+    All samples are drawn first, one row each; a spec costs each of the four
+    matrices with one :func:`f_rows` call, a raw callable is called per row.
+    The report names the first failing sample.
     """
     if isinstance(model, DelayModelSpec):
-        fn = lambda v: f_vector(model, v)  # noqa: E731
+        fn = lambda rows: f_rows(model, rows)  # noqa: E731
         name = f"submodular:{model.kind}"
     else:
-        fn = model
+        fn = lambda rows: np.array([model(v) for v in rows])  # noqa: E731
         name = "submodular:<callable>"
     rng = np.random.default_rng(seed)
+    x = np.empty((samples, dimension))
+    y = np.empty((samples, dimension))
     for i in range(samples):
-        x = _log_uniform(rng, dimension)
-        y = _log_uniform(rng, dimension)
-        x[rng.random(dimension) < 0.15] = 0.0
-        y[rng.random(dimension) < 0.15] = 0.0
-        join = np.maximum(x, y)
-        meet = np.minimum(x, y)
-        lhs = fn(join) + fn(meet)
-        rhs = fn(x) + fn(y)
-        if lhs > rhs + tol_at(rhs):
+        x[i] = _log_uniform(rng, dimension)
+        y[i] = _log_uniform(rng, dimension)
+        x[i, rng.random(dimension) < 0.15] = 0.0
+        y[i, rng.random(dimension) < 0.15] = 0.0
+    lhs = (fn(np.maximum(x, y)) + fn(np.minimum(x, y))).tolist()
+    rhs = (fn(x) + fn(y)).tolist()
+    for i in range(samples):
+        if lhs[i] > rhs[i] + tol_at(rhs[i]):
             return PropertyReport(
                 name,
                 False,
                 i + 1,
-                {
-                    "x": [float(v) for v in x],
-                    "y": [float(v) for v in y],
-                    "lhs": float(lhs),
-                    "rhs": float(rhs),
-                },
+                {"x": x[i].tolist(), "y": y[i].tolist(), "lhs": lhs[i], "rhs": rhs[i]},
             )
     return PropertyReport(name, True, samples)

@@ -19,7 +19,6 @@ from . import adversary as adv
 from .algorithms import SumMonotonePhases, make_algorithm
 from .cost import (
     DelayModelSpec,
-    Objective,
     PropertyReport,
     capped_linear,
     check_continuous_submodular,
@@ -38,7 +37,7 @@ from .cost import (
 )
 from .engine import simulate
 from .model import Instance, evaluate_schedule
-from .offline import brute_force_optimal, dp_optimal
+from .offline import ORACLES, brute_force_optimal, dp_optimal, exact_optimum
 from .tolerance import tol_at
 
 DEFAULT_SEED = 94021
@@ -152,13 +151,8 @@ def _fmt(x: float) -> str:
 
 
 def _optimum(instance: Instance, oracle: str) -> tuple[float, str]:
-    if oracle == "dp" or (
-        oracle == "auto" and instance.model.objective is Objective.SUM_BATCH
-    ):
-        cost, _ = dp_optimal(instance.arrivals, instance.model)
-        return cost, "dp"
-    cost, _ = brute_force_optimal(instance.arrivals, instance.model)
-    return cost, "brute"
+    cost, _, used = exact_optimum(instance.arrivals, instance.model, oracle)
+    return cost, used
 
 
 def _is_int(value) -> bool:
@@ -196,7 +190,7 @@ def run_bench(config: dict) -> list[BenchRow]:
             "non-negative integers (or a count)",
         )
     oracle = config.get("oracle", "auto")
-    if oracle not in ("auto", "dp", "brute"):
+    if oracle not in ORACLES:
         raise ValueError(f"bench config 'oracle' must be auto, dp or brute, got {oracle!r}")
     rows: list[BenchRow] = []
     for gen_spec in generators:

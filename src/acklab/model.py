@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,6 +54,12 @@ class Instance:
             raise ValueError("arrival times must be non-decreasing")
         if self.horizon is not None and arr and self.horizon < arr[-1]:
             raise ValueError("horizon must not precede the last arrival")
+        # A batch's size times its span bounds every batch formula, so this
+        # keeps them all inside the float range, at any shift of the times.
+        if arr and not math.isfinite(len(arr) * (arr[-1] - arr[0])):
+            raise ValueError(
+                f"{len(arr)} arrivals over a span of {arr[-1] - arr[0]!r} leave the float range"
+            )
 
     @property
     def n(self) -> int:

@@ -13,9 +13,13 @@
 * :class:`PermitSuffixTable` — the permit model's suffix optima kept per
   permit class for a prefix that grows one arrival at a time, brought up to
   date only when the table is asked.
-* :func:`brute_force_optimal` — enumeration over all contiguous partitions;
-  the independent oracle for every objective kind (and the only exact one for
-  max- and vector-aggregated objectives).
+* :func:`brute_force_optimal` — enumeration over all contiguous partitions,
+  in NumPy chunks of cut masks with one matrix row per partition; the
+  independent oracle for every objective kind (and the only exact one for
+  max- and vector-aggregated objectives), up to n = 22.
+* :func:`exact_optimum` — the oracle rule of ``ack solve`` and ``ack
+  bench``: the DP for sum objectives, brute force for the others, unless
+  one of them is named.
 
 The DP and suffix kernels work on arrival times minus the first arrival, so
 their costs keep their digits however far from zero the instance lies, and
@@ -32,9 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_vector, plf_round_up
+from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_rows, plf_round_up
 from .model import Schedule
 from .tolerance import TOL, tol_at
+
+
+_MASK_CHUNK = 1 << 14  # cut masks per NumPy chunk in brute_force_optimal
 
 
 class BruteForceInfeasibleError(ValueError):
@@ -350,6 +357,15 @@ def brute_force_optimal(
     whose induced ack times collide (exactly tied arrivals across a block
     boundary) are skipped; the merged partition is always enumerated too and
     costs no more under the built-in models.
+
+    Bit ``i`` of a cut mask closes a block at packet ``i``, and the last
+    packet always closes one.  The 2^(n-1) masks are taken in chunks of
+    ``_MASK_CHUNK``, one matrix column per partition, so memory stays
+    bounded up to the n <= 22 guard.  Batch objectives gather each closing
+    block's cost from a table of all n(n+1)/2 blocks and add them left to
+    right or take their maximum; vector objectives evaluate the delay
+    vectors, one row per partition, with :func:`acklab.cost.f_rows`.  The first mask with the strictly smallest
+    cost wins, so the optimum is the one a loop over the masks would find.
     """
     arr = tuple(float(a) for a in arrivals)
     n = len(arr)
@@ -359,34 +375,64 @@ def brute_force_optimal(
         raise BruteForceInfeasibleError(
             f"brute force enumerates 2^(n-1) partitions; n={n} exceeds the n<=22 guard"
         )
+    a = np.asarray(arr)
     objective = spec.objective
     if objective is not Objective.VECTOR:
-        # Each block is costed once, not once for every partition holding it.
-        block = {
-            (lo, hi): bdelay(spec, arr[lo:hi], arr[hi - 1])
-            for lo in range(n)
-            for hi in range(lo + 1, n + 1)
-        }
+        # block[i, lo]: packets lo..i acknowledged at packet i, costed once
+        # rather than once for every partition holding it.
+        block = np.zeros((n, n))
+        for i in range(n):
+            for lo in range(i + 1):
+                block[i, lo] = bdelay(spec, arr[lo : i + 1], arr[i])
+    shifts = np.arange(n - 1)[:, None]
     best_cost = None
     best_acks: tuple[float, ...] = ()
-    for mask in range(1 << (n - 1)):
-        cuts = [i + 1 for i in range(n - 1) if mask >> i & 1]
-        bounds = [0] + cuts + [n]
-        acks = [arr[b - 1] for b in bounds[1:]]
-        if any(acks[i] >= acks[i + 1] for i in range(len(acks) - 1)):
-            continue
-        k = len(acks)
+    masks = 1 << (n - 1)
+    for start in range(0, masks, _MASK_CHUNK):
+        mask = np.arange(start, min(start + _MASK_CHUNK, masks))
+        # Column r is one partition: cuts[i, r] closes a block at packet i,
+        # and ack[i, r] is the arrival that acknowledges packet i.
+        cuts = np.ones((n, mask.size), dtype=bool)
+        cuts[:-1] = (mask >> shifts) & 1
+        ack = np.empty((n, mask.size))
+        ack[-1] = a[-1]
+        for i in range(n - 2, -1, -1):
+            ack[i] = np.where(cuts[i], a[i], ack[i + 1])
         if objective is Objective.VECTOR:
-            d: list[float] = []
-            for lo, hi, t in zip(bounds, bounds[1:], acks):
-                d.extend(t - arr[j] for j in range(lo, hi))
-            delay = f_vector(spec, d)
+            delay = f_rows(spec, (ack - a[:, None]).T)
         else:
-            per = [block[lo, hi] for lo, hi in zip(bounds, bounds[1:])]
-            delay = sum(per) if objective is Objective.SUM_BATCH else max(per)
-        cost = k + delay
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_acks = tuple(acks)
+            delay = np.zeros(mask.size)
+            combine = np.add if objective is Objective.SUM_BATCH else np.maximum
+            first = np.zeros(mask.size, dtype=np.intp)  # first packet of the open block
+            for i in range(n):
+                combine(delay, block[i].take(first), out=delay, where=cuts[i])
+                first[cuts[i]] = i + 1
+        cost = cuts.sum(axis=0) + delay
+        # A close collides when the next block is acknowledged at the same time.
+        rows = np.flatnonzero(~np.any(cuts[:-1] & (ack[1:] == a[:-1, None]), axis=0))
+        if rows.size == 0:
+            continue
+        row = int(rows[np.argmin(cost[rows])])
+        if best_cost is None or cost[row] < best_cost:
+            best_cost = float(cost[row])
+            best_acks = tuple(a[cuts[:, row]].tolist())
     assert best_cost is not None
-    return float(best_cost), Schedule(best_acks)
+    return best_cost, Schedule(best_acks)
+
+
+ORACLES = ("auto", "dp", "brute")
+
+
+def exact_optimum(
+    arrivals: Sequence[float], spec: DelayModelSpec, oracle: str = "auto"
+) -> tuple[float, Schedule, str]:
+    """Optimal cost and schedule from one of :data:`ORACLES`, and the name
+    of the oracle that ran.
+
+    ``auto`` runs the prefix DP on sum-aggregated batch models and brute
+    force on every other objective.  ``dp`` raises ValueError on those, and
+    brute force raises :class:`BruteForceInfeasibleError` above n = 22.
+    """
+    if oracle == "dp" or (oracle == "auto" and spec.objective is Objective.SUM_BATCH):
+        return (*dp_optimal(arrivals, spec), "dp")
+    return (*brute_force_optimal(arrivals, spec), "brute")

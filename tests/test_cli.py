@@ -87,8 +87,52 @@ class TestSolve:
 
     def test_dp_rejects_max_objective(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0, 1], {"kind": "max_wait"})
-        code, _ = run_cli(capsys, "solve", "--instance", path)
+        code, _ = run_cli(capsys, "solve", "--instance", path, "--oracle", "dp")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "model, oracle",
+        [
+            ({"kind": "max_wait"}, "brute"),
+            ({"kind": "top_k", "k": 3}, "brute"),
+            ({"kind": "lp", "p": 2}, "brute"),
+            ({"kind": "linear_sum"}, "dp"),
+            ({"kind": "max_wait", "objective": "sum"}, "dp"),
+        ],
+    )
+    def test_auto_oracle_is_the_default(self, tmp_path, capsys, model, oracle):
+        # Without --oracle, sum objectives take the DP and the others brute
+        # force, and the output names the oracle that ran.
+        arrivals = [0.0, 0.4, 1.9, 2.0, 3.5, 3.6, 3.7, 6.0, 6.2, 8.9, 9.0, 9.5, 12.0]
+        path = write_instance(tmp_path, arrivals, model)
+        code, out = run_cli(capsys, "solve", "--instance", path)
+        assert code == 0
+        default = json.loads(out)
+        assert default["oracle"] == oracle
+        code, out = run_cli(capsys, "solve", "--instance", path, "--oracle", oracle)
+        assert code == 0 and json.loads(out) == default
+
+    @pytest.mark.parametrize("model", [{"kind": "max_wait"}, {"kind": "top_k", "k": 3}])
+    def test_auto_oracle_keeps_the_brute_force_guard(self, tmp_path, capsys, model):
+        path = write_instance(tmp_path, [float(i) for i in range(30)], model)
+        code, out = run_cli(capsys, "solve", "--instance", path)
+        assert code == 3 and out == ""
+
+    @pytest.mark.parametrize(
+        "model", [{"kind": "linear_sum"}, {"kind": "capped_linear", "tau": 1.0}]
+    )
+    def test_span_past_float_range_exit_2(self, tmp_path, capsys, model):
+        # 3 * 1.7e308 leaves the float range, so the batch formulas would
+        # overflow (the DP used to return NaN, bdelay to raise from fsum).
+        path = write_instance(tmp_path, [0, 1e308, 1.7e308], model)
+        for argv in (
+            ("solve", "--instance", path, "--oracle", "dp"),
+            ("solve", "--instance", path, "--oracle", "brute"),
+            ("run", "--instance", path, "--alg", '{"alg":"phases"}',
+             "--trace", str(tmp_path / "t.jsonl")),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
 
     @pytest.mark.parametrize(
         "arrivals, model, horizon",
@@ -644,7 +688,11 @@ BENCH_CONFIGS = mostly(
 )
 GENERATOR_FLOATS = st.sampled_from(["1", "0.5", "2", "1e-3", "0", "-1", "nan", "inf"])
 CLI_CALLS = st.one_of(
-    st.tuples(st.just("solve"), INSTANCES, st.sampled_from([["--oracle", "dp"], ["--oracle", "brute"]])),
+    st.tuples(
+        st.just("solve"),
+        INSTANCES,
+        st.sampled_from([["--oracle", "dp"], ["--oracle", "brute"], ["--oracle", "auto"], []]),
+    ),
     st.tuples(st.just("run"), INSTANCES, ALGS.map(lambda alg: ["--alg", alg])),
     st.tuples(st.just("bench"), BENCH_CONFIGS, st.just([])),
     st.tuples(
@@ -666,11 +714,17 @@ def overflow_call(command, objective, p, args):
     return command, {"arrivals": OVERFLOW_ARRIVALS, "model": model}, args
 
 
+WIDE_SPAN = {"arrivals": [0, 1e308, 1.7e308], "model": {"kind": "linear_sum"}}
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(CLI_CALLS)
 @example(overflow_call("solve", "max", 200, ["--oracle", "brute"]))
 @example(overflow_call("solve", "sum", 200, ["--oracle", "dp"]))
 @example(overflow_call("run", "sum", 1e300, ["--alg", '{"alg":"phases"}']))
+@example(("solve", WIDE_SPAN, ["--oracle", "dp"]))
+@example(("solve", WIDE_SPAN, ["--oracle", "brute"]))
+@example(("run", WIDE_SPAN, ["--alg", '{"alg":"phases"}']))
 def test_cli_keeps_its_exit_codes_on_random_input(call):
     # Whatever JSON reaches solve, run, bench or adversary, main returns one
     # of its four exit codes: no exception escapes, and a NumPy overflow
