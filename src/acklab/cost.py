@@ -41,7 +41,7 @@ import heapq
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -67,6 +67,22 @@ _DEFAULT_OBJECTIVE = {
     "max_wait_pow": Objective.MAX_BATCH,
     "capped_linear": Objective.SUM_BATCH,
     "permit_plf": Objective.SUM_BATCH,
+}
+
+# The parameters each kind takes, as (DelayModelSpec field, JSON key) pairs.
+# A kind leaves every other field None, and its JSON takes no other key but
+# "kind" and "objective".
+_KIND_PARAMS: dict[str, tuple[tuple[str, str], ...]] = {
+    "linear_sum": (),
+    "max_wait": (),
+    "max_wait_pow": (("p", "p"),),
+    "capped_linear": (("tau", "tau"),),
+    "permit_plf": (("num_classes", "K"),),
+    "lp": (("p", "p"),),
+    "top_k": (("k", "k"),),
+    "ordered": (("weights", "w"),),
+    "concave_two_piece": (("prefix_len", "ell"), ("eps", "eps"), ("dim", "n")),
+    "sum_vector": (),
 }
 
 DEFAULT_PERMIT_CLASSES = 32
@@ -109,6 +125,10 @@ class DelayModelSpec:
                 raise ValueError(f"vector model {self.kind!r} needs the vector objective")
         else:
             raise ValueError(f"unknown delay model kind {self.kind!r}")
+        taken = {"kind", "objective", *(name for name, _ in _KIND_PARAMS[self.kind])}
+        for f in fields(self):
+            if f.name not in taken and getattr(self, f.name) is not None:
+                raise ValueError(f"delay model {self.kind!r} takes no {f.name}")
 
         if self.kind == "max_wait_pow":
             p = check_real(self.p, "max_wait_pow exponent p")
@@ -238,20 +258,11 @@ def dump_json(obj, **kwargs) -> str:
 
 def model_to_json(spec: DelayModelSpec) -> dict:
     out: dict = {"kind": spec.kind}
-    if spec.kind in ("max_wait_pow", "lp"):
-        out["p"] = spec.p if spec.p != math.inf else "inf"
-    if spec.kind == "capped_linear":
-        out["tau"] = spec.tau
-    if spec.kind == "permit_plf":
-        out["K"] = spec.num_classes
-    if spec.kind == "top_k":
-        out["k"] = spec.k
-    if spec.kind == "ordered":
-        out["w"] = list(spec.weights or ())
-    if spec.kind == "concave_two_piece":
-        out["ell"] = spec.prefix_len
-        out["eps"] = spec.eps
-        out["n"] = spec.dim
+    for name, key in _KIND_PARAMS[spec.kind]:
+        value = getattr(spec, name)
+        if name == "weights":
+            value = list(value)
+        out[key] = "inf" if value == math.inf else value
     if spec.kind in BATCH_KINDS and spec.objective is not _DEFAULT_OBJECTIVE[spec.kind]:
         out["objective"] = spec.objective.value
     return out
@@ -267,24 +278,21 @@ def model_from_json(obj: dict) -> DelayModelSpec:
         objective = Objective(obj.get("objective", Objective.VECTOR.value))
     else:
         raise ValueError(f"unknown delay model kind {kind!r}")
-    p = obj.get("p")
-    if p == "inf":
-        p = math.inf
-    weights = obj.get("w")
-    if "w" in obj and not isinstance(weights, list):
-        raise ValueError(f"ordered norm weights w must be a list, got {weights!r}")
-    return DelayModelSpec(
-        kind,
-        objective,
-        p=p,
-        tau=obj.get("tau"),
-        num_classes=obj.get("K", DEFAULT_PERMIT_CLASSES if kind == "permit_plf" else None),
-        k=obj.get("k"),
-        weights=tuple(weights) if "w" in obj else None,
-        prefix_len=obj.get("ell"),
-        eps=obj.get("eps"),
-        dim=obj.get("n"),
-    )
+    params = _KIND_PARAMS[kind]
+    unknown = set(obj) - {"kind", "objective", *(key for _, key in params)}
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise ValueError(f"delay model {kind!r} takes no key {names}")
+    values = {name: obj.get(key) for name, key in params}
+    if kind == "permit_plf":
+        values["num_classes"] = obj.get("K", DEFAULT_PERMIT_CLASSES)
+    if values.get("p") == "inf":
+        values["p"] = math.inf
+    if "w" in obj:
+        if not isinstance(obj["w"], list):
+            raise ValueError(f"ordered norm weights w must be a list, got {obj['w']!r}")
+        values["weights"] = tuple(obj["w"])
+    return DelayModelSpec(kind, objective, **values)
 
 
 # ---------------------------------------------------------------------------

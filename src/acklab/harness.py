@@ -10,8 +10,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -118,22 +118,10 @@ def generate_instance(
 # Bench sweep
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "instance_id",
-    "n",
-    "model_kind",
-    "alg_spec",
-    "alg_cost",
-    "opt_cost",
-    "oracle",
-    "ratio",
-    "runtime_ms",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class BenchRow:
+    """One CSV row of a bench sweep: the fields in order are its columns."""
+
     instance_id: str
     n: int
     model_kind: str
@@ -234,21 +222,12 @@ def run_bench(config: dict) -> list[BenchRow]:
 def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    names = [f.name for f in fields(BenchRow)]
+    floats = {name for name, kind in get_type_hints(BenchRow).items() if kind is float}
+    writer.writerow(names)
     for r in rows:
         writer.writerow(
-            (
-                r.instance_id,
-                r.n,
-                r.model_kind,
-                r.alg_spec,
-                _fmt(r.alg_cost),
-                _fmt(r.opt_cost),
-                r.oracle,
-                _fmt(r.ratio),
-                _fmt(r.runtime_ms),
-                r.seed,
-            )
+            _fmt(getattr(r, name)) if name in floats else getattr(r, name) for name in names
         )
     return buf.getvalue()
 

@@ -33,6 +33,30 @@ class InvalidScheduleError(ValueError):
     """The schedule does not serve the instance (uncovered packet, idle ack...)."""
 
 
+def check_arrivals(arrivals: Sequence[float]) -> tuple[float, ...]:
+    """The arrival times as floats; ValueError unless they are finite,
+    non-negative and non-decreasing, and their count times their span is
+    finite.
+
+    A batch's size times its span bounds every batch formula, so the last
+    rule keeps them all inside the float range, at any shift of the times.
+    """
+    # Finite floats skip check_real's type tests, which would dominate here.
+    arr = tuple(
+        a if type(a) is float and math.isfinite(a) else float(check_real(a, "arrival time"))
+        for a in arrivals
+    )
+    if any(a < 0 for a in arr):
+        raise ValueError("arrival times must be non-negative")
+    if any(arr[i] > arr[i + 1] for i in range(len(arr) - 1)):
+        raise ValueError("arrival times must be non-decreasing")
+    if arr and not math.isfinite(len(arr) * (arr[-1] - arr[0])):
+        raise ValueError(
+            f"{len(arr)} arrivals over a span of {arr[-1] - arr[0]!r} leave the float range"
+        )
+    return arr
+
+
 @dataclass(frozen=True)
 class Instance:
     """An arrival sequence plus the delay model it is charged under."""
@@ -42,24 +66,12 @@ class Instance:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "arrivals", tuple(float(check_real(a, "arrival time")) for a in self.arrivals)
-        )
-        arr = self.arrivals
+        arr = check_arrivals(self.arrivals)
+        object.__setattr__(self, "arrivals", arr)
         if self.horizon is not None:
             check_real(self.horizon, "horizon")
-        if any(a < 0 for a in arr):
-            raise ValueError("arrival times must be non-negative")
-        if any(arr[i] > arr[i + 1] for i in range(len(arr) - 1)):
-            raise ValueError("arrival times must be non-decreasing")
-        if self.horizon is not None and arr and self.horizon < arr[-1]:
-            raise ValueError("horizon must not precede the last arrival")
-        # A batch's size times its span bounds every batch formula, so this
-        # keeps them all inside the float range, at any shift of the times.
-        if arr and not math.isfinite(len(arr) * (arr[-1] - arr[0])):
-            raise ValueError(
-                f"{len(arr)} arrivals over a span of {arr[-1] - arr[0]!r} leave the float range"
-            )
+            if arr and self.horizon < arr[-1]:
+                raise ValueError("horizon must not precede the last arrival")
 
     @property
     def n(self) -> int:

@@ -24,20 +24,19 @@
 The DP and suffix kernels work on arrival times minus the first arrival, so
 their costs keep their digits however far from zero the instance lies, and
 they evaluate blocks through :func:`acklab.cost.batch_cost`, with one array
-entry per block.  The capped and permit suffix kernels are the exceptions:
-they use the cap and the permit class decomposition directly, and the permit
-table works on the gaps between neighbouring arrivals at any span.
+entry per block.  The permit suffix table is the exception: it uses the
+permit class decomposition directly and works on the gaps between
+neighbouring arrivals, at any span.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_rows, plf_round_up
-from .model import Schedule
+from .model import Schedule, check_arrivals
 from .tolerance import TOL, tol_at
 
 
@@ -114,17 +113,14 @@ class DpTable:
 
         Returns ``G`` of length ``size + 1`` with ``G[p]`` the optimal cost
         of serving packets ``p..size-1`` on their own and ``G[size] = 0``.
-        The capped model runs its windowed kernel, the permit model folds
-        the new arrivals into its class table, and the other models scan one
-        row of block delays per start.
+        The permit model folds the new arrivals into its class table; every
+        other model scans one row of block delays per start.
         """
         n = self.size
         if n == 0:
             return np.zeros(1)
         if self._permits is not None:
             return np.append(self._permits.fold(self._arr, n), 0.0)
-        if self.spec.kind == "capped_linear":
-            return _suffix_capped(self._arr[:n], self._prefix[: n + 1], self.spec.tau)
         G = np.zeros(n + 1)
         for p in range(n - 1, -1, -1):
             G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
@@ -136,7 +132,8 @@ class DpTable:
 
         ``blocks`` is what the last :meth:`push` returned.  When one ack for
         everything is optimal, the whole prefix is the critical suffix and
-        no suffix search runs.
+        no suffix search runs.  Otherwise the permit model reads its suffix
+        table, and every other model runs the pruned right-to-left scan.
         """
         single = blocks + 1.0
         n = self.size
@@ -146,8 +143,10 @@ class DpTable:
         certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
         if certified == 0:
             return 0
-        if self.spec.kind in ("capped_linear", "permit_plf"):
-            return _first_match(single, self.suffix_optima(), certified)
+        if self._permits is not None:
+            G = self.suffix_optima()[:certified]
+            hits = np.flatnonzero(single[:certified] - G <= np.maximum(np.abs(G), 1.0) * TOL)
+            return int(hits[0]) if hits.size else certified
         # single[0] bounds every G[p], so this margin dominates the criticality
         # tolerance at every earlier start and pruning never changes the answer.
         margin = tol_at(float(single[0]))
@@ -169,7 +168,7 @@ def dp_optimal(
 ) -> tuple[float, Schedule]:
     """Optimal cost and a realizing schedule for sum-aggregated batch models."""
     table = DpTable(spec)
-    arr = tuple(float(a) for a in arrivals)
+    arr = check_arrivals(arrivals)
     for a in arr:
         table.push(a)
     acks: list[float] = []
@@ -180,42 +179,6 @@ def dp_optimal(
     # Exactly tied arrivals across a batch boundary collapse into one ack.
     schedule = Schedule(tuple(sorted(set(acks))))
     return float(table.values[len(arr)]), schedule
-
-
-def _suffix_capped(arr: np.ndarray, prefix: np.ndarray, tau: float) -> np.ndarray:
-    """Suffix DP for the capped-linear model in O(n * window).
-
-    ``min(lin, tau)`` distributes over the DP minimum, so blocks whose linear
-    delay already exceeds the cap are all dominated by ``tau + 1 + min G``
-    (a running minimum), and only the short prefix of blocks still under the
-    cap needs explicit scanning.  The block delay grows with the block end,
-    so that window boundary moves monotonically (two pointers).
-    """
-    n = arr.size
-    a = arr.tolist()
-    s = prefix.tolist()
-    G = [0.0] * (n + 1)
-    run_min = math.inf
-    qmax = n - 1
-    for p in range(n - 1, -1, -1):
-        gp1 = G[p + 1]
-        if gp1 < run_min:
-            run_min = gp1
-        if qmax < p:
-            qmax = p
-        sp = s[p]
-        while qmax > p and a[qmax] * (qmax - p + 1) - (s[qmax + 1] - sp) >= tau:
-            qmax -= 1
-        best = tau + 1.0 + run_min
-        for q in range(p, qmax + 1):
-            lin = a[q] * (q - p + 1) - (s[q + 1] - sp)
-            if lin < 0.0:
-                lin = 0.0
-            v = lin + 1.0 + G[q + 1]
-            if v < best:
-                best = v
-        G[p] = best
-    return np.asarray(G)
 
 
 def _permit_classes(span: float, num_classes: int) -> int:
@@ -302,17 +265,9 @@ def suffix_opt(arrivals: Sequence[float], spec: DelayModelSpec) -> np.ndarray:
     serving packets ``p..n-1`` on their own and ``G[n] = 0``.
     """
     table = DpTable(spec)
-    for a in arrivals:
-        table.push(float(a))
+    for a in check_arrivals(arrivals):
+        table.push(a)
     return table.suffix_optima()
-
-
-def _first_match(single: np.ndarray, G: np.ndarray, stop: int) -> int:
-    """First start below ``stop`` whose single-ack serve cost matches the
-    suffix optimum ``G`` within the criticality tolerance, else ``stop``."""
-    G = G[:stop]
-    hits = np.nonzero(single[:stop] - G <= np.maximum(np.abs(G), 1.0) * TOL)[0]
-    return int(hits[0]) if hits.size else stop
 
 
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:
@@ -326,25 +281,34 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     A start whose single-ack cost is at most 2 is critical, since any split
     pays at least two acks.  The single-ack cost never increases with the
     start, so every start from the first such one on is critical and only
-    earlier starts are searched.  The capped and permit models search them
-    with their fast suffix kernels and one vectorized criticality pass.
+    earlier starts are searched.  The permit model searches them with its
+    suffix table and one vectorized criticality pass.
 
-    The other models (``linear_sum``, ``max_wait``, ``max_wait_pow``) scan
-    right to left and stop early.  Serving ``p'..p-1`` in one batch gives
-    ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and their block delay is
-    superadditive, so the single-ack cost of ``p'`` grows by at least
-    ``d(p'..p-1)``: once a start's single-ack slack over its optimum exceeds
-    1, no earlier start is critical.  The stop never changes the answer.
+    The other models (``linear_sum``, ``capped_linear``, ``max_wait``,
+    ``max_wait_pow``) scan right to left and stop once a start ``p`` has a
+    single-ack slack over its optimum above 1: no earlier start ``p'`` is
+    critical then, so the stop never changes the answer.  Serving
+    ``p'..p-1`` in one batch gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and
+    where the block delay is superadditive the single-ack cost of ``p'``
+    exceeds that of ``p`` by at least ``d(p'..p-1)``.  The capped delay
+    ``min(linear, tau)`` leaves two cases:
+
+    * an unsaturated ``p'`` (single-ack delay below ``tau``) has every block
+      inside ``p'..n-1`` below the cap, where the model is ``linear_sum``;
+    * a saturated ``p'`` costs ``tau + 1`` alone, as start 0 does, and
+      ``G[p'] <= G[0]`` since serving fewer packets never costs more, so its
+      slack is at least start 0's: it is not critical, or no scan would run.
 
     The search is :meth:`DpTable.critical_start`, asked once after the whole
     list is pushed; the phase algorithm asks its own table after every
     arrival.
     """
     table = DpTable(spec)
-    if len(arrivals) == 0:
+    arr = check_arrivals(arrivals)
+    if not arr:
         raise ValueError("empty arrival prefix has no critical suffix")
-    for a in arrivals:
-        blocks = table.push(float(a))
+    for a in arr:
+        blocks = table.push(a)
     return table.critical_start(blocks)
 
 
@@ -367,7 +331,7 @@ def brute_force_optimal(
     vectors, one row per partition, with :func:`acklab.cost.f_rows`.  The first mask with the strictly smallest
     cost wins, so the optimum is the one a loop over the masks would find.
     """
-    arr = tuple(float(a) for a in arrivals)
+    arr = check_arrivals(arrivals)
     n = len(arr)
     if n == 0:
         return 0.0, Schedule(())

@@ -17,6 +17,7 @@ from acklab.algorithms import ALGORITHM_NAMES
 from acklab.cli import main
 from acklab.cost import BATCH_KINDS, VECTOR_KINDS, aggregate
 from acklab.engine import TraceEvent
+from acklab.harness import BenchRow, rows_to_csv
 from acklab.tolerance import tol_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -147,6 +148,8 @@ class TestSolve:
             (None, {"kind": "linear_sum"}, None),
             ([0, 1], {"kind": "ordered", "w": 5}, None),
             ([0, 1], {"kind": "ordered", "w": None}, None),
+            ([0, 1], {"kind": "linear_sum", "tau": 1}, None),
+            ([0, 1], {"kind": "lp", "p": 2, "w": [1, 2]}, None),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, arrivals, model, horizon):
@@ -471,6 +474,13 @@ class TestBench:
         lines = (out_dir / "bench.csv").read_text().strip().split("\n")
         assert len(lines) == 1
 
+    def test_csv_columns_are_the_bench_row_fields(self):
+        row = BenchRow("i", 3, "linear_sum", '{"alg": "phases"}', 2 / 3, 1.5, "dp", math.inf, 0.1, 7)
+        assert rows_to_csv([row]) == (
+            "instance_id,n,model_kind,alg_spec,alg_cost,opt_cost,oracle,ratio,runtime_ms,seed\n"
+            'i,3,linear_sum,"{""alg"": ""phases""}",0.666666666667,1.5,dp,inf,0.1,7\n'
+        )
+
     def test_deterministic_modulo_runtime(self, tmp_path, capsys):
         import csv as csv_mod
 
@@ -538,6 +548,7 @@ class TestBench:
             {"generators": [{"kind": "bursty", "burst_mean": 0}]},
             {"generators": [{"kind": "bursty", "intra_scale": -1}]},
             {"generators": [{"kind": "greedy_tau_hard", "tau": None}]},
+            {"models": [{"kind": "linear_sum", "tau": 1}]},
         ],
     )
     def test_bad_config_field_exit_2(self, tmp_path, capsys, field):

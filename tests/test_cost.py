@@ -291,6 +291,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             max_wait_pow(1.5)
 
+    def test_fields_the_kind_does_not_take(self):
+        with pytest.raises(ValueError, match="takes no tau"):
+            DelayModelSpec("linear_sum", Objective.SUM_BATCH, tau=1.0)
+        with pytest.raises(ValueError, match="takes no weights"):
+            DelayModelSpec("lp", Objective.VECTOR, p=2, weights=(1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "lp", "p": 2, "w": [1, 2]},
+            {"kind": "linear_sum", "tau": 1},
+            {"kind": "capped_linear", "tau": 1.0, "K": 3},
+            {"kind": "permit_plf", "k": 3},
+            {"kind": "sum_vector", "p": 1},
+            {"kind": "top_k", "k": 2, "bogus": 0},
+        ],
+    )
+    def test_keys_the_kind_does_not_take(self, obj):
+        with pytest.raises(ValueError, match="takes no key"):
+            model_from_json(obj)
+
     @pytest.mark.parametrize(
         "obj",
         [

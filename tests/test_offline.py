@@ -15,9 +15,11 @@ from acklab import (
     max_wait,
     max_wait_pow,
     permit_plf,
+    simulate,
     suffix_opt,
     top_k,
 )
+from acklab.algorithms import SumMonotonePhases
 from acklab.cost import bdelay
 import acklab.offline as offline
 from acklab.offline import PermitSuffixTable
@@ -115,6 +117,28 @@ class TestDpOptimal:
             assert abs(unshifted - cost) <= tol_at(cost)
 
 
+@pytest.mark.parametrize(
+    "arrivals",
+    [
+        [3.0, 1.0],  # out of order
+        [float("nan"), 1.0],
+        [0.0, float("inf")],
+        [-1.0, 0.0],
+        [0.0, True],
+        [0, 1e308, 1.7e308],  # n times the span leaves the float range
+    ],
+)
+@pytest.mark.parametrize(
+    "solver", [dp_optimal, brute_force_optimal, suffix_opt, longest_critical_suffix]
+)
+def test_solvers_reject_the_arrivals_an_instance_rejects(solver, arrivals):
+    for spec in (linear_sum(), capped_linear(1.0)):
+        with pytest.raises(ValueError):
+            Instance(tuple(arrivals), spec)
+        with pytest.raises(ValueError):
+            solver(arrivals, spec)
+
+
 class TestSuffixOpt:
     def test_two_packets(self):
         assert suffix_opt([0, 0.1], linear_sum()) == pytest.approx([1.1, 1.0, 0.0])
@@ -194,6 +218,8 @@ class TestCriticalSuffix:
             capped_linear(0.5),
             capped_linear(1.0),
             capped_linear(3.0),
+            capped_linear(10.0),
+            capped_linear(50.0),
             permit_plf(),
             permit_plf(num_classes=3),
             max_wait(Objective.SUM_BATCH),
@@ -202,9 +228,13 @@ class TestCriticalSuffix:
     )
     def test_certified_search_matches_reference(self, spec):
         rng = np.random.default_rng(6)
-        for i in range(150):
+        saturated = 0  # capped searches whose scan reaches a start at the cap
+        for i in range(250):
             n = int(rng.integers(1, 60))
-            if i % 3 == 0:  # tied arrivals
+            if i >= 150:  # bursts at gaps up to 100, past every cap tested
+                bursts = np.cumsum(10.0 ** rng.uniform(-2, 2, n))
+                arrivals = np.repeat(bursts, rng.geometric(0.25, n))[:n]
+            elif i % 3 == 0:  # tied arrivals
                 arrivals = np.repeat(rng.uniform(0, 8, n), rng.integers(1, 4, n))[:n]
             elif i % 3 == 1:  # gaps of every scale
                 arrivals = np.cumsum(10.0 ** rng.uniform(-3, 1, n))
@@ -213,9 +243,33 @@ class TestCriticalSuffix:
             if i % 5 == 0:
                 arrivals = arrivals + 2e6
             arrivals = tuple(sorted(arrivals))
-            assert longest_critical_suffix(arrivals, spec) == naive_critical_start(
-                arrivals, spec
-            ), arrivals
+            start = longest_critical_suffix(arrivals, spec)
+            assert start == naive_critical_start(arrivals, spec), arrivals
+            if spec.kind == "capped_linear" and start > 0:
+                # The scan visits start - 1; count it when that start sits at
+                # the cap, where the superadditive stop argument does not hold.
+                saturated += bdelay(spec, arrivals[start - 1 :], arrivals[-1]) == spec.tau
+        if spec.kind == "capped_linear" and spec.tau > 1.0:
+            # With tau <= 1 every start costs at most 2 and no scan runs.
+            assert saturated > 0
+
+    def test_capped_search_runs_no_suffix_table(self, monkeypatch):
+        # The capped model takes the pruned row scan of linear_sum: its
+        # critical search never builds the whole suffix table.
+        def refuse(table):
+            raise AssertionError("suffix_optima called for a capped search")
+
+        monkeypatch.setattr(DpTable, "suffix_optima", refuse)
+        rng = np.random.default_rng(11)
+        searched = 0
+        for tau in (0.5, 3.0, 10.0, 50.0):
+            spec = capped_linear(tau)
+            for _ in range(20):
+                arrivals = np.cumsum(rng.exponential(1.0, int(rng.integers(2, 80))))
+                searched += longest_critical_suffix(arrivals, spec) > 0
+            sched, _ = simulate(Instance(tuple(arrivals), spec), SumMonotonePhases(spec))
+            assert sched.k > 0
+        assert searched > 0
 
     def test_permit_prefix_crossing_the_switch(self):
         # Geometric gaps like the permit adversary's timeline, with prefixes
@@ -337,7 +391,8 @@ def test_vectorized_blocks_match_scalar_bdelay():
 
 def test_one_critical_suffix_search_left_in_the_library():
     # DpTable holds the only suffix search; the stateless twin, its
-    # re-basing, the backward permit kernel and the block helpers are gone.
+    # re-basing, the backward permit kernel, the capped kernel and the block
+    # helpers are gone.
     for name in (
         "_rebased",
         "_blocks_ending_at",
@@ -345,5 +400,7 @@ def test_one_critical_suffix_search_left_in_the_library():
         "_suffix_table",
         "_critical_start",
         "_suffix_permit",
+        "_suffix_capped",
+        "_first_match",
     ):
         assert not hasattr(offline, name), name
