@@ -186,27 +186,25 @@ def run_concave_adversary(
     alg = algorithm_factory(spec)
     driver = SimulationDriver(alg)
 
-    for i in range(1, ell + 1):
-        driver.deliver(float(i), i - 1)
+    prefix = [float(i) for i in range(1, ell + 1)]
+    for index, a in enumerate(prefix):
+        driver.deliver(a, index)
     driver.run_until(float(ell + 1))
     early_acks = len(driver.ack_times)
 
     if early_acks >= ell / 2:
         branch = 1
-        arrivals = [float(i) for i in range(1, ell + 1)]
-        arrivals += [float(ell + 1)] * (n - ell)
-        for i in range(ell + 1, n + 1):
-            driver.deliver(float(ell + 1), i - 1)
+        arrivals = prefix + [float(ell + 1)] * (n - ell)
         comparison = Schedule((float(ell + 1),))
         closed = 1.0 + eps * ell * (ell + 1) / 2.0
     else:
         branch = 2
-        arrivals = [float(i) for i in range(1, n + 1)]
-        for i in range(ell + 1, n + 1):
-            driver.deliver(float(i), i - 1)
-        comparison = Schedule(tuple(float(i) for i in range(1, ell + 1)) + (float(n),))
+        arrivals = prefix + [float(i) for i in range(ell + 1, n + 1)]
+        comparison = Schedule((*prefix, float(n)))
         tail = n - ell
         closed = (ell + 1) + eps * tail * (tail - 1) / 2.0
+    for index in range(ell, n):
+        driver.deliver(arrivals[index], index)
 
     instance = Instance(tuple(arrivals), spec)
     driver.finish(instance.effective_horizon)
@@ -248,26 +246,21 @@ class TcpPermitAdapter:
     """
 
     def __init__(self, algorithm: OnlineAlgorithm):
-        self.algorithm = algorithm
         self.driver = SimulationDriver(algorithm)
         self.account = PermitAccount()
         self.next_times: list[float] = []
-        self._index = 0
 
     def on_request(self, t: int) -> Permit:
         ft = float(t)
-        self.driver.deliver(ft, self._index)
-        self._index += 1
-        nt = self.algorithm.planned_ack_time()
+        self.driver.deliver(ft, len(self.next_times))
+        nt = self.driver.algorithm.planned_ack_time()
         if nt is None:
             # The algorithm would hold the packet until a flush; treat the
             # wait as zero and buy the smallest permit.
-            span = 0.0
-        else:
-            span = max(0.0, nt - ft)
-        permit = Permit(start=t, k=plf_round_up(span))
+            nt = ft
+        permit = Permit(start=t, k=plf_round_up(max(0.0, nt - ft)))
         self.account.add(permit)
-        self.next_times.append(nt if nt is not None else ft)
+        self.next_times.append(nt)
         return permit
 
 

@@ -21,7 +21,8 @@ the first pending one, and plans its ack at the aggregate's exact crossing
 (:func:`threshold_time`).  None of them evaluates a cost on an explicit
 delay list or bisects, and the planned ack time is all a caller needs to
 look ahead: with no further arrivals, it is when every pending packet is
-acknowledged.
+acknowledged.  The simulation driver, not the policy, keeps the pending
+packets.
 """
 
 from __future__ import annotations
@@ -46,15 +47,16 @@ class _ThresholdPolicy(OnlineAlgorithm):
     """Acknowledge once the pending packets' delay cost reaches ``_target()``.
 
     The cost is the model's running aggregate, with offsets measured from
-    the first pending arrival.  Every arrival re-plans the ack time at the
-    aggregate's crossing; every ack drops the plan and, by default, the
-    pending packets from the aggregate.
+    the first pending arrival, ``_origin``, which is None while nothing is
+    pending.  Every arrival re-plans the ack time at the aggregate's
+    crossing; every ack drops the plan and the pending packets from the
+    aggregate.
     """
 
     def __init__(self, spec: DelayModelSpec):
         super().__init__(spec)
         self._aggregate = aggregate(spec)
-        self._origin = 0.0
+        self._origin: float | None = None
         self._planned: float | None = None
 
     @abstractmethod
@@ -63,20 +65,17 @@ class _ThresholdPolicy(OnlineAlgorithm):
 
     def observe_arrival(self, time: float, index: int) -> None:
         now = float(time)
-        if not self._pending:
+        if self._origin is None:
             self._origin = now
         self._aggregate.add(now - self._origin)
-        self._register_arrival(now, index)
         self._planned = threshold_time(self._aggregate, self._origin, self._target(), now)
 
     def planned_ack_time(self) -> float | None:
         return self._planned
 
-    def commit_ack(self, time: float) -> list[int]:
+    def commit_ack(self, time: float) -> None:
         self._planned = None
-        return super().commit_ack(time)
-
-    def _after_ack(self, time: float) -> None:
+        self._origin = None
         self._aggregate.clear()
 
 
@@ -109,8 +108,8 @@ class GreedyMaxMonotone(_ThresholdPolicy):
     def _target(self) -> float:
         return float(self.acks_made + 1)
 
-    def _after_ack(self, time: float) -> None:
-        super()._after_ack(time)
+    def commit_ack(self, time: float) -> None:
+        super().commit_ack(time)
         self.acks_made += 1
 
 
@@ -131,8 +130,9 @@ class GreedyBatchOblivious(_ThresholdPolicy):
     def _target(self) -> float:
         return self.baseline + 1.0
 
-    def _after_ack(self, time: float) -> None:
+    def commit_ack(self, time: float) -> None:
         self.baseline = self._aggregate.freeze(time - self._origin)
+        super().commit_ack(time)
 
 
 class VectorThresholdGreedy(GreedyTau):
@@ -170,7 +170,12 @@ class SumMonotonePhases(_ThresholdPolicy):
         self.service: int | None = None
         self.suffix_start = 0
         self.serve_cost = 0.0
-        self.budget = 0.0
+
+    @property
+    def budget(self) -> float:
+        """Twice the recorded serve cost in a budget service, four times in
+        a buffer service."""
+        return (2.0 if self.service == 0 else 4.0) * self.serve_cost
 
     def _target(self) -> float:
         # Service ends when bserve(pending, t) = bdelay + 1 reaches the budget.
@@ -183,17 +188,12 @@ class SumMonotonePhases(_ThresholdPolicy):
         start = self._table.critical_start(blocks)
         return start, float(blocks[start]) + 1.0
 
-    def _assign_critical(self, start: int, serve_cost: float) -> None:
-        self.suffix_start = start
-        self.serve_cost = serve_cost
-        self.budget = 2.0 * serve_cost
-
     def observe_arrival(self, time: float, index: int) -> None:
         start, serve = self._critical_suffix(float(time))
 
         if self.service is None:
             self.service = 0
-            self._assign_critical(start, serve)
+            self.suffix_start, self.serve_cost = start, serve
             self._emit(
                 "service_start",
                 service="budget",
@@ -204,10 +204,10 @@ class SumMonotonePhases(_ThresholdPolicy):
         elif self.service == 0:
             if start <= self.suffix_start:
                 old = self.budget
-                self._assign_critical(start, serve)
+                self.suffix_start, self.serve_cost = start, serve
                 self._emit("budget_update", old=old, new=self.budget, serve_cost=serve)
         elif serve >= 2.0 * self.serve_cost - tol_at(2.0 * self.serve_cost):
-            self._assign_critical(start, serve)
+            self.suffix_start, self.serve_cost = start, serve
             self.service = 0
             self._emit(
                 "promotion",
@@ -217,13 +217,11 @@ class SumMonotonePhases(_ThresholdPolicy):
             )
         super().observe_arrival(time, index)
 
-    def _after_ack(self, time: float) -> None:
-        super()._after_ack(time)
+    def commit_ack(self, time: float) -> None:
+        super().commit_ack(time)
         if self.service == 3:
             self.service = None
             return
-        if self.service == 0:
-            self.budget *= 2.0
         self.service += 1
         self._emit(
             "service_start",
@@ -234,23 +232,31 @@ class SumMonotonePhases(_ThresholdPolicy):
         )
 
 
-ALGORITHM_NAMES = ("greedy_tau", "max_mono", "vector_greedy", "phases", "greedy_tau_vector")
+# Selector name -> (policy, the parameters it takes with their defaults).
+ALGORITHMS: dict[str, tuple[type[OnlineAlgorithm], dict[str, float]]] = {
+    "greedy_tau": (GreedyTau, {"tau": 1.0}),
+    "max_mono": (GreedyMaxMonotone, {}),
+    "vector_greedy": (GreedyBatchOblivious, {}),
+    "phases": (SumMonotonePhases, {}),
+    "greedy_tau_vector": (VectorThresholdGreedy, {"tau": 1.0}),
+}
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 def make_algorithm(alg_spec: dict, model: DelayModelSpec) -> OnlineAlgorithm:
-    """Build an algorithm from its JSON selector, validating model fit."""
+    """Build an algorithm from its JSON selector, validating its keys and
+    the model fit."""
     if not isinstance(alg_spec, dict) or "alg" not in alg_spec:
         raise ValueError("algorithm spec must be an object with an 'alg' field")
     name = alg_spec["alg"]
-    if name == "greedy_tau":
-        return GreedyTau(model, tau=check_real(alg_spec.get("tau", 1.0), "greedy_tau tau"))
-    if name == "max_mono":
-        return GreedyMaxMonotone(model)
-    if name == "vector_greedy":
-        return GreedyBatchOblivious(model)
-    if name == "phases":
-        return SumMonotonePhases(model)
-    if name == "greedy_tau_vector":
-        tau = check_real(alg_spec.get("tau", 1.0), "greedy_tau_vector tau")
-        return VectorThresholdGreedy(model, tau=tau)
-    raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")
+    if name not in ALGORITHM_NAMES:
+        raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")
+    cls, defaults = ALGORITHMS[name]
+    unknown = set(alg_spec) - {"alg", *defaults}
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise ValueError(f"algorithm {name!r} takes no key {names}")
+    return cls(model, **{
+        key: check_real(alg_spec.get(key, default), f"{name} {key}")
+        for key, default in defaults.items()
+    })

@@ -86,9 +86,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         algorithm = make_algorithm(alg_json, instance.model)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    schedule, trace = simulate(instance, algorithm)
     trace_path = args.trace or args.instance + ".trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(trace_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write the trace: {exc}") from exc
+    with fh:
+        schedule, trace = simulate(instance, algorithm)
         for event in trace:
             fh.write(event.to_json_line() + "\n")
     out = evaluate_schedule(instance, schedule).to_json()
@@ -149,13 +153,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise UsageError("bench config must be a JSON object")
+    out_dir = Path(args.out)
+    # The nearest existing ancestor (or the path itself) must be a directory.
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"cannot create {out_dir}: {existing} is not a directory")
     try:
         rows = run_bench(config)
     except BruteForceInfeasibleError:
         raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench.csv").write_text(rows_to_csv(rows), encoding="utf-8")
     (out_dir / "summary.json").write_text(

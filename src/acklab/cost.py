@@ -30,9 +30,9 @@ reaches a target; only the capped model's cap is given a tolerance.
 
 The module also provides the JSON wire format (:func:`model_to_json`,
 :func:`dump_json`), the piecewise-linear permit cost curve :func:`plf_eval`
-with its class round-up :func:`plf_round_up`, and randomized property
-testers for monotonicity and the lattice (continuous-submodularity)
-inequality.
+(1 plus the batch delay :func:`plf_delay`) with its class round-up
+:func:`plf_round_up`, and randomized property testers for monotonicity and
+the lattice (continuous-submodularity) inequality.
 """
 
 from __future__ import annotations
@@ -299,12 +299,15 @@ def model_from_json(obj: dict) -> DelayModelSpec:
 # Permit price curve and batch costs, for floats or NumPy arrays
 # ---------------------------------------------------------------------------
 
-def plf_eval(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
-    """Cheapest cost of covering a span of ``x`` with one permit class.
+def plf_delay(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
+    """The permit price curve less 1: the delay cost of a ``permit_plf``
+    batch whose packets span ``x``.
 
-    Evaluates ``min_k 2**k + x * 2**-k`` over ``0 <= k <= num_classes``
+    Evaluates ``min_k (2**k - 1) + x * 2**-k`` over ``0 <= k <= num_classes``
     (all ``k >= 0`` when ``num_classes`` is None) for a float or,
-    elementwise, an array of spans.  Class k's cost is convex in k and
+    elementwise, an array of spans.  ``2**k - 1`` and ``x * 2**-k`` are
+    exact, so each class's value is rounded once and a lone packet's delay
+    reaches 1 at a span of exactly 1.  Class k's cost is convex in k and
     minimal at ``k = log4(x)``: class k wins for spans in
     ``[4**k / 2, 2 * 4**k]``.  So the minimum is attained at ``base`` or
     ``base + 1`` with ``base = floor(log4(max(x, 1)))`` clipped to
@@ -325,7 +328,12 @@ def plf_eval(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
             base = min(base, num_classes - 1)
         w, minimum = 2.0 ** base, min
     ratio = x / w
-    return minimum(w + ratio, 2.0 * w + 0.5 * ratio)
+    return minimum((w - 1.0) + ratio, (2.0 * w - 1.0) + 0.5 * ratio)
+
+
+def plf_eval(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
+    """Cheapest cost of covering a span of ``x`` with one permit class: 1 + :func:`plf_delay`."""
+    return plf_delay(x, num_classes) + 1.0
 
 
 def plf_round_up(x: float) -> int:
@@ -389,7 +397,7 @@ def batch_cost(spec: DelayModelSpec, m, total, first, t):
         with np.errstate(over="ignore"):
             return maximum(0.0, t - first) ** spec.p
     if kind == "permit_plf":
-        return plf_eval(maximum(0.0, t - first), spec.num_classes) - 1.0
+        return plf_delay(maximum(0.0, t - first), spec.num_classes)
     raise ValueError(f"{kind!r} is a vector model; use f_vector")
 
 

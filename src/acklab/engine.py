@@ -1,8 +1,9 @@
 """Deterministic continuous-time simulation of online acknowledgment policies.
 
-The simulator owns event ordering (arrivals before acks at equal times) and
-end-of-input flushing; algorithms own their trigger logic and expose it via
-the :class:`OnlineAlgorithm` contract.  :class:`SimulationDriver` is the
+The simulator owns event ordering (arrivals before acks at equal times), the
+pending packets and end-of-input flushing; algorithms own their trigger logic
+and expose it via the :class:`OnlineAlgorithm` contract: observe arrivals,
+plan the next ack, hear of each commit.  :class:`SimulationDriver` is the
 incremental core so adaptive adversaries can interleave releases with the
 algorithm's reactions; :func:`simulate` replays a fixed instance through it.
 The engine solves no threshold equations and looks no further ahead than
@@ -41,14 +42,14 @@ class OnlineAlgorithm(ABC):
 
     Implementations must be deterministic functions of the observation
     sequence, must never plan an ack in the past, and may only use arrivals
-    observed so far.  ``commit_ack`` serves every pending packet.
+    observed so far.  The driver keeps the pending packets; every ack serves
+    them all, and subclasses extend :meth:`commit_ack` through ``super()``.
     """
 
     spec: DelayModelSpec
 
     def __init__(self, spec: DelayModelSpec):
         self.spec = spec
-        self._pending: list[tuple[int, float]] = []  # (packet index, arrival time)
         self._events: list[tuple[str, dict]] = []
 
     # -- observation / commitment ------------------------------------------
@@ -61,24 +62,8 @@ class OnlineAlgorithm(ABC):
     def planned_ack_time(self) -> float | None:
         """Next self-triggered ack time, or None if no ack is planned."""
 
-    def commit_ack(self, time: float) -> list[int]:
-        """Acknowledge all pending packets at ``time``; returns their indices."""
-        acked = [idx for idx, _ in self._pending]
-        self._pending.clear()
-        self._after_ack(time)
-        return acked
-
-    def _after_ack(self, time: float) -> None:
-        """Hook for state transitions once a batch has been served."""
-
-    # -- shared bookkeeping --------------------------------------------------
-
-    def _register_arrival(self, time: float, index: int) -> None:
-        self._pending.append((index, float(time)))
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)
+    def commit_ack(self, time: float) -> None:
+        """Called when the driver acknowledges every pending packet at ``time``."""
 
     # -- tracing -------------------------------------------------------------
 
@@ -95,12 +80,14 @@ class SimulationDriver:
 
     Callers deliver arrivals in time order; the driver commits the
     algorithm's planned acks that fall strictly before each delivery, so an
-    arrival and an ack at the same instant process the arrival first.
+    arrival and an ack at the same instant process the arrival first.  Each
+    commit moves every pending index into ``ack_batches``.
     """
 
     def __init__(self, algorithm: OnlineAlgorithm):
         self.algorithm = algorithm
         self.now = 0.0
+        self.pending: list[int] = []
         self.ack_times: list[float] = []
         self.ack_batches: list[list[int]] = []
         self.trace: list[TraceEvent] = []
@@ -115,18 +102,18 @@ class SimulationDriver:
             raise EngineError(f"algorithm planned ack at {t!r} in the past of {self.now!r}")
         return t
 
-    def _commit(self, t: float) -> list[int]:
+    def _commit(self, t: float) -> None:
         self.now = max(self.now, t)
-        acked = self.algorithm.commit_ack(t)
-        if not acked:
+        if not self.pending:
             raise EngineError(f"ack at {t!r} served no pending packet")
         if self.ack_times and t <= self.ack_times[-1]:
             raise EngineError(f"ack times not strictly increasing at {t!r}")
+        acked, self.pending = self.pending, []
+        self.algorithm.commit_ack(t)
         self.ack_times.append(t)
         self.ack_batches.append(acked)
         self.trace.append(TraceEvent(t, "ack", {"indices": acked}))
         self._drain()
-        return acked
 
     def run_until(self, t_limit: float) -> None:
         """Commit planned acks strictly before ``t_limit``."""
@@ -143,14 +130,15 @@ class SimulationDriver:
         self.run_until(time)
         self.now = max(self.now, time)
         self.trace.append(TraceEvent(time, "arrival", {"index": index}))
+        self.pending.append(index)
         self.algorithm.observe_arrival(time, index)
         self._drain()
 
     def finish(self, horizon: float) -> None:
         """Run remaining planned acks (possibly past the horizon), then flush.
 
-        The algorithm never learns the input ended; if it has pending packets
-        but no planned ack, the driver issues one flush ack at
+        The algorithm never learns the input ended; if packets are pending
+        but no ack is planned, the driver issues one flush ack at
         ``max(horizon, now)`` — the earliest legal time.
         """
         while True:
@@ -158,12 +146,10 @@ class SimulationDriver:
             if t is None:
                 break
             self._commit(t)
-        if self.algorithm.has_pending:
+        if self.pending:
             t = max(horizon, self.now)
             self.trace.append(TraceEvent(t, "flush", {}))
             self._commit(t)
-        if self.algorithm.has_pending:
-            raise EngineError("algorithm left packets unacknowledged after flush")
 
 
 def simulate(
@@ -176,7 +162,4 @@ def simulate(
     for index, a in enumerate(instance.arrivals):
         driver.deliver(a, index)
     driver.finish(instance.effective_horizon)
-    served = sum(len(b) for b in driver.ack_batches)
-    if served != instance.n:
-        raise EngineError(f"schedule served {served} of {instance.n} packets")
     return Schedule(tuple(driver.ack_times)), driver.trace

@@ -259,13 +259,13 @@ class _ImmediateAcker(OnlineAlgorithm):
         self._planned = None
 
     def observe_arrival(self, time, index):
-        self._register_arrival(time, index)
         self._planned = time
 
     def planned_ack_time(self):
         return self._planned
 
-    def _after_ack(self, time):
+    def commit_ack(self, time):
+        super().commit_ack(time)
         self._planned = None
 
 

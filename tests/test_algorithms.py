@@ -27,6 +27,7 @@ from acklab import (
     simulate,
     sum_vector,
 )
+from acklab.algorithms import ALGORITHM_NAMES, ALGORITHMS
 from acklab.engine import SimulationDriver
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
@@ -331,6 +332,34 @@ class TestSumMonotonePhases:
         record()
         assert services == [None, 0, 1, 2, 3, None, 0, 1, 0, 1]
 
+    def test_budget_is_read_from_the_serve_cost(self):
+        # Twice the serve cost in a budget service, four times in a buffer
+        # service, at every event; nothing stores a budget of its own.
+        alg = SumMonotonePhases(linear_sum())
+        driver = SimulationDriver(alg)
+        for index, a in enumerate(PINNED_PHASE_ARRIVALS):
+            driver.deliver(a, index)
+            assert alg.budget == 2.0 * alg.serve_cost * (1 if alg.service == 0 else 2)
+        driver.finish(PINNED_PHASE_ARRIVALS[-1])
+        traced = [ev.detail for ev in driver.trace if "budget" in ev.detail]
+        assert len(traced) > 5
+        for detail in traced:
+            factor = 4.0 if detail.get("service") == "buffer" else 2.0
+            assert detail["budget"] == factor * detail["serve_cost"], detail
+        with pytest.raises(AttributeError):
+            alg.budget = 1.0
+
+    @pytest.mark.parametrize(
+        "name, objective",
+        [("greedy_tau", Objective.SUM_BATCH), ("phases", Objective.SUM_BATCH),
+         ("max_mono", Objective.MAX_BATCH)],
+    )
+    @pytest.mark.parametrize("t", [0.0, 0.25, 3.0, 1e6])
+    def test_lone_permit_packet_acked_one_after_it(self, name, objective, t):
+        spec = permit_plf(objective=objective)
+        sched, _ = simulate(Instance((t,), spec), make_algorithm({"alg": name}, spec))
+        assert sched.ack_times == (t + 1.0,)
+
     def test_requires_sum_objective(self):
         with pytest.raises(ValueError):
             SumMonotonePhases(max_wait())
@@ -421,18 +450,24 @@ def test_batch_acks_at_exact_crossings_at_large_offsets(policy, shift):
     rng = np.random.default_rng(1)
     grid = np.round(np.cumsum(rng.exponential(1.0, 300)) * 64) / 64
     alg = GRID_POLICIES[policy]()
-    instance = Instance(tuple(shift + grid), alg.spec)
+    arrivals = tuple(shift + grid)
+    driver = SimulationDriver(alg)
     commits = []
     commit = alg.commit_ack
 
     def recording_commit(t):
-        planned = t == alg.planned_ack_time()
-        commits.append((t, alg._target(), [a for _, a in alg._pending], planned))
-        return commit(t)
+        commits.append((t, alg._target(), t == alg.planned_ack_time()))
+        commit(t)
 
     alg.commit_ack = recording_commit
-    simulate(instance, alg)
-    planned = [(t, target, batch) for t, target, batch, flag in commits if flag]
+    for index, a in enumerate(arrivals):
+        driver.deliver(a, index)
+    driver.finish(arrivals[-1])
+    planned = [
+        (t, target, [arrivals[j] for j in batch])
+        for (t, target, flag), batch in zip(commits, driver.ack_batches)
+        if flag
+    ]
     assert len(planned) > 40
     for t, target, batch in planned:  # the first float at which the cost reaches the target
         assert exact_batch_cost(alg.spec, batch, t) >= target, (t, target)
@@ -457,6 +492,30 @@ class TestMakeAlgorithm:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_algorithm({"alg": "nope"}, linear_sum())
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            make_algorithm({"alg": ["phases"]}, linear_sum())
+
+    @pytest.mark.parametrize(
+        "selector, model, stray",
+        [
+            ({"alg": "greedy_tau", "tua": 0.5}, linear_sum(), "tua"),
+            ({"alg": "phases", "tau": 2}, linear_sum(), "tau"),
+            ({"alg": "max_mono", "tau": 1.0}, max_wait(), "tau"),
+            ({"alg": "vector_greedy", "tau": 1.0}, lp_norm(2), "tau"),
+            ({"alg": "greedy_tau_vector", "tau": 1.0, "k": 3}, lp_norm(2), "k"),
+        ],
+    )
+    def test_keys_the_algorithm_does_not_take(self, selector, model, stray):
+        with pytest.raises(ValueError, match=f"takes no key '{stray}'"):
+            make_algorithm(selector, model)
+
+    def test_names_and_defaults_come_from_one_table(self):
+        assert ALGORITHM_NAMES == tuple(ALGORITHMS)
+        models = {"max_mono": max_wait(), "vector_greedy": lp_norm(2), "greedy_tau_vector": lp_norm(2)}
+        for name, (cls, defaults) in ALGORITHMS.items():
+            alg = make_algorithm({"alg": name}, models.get(name, linear_sum()))
+            assert type(alg) is cls
+            assert {key: getattr(alg, key) for key in defaults} == defaults
 
     def test_objective_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acklab import batches_from_acks, lp_norm
-from acklab.algorithms import ALGORITHM_NAMES
+from acklab.algorithms import ALGORITHMS
 from acklab.cli import main
 from acklab.cost import BATCH_KINDS, VECTOR_KINDS, aggregate
 from acklab.engine import TraceEvent
@@ -298,6 +298,33 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "alg, stray",
+        [('{"alg":"greedy_tau","tua":0.5}', "tua"), ('{"alg":"phases","tau":2}', "tau")],
+    )
+    def test_key_the_algorithm_does_not_take_exit_2(self, tmp_path, capsys, alg, stray):
+        path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})
+        code = main(["run", "--instance", path, "--alg", alg, "--trace", str(tmp_path / "t.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: algorithm {json.loads(alg)['alg']!r} takes no key '{stray}'\n"
+
+    @pytest.mark.parametrize("below", ["missing", "inst.json"])
+    def test_unwritable_trace_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch, below):
+        # A trace path in a missing directory or below a regular file.
+        from acklab import cli
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before checking the trace path")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})
+        trace = tmp_path / below / "t.jsonl"
+        code = main(["run", "--instance", path, "--alg", '{"alg":"phases"}', "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("tau", BAD_TAUS)
     @pytest.mark.parametrize(
         "alg, model",
@@ -497,6 +524,29 @@ class TestBench:
             csvs.append([[c for i, c in enumerate(r) if i != drop] for r in rows])
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize("out", ["cfg.json", "cfg.json/out", "cfg.json/out/deeper"])
+    def test_output_below_a_regular_file_exit_2_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        from acklab import cli
+
+        def no_sweep(config):
+            raise AssertionError("swept before checking the output path")
+
+        monkeypatch.setattr(cli, "run_bench", no_sweep)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BENCH_CONFIG))
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cannot create {tmp_path / out}: {cfg} is not a directory\n"
+
+    def test_output_directories_are_made(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BENCH_CONFIG))
+        code, _ = run_cli(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "a" / "b"))
+        assert code == 0 and (tmp_path / "a" / "b" / "bench.csv").is_file()
+
     def test_optimum_computed_once_per_instance(self, monkeypatch):
         from acklab import harness
 
@@ -662,11 +712,27 @@ MODELS = mostly(
         st.just({"kind": "bogus"}),
     )
 )
+
+
+def stray_key(selector):
+    """One selector in ten gets a key its algorithm does not take: ``tau``
+    where it takes none, else the misspelt ``tua``."""
+    takes = ALGORITHMS.get(selector["alg"], (None, {}))[1]
+    key = "tua" if takes else "tau"
+    return st.sampled_from(range(10)).map(lambda i: {**selector, key: 0.5} if i == 9 else selector)
+
+
 ALG_OBJECTS = mostly(
-    st.fixed_dictionaries(
-        {"alg": st.sampled_from([*ALGORITHM_NAMES, "bogus"])},
-        optional={"tau": mostly(st.floats(0.1, 3.0))},
-    )
+    st.one_of(
+        *(
+            st.fixed_dictionaries(
+                {"alg": st.just(name)},
+                optional={key: mostly(st.floats(0.1, 3.0)) for key in takes},
+            )
+            for name, (_, takes) in ALGORITHMS.items()
+        ),
+        st.just({"alg": "bogus"}),
+    ).flatmap(stray_key)
 )
 ALGS = ALG_OBJECTS.map(json.dumps) | st.sampled_from(["", "[", "{}"])
 INSTANCES = mostly(
@@ -698,7 +764,7 @@ BENCH_CONFIGS = mostly(
     )
 )
 GENERATOR_FLOATS = st.sampled_from(["1", "0.5", "2", "1e-3", "0", "-1", "nan", "inf"])
-CLI_CALLS = st.one_of(
+COMMANDS = st.one_of(
     st.tuples(
         st.just("solve"),
         INSTANCES,
@@ -718,6 +784,9 @@ CLI_CALLS = st.one_of(
         ).map(lambda a: ["--kind", a[0], "--n", str(a[1]), "--alg", a[2], "--tau", a[3], "--eps", a[4]]),
     ),
 )
+# One call in five writes its trace or bench output below the input file, a
+# regular file.
+CLI_CALLS = st.tuples(COMMANDS, st.sampled_from(range(5))).map(lambda c: (*c[0], c[1] == 4))
 
 
 def overflow_call(command, objective, p, args):
@@ -726,6 +795,8 @@ def overflow_call(command, objective, p, args):
 
 
 WIDE_SPAN = {"arrivals": [0, 1e308, 1.7e308], "model": {"kind": "linear_sum"}}
+SMALL_INSTANCE = {"arrivals": [0, 1], "model": {"kind": "linear_sum"}}
+SMALL_SWEEP = {"models": [{"kind": "linear_sum"}], "algorithms": [{"alg": "phases"}], "n": [2]}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -736,23 +807,27 @@ WIDE_SPAN = {"arrivals": [0, 1e308, 1.7e308], "model": {"kind": "linear_sum"}}
 @example(("solve", WIDE_SPAN, ["--oracle", "dp"]))
 @example(("solve", WIDE_SPAN, ["--oracle", "brute"]))
 @example(("run", WIDE_SPAN, ["--alg", '{"alg":"phases"}']))
+@example(("run", SMALL_INSTANCE, ["--alg", '{"alg":"phases"}'], True))
+@example(("run", SMALL_INSTANCE, ["--alg", '{"alg":"greedy_tau","tua":0.5}'], False))
+@example(("bench", SMALL_SWEEP, [], True))
 def test_cli_keeps_its_exit_codes_on_random_input(call):
     # Whatever JSON reaches solve, run, bench or adversary, main returns one
     # of its four exit codes: no exception escapes, and a NumPy overflow
     # warning fails the test as an error.
-    command, payload, args = call
+    command, payload, args, *below_file = call
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(
         io.StringIO()
     ):
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
+        out_dir = path if below_file and below_file[0] else tmp
         if command == "solve":
             argv = ["solve", "--instance", path, *args]
         elif command == "run":
-            argv = ["run", "--instance", path, *args, "--trace", os.path.join(tmp, "t.jsonl")]
+            argv = ["run", "--instance", path, *args, "--trace", os.path.join(out_dir, "t.jsonl")]
         elif command == "bench":
-            argv = ["bench", "--config", path, "--out", os.path.join(tmp, "out")]
+            argv = ["bench", "--config", path, "--out", os.path.join(out_dir, "out")]
         else:
             argv = ["adversary", *args]
         code = main(argv)

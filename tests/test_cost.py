@@ -25,7 +25,7 @@ from acklab import (
     top_k,
 )
 from acklab.adversary import plf_round_up
-from acklab.cost import aggregate, batch_cost, threshold_time
+from acklab.cost import aggregate, batch_cost, plf_delay, threshold_time
 from bisection_reference import solve_threshold_time
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
@@ -258,6 +258,19 @@ class TestPlf:
                 points += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
         xs = np.array([0.0, 0.5] + points)
         assert plf_eval(xs, classes).tolist() == [plf_eval(float(x), classes) for x in xs]
+
+    def test_delay_rounds_once_per_class(self):
+        # The price curve less 1, rounded once: 1 + (1 - 2**-53) rounds up
+        # to 2, so a curve taken first and less 1 after reads 1 a float early.
+        below = math.nextafter(1.0, 0.0)
+        assert plf_delay(below) == below < 1.0 == plf_delay(1.0)
+        assert plf_delay(0.0) == 0.0 and plf_delay(3.0) == 2.5
+        xs = np.array([0.0, below, 1.0, 3.0, 4.0 ** 5 + 0.1])
+        assert plf_delay(xs).tolist() == [plf_delay(float(x)) for x in xs]
+        assert plf_eval(xs).tolist() == (plf_delay(xs) + 1.0).tolist()
+        spec = permit_plf()
+        assert batch_cost(spec, 1, 0.0, 0.0, below) == below
+        assert batch_cost(spec, 3, 0.5, 0.0, np.array([below, 1.0])).tolist() == [below, 1.0]
 
     def test_empty_array(self):
         assert plf_eval(np.zeros(0)).size == 0

@@ -203,14 +203,65 @@ class _EagerAcker(OnlineAlgorithm):
         self._planned = None
 
     def observe_arrival(self, time, index):
-        self._register_arrival(time, index)
         self._planned = time
 
     def planned_ack_time(self):
         return self._planned
 
-    def _after_ack(self, time):
+    def commit_ack(self, time):
+        super().commit_ack(time)
         self._planned = None
+
+
+class _FlushOnly(OnlineAlgorithm):
+    """Implements only the two required methods and never plans an ack."""
+
+    last = None
+
+    def observe_arrival(self, time, index):
+        self.last = time
+
+    def planned_ack_time(self):
+        return None
+
+
+class _StalePlan(_FlushOnly):
+    """Plans an ack at its last arrival and never hears of the commit."""
+
+    def planned_ack_time(self):
+        return self.last
+
+
+class TestDriverOwnsThePendingPackets:
+    def test_policy_with_only_the_required_methods(self):
+        spec = linear_sum()
+        sched, trace = simulate(Instance((0.0, 1.0, 2.5), spec, horizon=4.0), _FlushOnly(spec))
+        assert sched.ack_times == (4.0,)
+        assert [ev.kind for ev in trace][-2:] == ["flush", "ack"]
+        assert trace[-1].detail == {"indices": [0, 1, 2]}
+
+        driver = SimulationDriver(_FlushOnly(spec))
+        driver.deliver(0.0, 0)
+        driver.deliver(1.0, 1)
+        assert driver.pending == [0, 1] and driver.ack_batches == []
+        driver.finish(0.5)
+        assert driver.ack_times == [1.0] and driver.ack_batches == [[0, 1]]
+        assert driver.pending == []
+
+    def test_ack_with_nothing_pending_rejected(self):
+        driver = SimulationDriver(_StalePlan(linear_sum()))
+        driver.deliver(1.0, 0)
+        with pytest.raises(EngineError, match="served no pending packet"):
+            driver.deliver(2.0, 1)
+        assert driver.ack_batches == [[0]]
+
+    def test_policies_keep_no_packet_list(self):
+        for name in ("_pending", "_register_arrival", "has_pending", "_after_ack"):
+            assert not hasattr(OnlineAlgorithm, name), name
+        alg = SumMonotonePhases(linear_sum())
+        alg.observe_arrival(0.0, 0)
+        assert alg.commit_ack(1.0) is None
+        assert not hasattr(alg, "_pending")
 
 
 def test_arrivals_processed_before_equal_time_ack():

@@ -97,7 +97,7 @@ def test_planned_times_match_bisection_reference(spec, policy):
                         assert abs(alg.baseline - want) <= tol_at(want), (family, shift)
                 acks_seen = len(driver.ack_times)
 
-                pending = [p for _, p in alg._pending]
+                pending = [arrivals[j] for j in driver.pending]
                 head = frozen if oblivious else []
                 target = f_vector(spec, frozen) + 1.0 if oblivious else alg.tau
 
