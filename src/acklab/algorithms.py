@@ -158,9 +158,11 @@ class SumMonotonePhases(_ThresholdPolicy):
     the critical time is re-planned on every arrival.
 
     The policy pushes every arrival into one offline prefix DP
-    (:class:`DpTable`) and asks it for the longest critical suffix.
-    ``service`` is None between phases, 0 in a budget service and 1-3 in
-    a buffer service.
+    (:class:`DpTable`), asks it for the longest critical suffix and reads
+    that suffix's serve cost with :meth:`DpTable.single`; no block column
+    is built on the way for the ``linear_sum``, ``capped_linear`` and
+    ``permit_plf`` models.  ``service`` is None between phases, 0 in a
+    budget service and 1-3 in a buffer service.
     """
 
     def __init__(self, spec: DelayModelSpec):
@@ -184,9 +186,10 @@ class SumMonotonePhases(_ThresholdPolicy):
     def _critical_suffix(self, time: float) -> tuple[int, float]:
         """Record an arrival; return the start of the longest critical suffix
         and that suffix's single-ack serve cost."""
-        blocks = self._table.push(time)
-        start = self._table.critical_start(blocks)
-        return start, float(blocks[start]) + 1.0
+        table = self._table
+        table.push(time)
+        start = table.critical_start()
+        return start, table.single(start)
 
     def observe_arrival(self, time: float, index: int) -> None:
         start, serve = self._critical_suffix(float(time))

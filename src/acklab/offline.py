@@ -1,12 +1,15 @@
 """Exact offline solvers for the acknowledgment batching problem.
 
-* :class:`DpTable` / :func:`dp_optimal` — O(n^2) prefix DP for
-  sum-aggregated batch models, acknowledging each batch at its last packet's
-  arrival (WLOG for monotone batch costs: moving an ack earlier onto the
-  batch's last arrival never increases cost).  The table grows one arrival
-  at a time and holds the one critical-suffix search: the phase-based online
-  algorithm asks it for the longest suffix whose optimum is a single
-  acknowledgment after every arrival.
+* :class:`DpTable` / :func:`dp_optimal` — prefix DP for sum-aggregated
+  batch models, acknowledging each batch at its last packet's arrival (WLOG
+  for monotone batch costs: moving an ack earlier onto the batch's last
+  arrival never increases cost).  A step costs amortised O(1) under
+  ``linear_sum`` and ``capped_linear`` (a monotone hull) and O(classes)
+  under ``permit_plf`` (a running minimum per class); ``max_wait`` and
+  ``max_wait_pow`` still cost a whole block column, O(n) per step.  The
+  table grows one arrival at a time and holds the one critical-suffix
+  search: the phase-based online algorithm asks it for the longest suffix
+  whose optimum is a single acknowledgment after every arrival.
 * :func:`suffix_opt` / :func:`longest_critical_suffix` — push a fixed
   arrival list into a fresh :class:`DpTable` and ask it for its suffix
   optima or its longest critical suffix.
@@ -23,19 +26,30 @@
 
 The DP and suffix kernels work on arrival times minus the first arrival, so
 their costs keep their digits however far from zero the instance lies, and
-they evaluate blocks through :func:`acklab.cost.batch_cost`, with one array
-entry per block.  The permit suffix table is the exception: it uses the
-permit class decomposition directly and works on the gaps between
-neighbouring arrivals, at any span.
+they evaluate blocks through :func:`acklab.cost.batch_cost`: one block at a
+time where the DP stores a value or reads a single-ack cost, one array entry
+per block in the column steps and row scans.  The permit suffix table is the
+exception: it uses the permit class decomposition directly and works on the
+gaps between neighbouring arrivals, at any span.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from .cost import DelayModelSpec, Objective, batch_cost, bdelay, f_rows, plf_round_up
+from .cost import (
+    DelayModelSpec,
+    Objective,
+    batch_cost,
+    bdelay,
+    f_rows,
+    linear_sum,
+    plf_round_up,
+)
 from .model import Schedule, check_arrivals
 from .tolerance import TOL, tol_at
 
@@ -54,6 +68,30 @@ class DpTable:
     ``i`` packets and ``choice[i]`` the start index of the last batch in that
     optimum.  Arrivals are kept minus the first one, with their prefix sums
     and the batch sizes ``1..capacity``; all arrays grow by doubling.
+
+    A step chooses the new arrival's last-batch start ``j`` and stores
+    ``values[j] + batch_cost(block j..i) + 1``.  How it chooses depends on
+    the kind:
+
+    * ``linear_sum``: block ``j..i`` at arrival ``x`` costs
+      ``(i - j + 1)·x - (S[i+1] - S[j])``, so ``j`` minimises the line
+      ``values[j] + S[j] - j·x``.  The lines come in falling slope and ``x``
+      never falls, so a monotone lower hull answers in amortised O(1): the
+      head is popped only when the next line is strictly better, and ties
+      keep the smallest ``j``, as a first minimum does.
+    * ``capped_linear``: ``min(linear, tau)`` distributes over the minimum,
+      and ``values[0] = 0`` is the least value, so the step is the linear
+      hull's minimum, or start 0 at the cap when the cap is no larger.
+    * ``permit_plf``: the price curve is a minimum of one affine function of
+      the span per class k, so ``j`` minimises ``values[j] - a_j·2**-k``
+      for some k: one running minimum per class, for the classes
+      ``0..min(K, plf_round_up(span) + 1)``.  A class that joins as the
+      span grows is filled once from the past starts.  Starts whose class
+      value lies within :func:`tol_at` of the best are decided by the
+      stored formula.
+    * ``max_wait`` and ``max_wait_pow`` cost the whole block column ``0..i``
+      and take its first minimum.  :meth:`single` reads that column: NumPy's
+      power and Python's can round the same block apart.
     """
 
     def __init__(self, spec: DelayModelSpec):
@@ -70,14 +108,29 @@ class DpTable:
         self._counts = np.arange(1.0, 17.0)
         self.values = np.zeros(17)
         self.choice = np.zeros(17, dtype=int)
-        self._permits = PermitSuffixTable(spec.num_classes) if spec.kind == "permit_plf" else None
+        # S[0..size] and a[0..size-1] again as Python floats: one element
+        # of a list reads several times faster than one of an array.
+        self._sums = [0.0]
+        self._firsts: list[float] = []
+        self._certified = 0  # first start with a single-ack cost <= 2, as last found
+        self._column: np.ndarray | None = None  # the last block column (max kinds)
+        self._permits = None
+        if spec.kind in ("linear_sum", "capped_linear"):
+            self._step = self._hull_step
+            self._linear = spec if spec.kind == "linear_sum" else linear_sum()
+            self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)
+        elif spec.kind == "permit_plf":
+            self._step = self._class_step
+            self._permits = PermitSuffixTable(spec.num_classes)
+            self._slopes: list[float] = []  # 2**-k per class k kept
+            self._class_min: list[float] = []  # min_j values[j] - a_j * 2**-k
+            self._class_arg: list[tuple] = []  # its first minimising start
+            self._covered = -1  # largest span the classes kept serve in full
+        else:
+            self._step = self._column_step
 
-    def push(self, time: float) -> np.ndarray:
-        """Add an arrival no earlier than the last one and fill its DP entry.
-
-        Returns the delays of the blocks ``j..i`` acknowledged at the new
-        arrival ``i``, for every start ``j``.
-        """
+    def push(self, time: float) -> None:
+        """Add an arrival no earlier than the last one and fill its DP entry."""
         i = self.size
         if i == self._arr.size:
             self._arr, self._prefix, self.values, self.choice = (
@@ -87,18 +140,107 @@ class DpTable:
             self._counts = np.arange(1.0, 2 * i + 1.0)
         if i == 0:
             self._origin = time
-        arr, prefix, values = self._arr, self._prefix, self.values
-        arr[i] = rebased = time - self._origin
-        prefix[i + 1] = prefix[i] + rebased
-        blocks = batch_cost(
-            self.spec, self._counts[i::-1], prefix[i + 1] - prefix[: i + 1], arr[: i + 1], rebased
-        )
-        cand = values[: i + 1] + blocks + 1.0
-        j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
-        values[i + 1] = cand[j]
+        x = float(time - self._origin)
+        before = self._sums[i]
+        total = before + x
+        self._arr[i] = x
+        self._prefix[i + 1] = total
+        self._firsts.append(x)
+        self._sums.append(total)
+        # Start i as the stored formula reads it: (j, values[j], S[j], a_j).
+        j, value = self._step((i, float(self.values[i]), before, x), x, total)
+        self.values[i + 1] = value
         self.choice[i + 1] = j
         self.size = i + 1
-        return blocks
+
+    def _start(self, j: int) -> tuple[int, float, float, float]:
+        return j, float(self.values[j]), self._sums[j], self._firsts[j]
+
+    @staticmethod
+    def _cand(spec: DelayModelSpec, start: tuple, i: int, x: float, total: float) -> float:
+        """``values[j]`` plus the serve cost of block ``j..i`` at ``x``: the
+        DP entry that last-batch start ``j`` gives arrival ``i``."""
+        j, value, before, first = start
+        return value + batch_cost(spec, float(i - j + 1), total - before, first, x) + 1.0
+
+    def _hull_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
+        lines, cand, linear = self._lines, self._cand, self._linear
+        i, value, before, _ = new
+        b = value + before
+        # Line j2 is never the first minimum once line i meets line j1 no
+        # later than j2 does.
+        while len(lines) >= 2:
+            b1, (j1, *_) = lines[-2]
+            b2, (j2, *_) = lines[-1]
+            if (b - b1) * (j2 - j1) <= (b2 - b1) * (i - j1):
+                lines.pop()
+            else:
+                break
+        lines.append((b, new))
+        # The head is the first minimum of the stored formula among the lines.
+        best = cand(linear, lines[0][1], i, x, total)
+        while len(lines) >= 2:
+            nxt = cand(linear, lines[1][1], i, x, total)
+            if not nxt < best:
+                break
+            lines.popleft()
+            best = nxt
+        j = lines[0][1][0]
+        if self.spec is linear:
+            return j, best
+        capped = cand(self.spec, lines[0][1], i, x, total)
+        whole = cand(self.spec, self._start(0), i, x, total)
+        return (0, whole) if whole <= capped else (j, capped)
+
+    def _class_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
+        mins, args, slopes = self._class_min, self._class_arg, self._slopes
+        i, own = new[0], new[1]
+        if x > self._covered:
+            top = _permit_classes(x, self.spec.num_classes)
+            for k in range(len(mins), top + 1):
+                slopes.append(2.0 ** -k)
+                past = self.values[: i + 1] - self._arr[: i + 1] * slopes[k]
+                j = int(np.argmin(past))
+                mins.append(float(past[j]))
+                args.append(self._start(j))
+            self._covered = 4 ** (top - 1) if top < self.spec.num_classes else math.inf
+        # Class k serves block j..i for (values[j] - a_j 2**-k) + 2**k + x 2**-k.
+        cls = []
+        for k, w in enumerate(slopes):
+            xw = x * w
+            if own - xw < mins[k]:
+                mins[k], args[k] = own - xw, new
+            cls.append(mins[k] + (1.0 / w + xw))
+        low = min(cls)
+        bound = low + tol_at(low)
+        near = [args[k] for k, c in enumerate(cls) if c <= bound]
+        value, j = min((self._cand(self.spec, s, i, x, total), s[0]) for s in near)
+        return j, value
+
+    def _column_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
+        i, prefix = new[0], self._prefix
+        self._column = blocks = batch_cost(
+            self.spec, self._counts[i::-1], total - prefix[: i + 1], self._arr[: i + 1], x
+        )
+        cand = self.values[: i + 1] + blocks + 1.0
+        j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
+        return j, float(cand[j])
+
+    def single(self, p: int) -> float:
+        """Serve cost of packets ``p..size-1`` in one batch acknowledged at
+        the last arrival: its delay plus 1."""
+        if self._column is not None:
+            return float(self._column[p]) + 1.0
+        n, sums, firsts = self.size, self._sums, self._firsts
+        return batch_cost(self.spec, float(n - p), sums[n] - sums[p], firsts[p], firsts[n - 1]) + 1.0
+
+    def _singles(self, lo: int, hi: int) -> np.ndarray:
+        """:meth:`single` of the starts ``lo..hi-1``, as one array."""
+        if self._column is not None:
+            return self._column[lo:hi] + 1.0
+        n, arr, prefix = self.size, self._arr, self._prefix
+        counts = self._counts[n - hi : n - lo][::-1]
+        return batch_cost(self.spec, counts, prefix[n] - prefix[lo:hi], arr[lo:hi], arr[n - 1]) + 1.0
 
     def _row(self, p: int) -> np.ndarray:
         """``bdelay`` of the blocks ``p..q`` acknowledged at ``q``, for every
@@ -126,36 +268,61 @@ class DpTable:
             G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
         return G
 
-    def critical_start(self, blocks: np.ndarray) -> int:
+    def _certified_start(self) -> int:
+        """First start whose single-ack cost is at most 2.
+
+        Single-ack costs only grow as packets arrive, so the start only
+        moves right, and a pointer kept from the last call finds it in
+        amortised O(1).  An exact arrival tie can still let a float cost
+        fall, so a pointer that did not move steps back while the start
+        before it qualifies.  When no start qualifies (prefix sums so large
+        that even a lone packet's rounded cost passes 2), the answer is 0,
+        as the first minimum of an all-false test is.
+        """
+        c, single, n = self._certified, self.single, self.size
+        if c < n and single(c) > 2.0:
+            c += 1
+            while c < n and single(c) > 2.0:
+                c += 1
+        else:
+            while c > 0 and single(c - 1) <= 2.0:
+                c -= 1
+        self._certified = c
+        return c if c < n else 0
+
+    def critical_start(self) -> int:
         """Start index of the longest critical suffix of the arrivals pushed
         so far: see :func:`longest_critical_suffix`.
 
-        ``blocks`` is what the last :meth:`push` returned.  When one ack for
-        everything is optimal, the whole prefix is the critical suffix and
-        no suffix search runs.  Otherwise the permit model reads its suffix
-        table, and every other model runs the pruned right-to-left scan.
+        When one ack for everything is optimal, the whole prefix is the
+        critical suffix and no suffix search runs.  Otherwise the certified
+        start comes from :meth:`_certified_start`, and only when it is past
+        0 are the single-ack costs built as one array: the permit model
+        then reads its suffix table, and every other model runs the pruned
+        right-to-left scan.
         """
-        single = blocks + 1.0
         n = self.size
         opt = float(self.values[n])
-        if single[0] - opt <= tol_at(opt):
+        whole = self.single(0)
+        if whole - opt <= tol_at(opt):
             return 0
-        certified = int(np.argmax(single <= 2.0))  # single[n - 1] == 1
+        certified = self._certified_start()
         if certified == 0:
             return 0
         if self._permits is not None:
             G = self.suffix_optima()[:certified]
-            hits = np.flatnonzero(single[:certified] - G <= np.maximum(np.abs(G), 1.0) * TOL)
+            single = self._singles(0, certified)
+            hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
             return int(hits[0]) if hits.size else certified
-        # single[0] bounds every G[p], so this margin dominates the criticality
+        # whole bounds every G[p], so this margin dominates the criticality
         # tolerance at every earlier start and pruning never changes the answer.
-        margin = tol_at(float(single[0]))
+        margin = tol_at(whole)
         G = np.zeros(n + 1)
-        G[certified:n] = single[certified:]
+        G[certified:n] = self._singles(certified, n)
         best = certified
         for p in range(certified - 1, -1, -1):
             G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
-            slack = float(single[p]) - G[p]
+            slack = self.single(p) - G[p]
             if slack <= tol_at(G[p]):
                 best = p
             elif slack > 1.0 + margin:
@@ -308,8 +475,8 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     if not arr:
         raise ValueError("empty arrival prefix has no critical suffix")
     for a in arr:
-        blocks = table.push(a)
-    return table.critical_start(blocks)
+        table.push(a)
+    return table.critical_start()
 
 
 def brute_force_optimal(

@@ -20,7 +20,7 @@ from acklab import (
     top_k,
 )
 from acklab.algorithms import SumMonotonePhases
-from acklab.cost import bdelay
+from acklab.cost import batch_cost, bdelay
 import acklab.offline as offline
 from acklab.offline import PermitSuffixTable
 from acklab.tolerance import tol_at
@@ -375,9 +375,9 @@ def test_vectorized_blocks_match_scalar_bdelay():
             arr = np.sort(rng.uniform(0, 10, n))
             table = DpTable(spec)
             for i, t in enumerate(arr):
-                ending = table.push(t)
+                table.push(t)
                 for j in range(i + 1):
-                    assert ending[j] == pytest.approx(
+                    assert table.single(j) - 1.0 == pytest.approx(
                         bdelay(spec, arr[j : i + 1], arr[i]), rel=1e-12, abs=1e-12
                     )
             p = int(rng.integers(n))
@@ -387,6 +387,25 @@ def test_vectorized_blocks_match_scalar_bdelay():
                 assert row[q - p] == pytest.approx(
                     bdelay(spec, arr[p : q + 1], arr[q]), rel=1e-12, abs=1e-12
                 )
+
+
+@pytest.mark.parametrize("spec", [linear_sum(), capped_linear(1.0), permit_plf()])
+def test_push_costs_no_block_column(monkeypatch, spec):
+    # The hull and the class minima choose each start; push then costs the
+    # chosen blocks one at a time and never builds a column of them.
+    costed = []
+
+    def scalars_only(model, *numbers):
+        if any(isinstance(x, np.ndarray) for x in numbers):
+            raise AssertionError("push passed an array to batch_cost")
+        costed.append(numbers)
+        return batch_cost(model, *numbers)
+
+    monkeypatch.setattr(offline, "batch_cost", scalars_only)
+    table = DpTable(spec)
+    for t in geometric_timeline(np.random.default_rng(12), 1e4, integer=False):
+        table.push(t)
+    assert len(costed) >= table.size
 
 
 def test_one_critical_suffix_search_left_in_the_library():
