@@ -33,7 +33,6 @@ from .model import (
     InvalidScheduleError,
     Schedule,
     batches_from_acks,
-    delay_vector_of,
     evaluate_schedule,
     instance_from_json,
     instance_to_json,
@@ -47,7 +46,6 @@ from .offline import (
     dp_optimal,
     exact_optimum,
     longest_critical_suffix,
-    suffix_opt,
 )
 from .engine import (
     EngineError,
@@ -61,12 +59,10 @@ from .algorithms import (
     GreedyMaxMonotone,
     GreedyTau,
     SumMonotonePhases,
-    VectorThresholdGreedy,
     make_algorithm,
 )
 from .adversary import (
     ConcaveAdversaryReport,
-    FixedClassStrategy,
     Permit,
     PermitAccount,
     ProtocolViolation,

@@ -264,19 +264,6 @@ class TcpPermitAdapter:
         return permit
 
 
-class FixedClassStrategy:
-    """Toy permit strategy: always buy one permit of a fixed class."""
-
-    def __init__(self, k: int):
-        self.k = int(k)
-        self.account = PermitAccount()
-
-    def on_request(self, t: int) -> Permit:
-        permit = Permit(start=t, k=self.k)
-        self.account.add(permit)
-        return permit
-
-
 @dataclass(frozen=True)
 class PPAdversaryReport:
     request_times: tuple[int, ...]

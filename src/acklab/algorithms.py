@@ -1,9 +1,10 @@
 """Online acknowledgment policies.
 
-Four policies plus one adversary-harness variant:
+Four policies:
 
-* :class:`GreedyTau` — ack when the pending batch's delay cost reaches a
-  fixed threshold (tau = 1 is the classic greedy).
+* :class:`GreedyTau` — ack when the pending packets' delay cost reaches a
+  fixed threshold (tau = 1 is the classic greedy), under sum-aggregated and
+  vector models alike.
 * :class:`GreedyMaxMonotone` — for max-aggregated objectives: the i-th ack
   fires when the pending batch's delay cost reaches i.
 * :class:`GreedyBatchOblivious` — for vector objectives: ack whenever the
@@ -11,8 +12,6 @@ Four policies plus one adversary-harness variant:
 * :class:`SumMonotonePhases` — budget/buffer phase algorithm driven by the
   offline suffix DP; logarithmically competitive for sum-aggregated models.
   Its state in a phase is one service counter.
-* :class:`VectorThresholdGreedy` — fixed-threshold greedy over the pending
-  packets' vector cost; used by the concave lower-bound driver.
 
 Every policy is the greedy rule "acknowledge once the pending packets'
 delay cost reaches a target" with its own target.  Each keeps its model's
@@ -80,13 +79,19 @@ class _ThresholdPolicy(OnlineAlgorithm):
 
 
 class GreedyTau(_ThresholdPolicy):
-    """Acknowledge once the pending batch's delay cost reaches ``tau``."""
+    """Acknowledge once the pending packets' delay cost reaches ``tau``.
 
-    _objective = Objective.SUM_BATCH
-    _who = "greedy_tau"
+    Under a sum-aggregated model the cost is the pending batch's; under a
+    vector model it is the pending packets' vector cost, and served packets
+    drop out of it entirely.
+    """
 
     def __init__(self, spec: DelayModelSpec, tau: float = 1.0):
-        _require(spec, self._objective, self._who)
+        if spec.objective is Objective.MAX_BATCH:
+            raise ValueError(
+                "greedy_tau needs a sum-aggregated or vector model, "
+                f"got {spec.kind!r}/{spec.objective.value}"
+            )
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be positive and finite")
         super().__init__(spec)
@@ -133,17 +138,6 @@ class GreedyBatchOblivious(_ThresholdPolicy):
     def commit_ack(self, time: float) -> None:
         self.baseline = self._aggregate.freeze(time - self._origin)
         super().commit_ack(time)
-
-
-class VectorThresholdGreedy(GreedyTau):
-    """Fixed-threshold greedy over the pending packets' vector cost.
-
-    The vector-model counterpart of :class:`GreedyTau`: served packets drop
-    out of the cost entirely and the trigger level stays ``tau``.
-    """
-
-    _objective = Objective.VECTOR
-    _who = "vector threshold greedy"
 
 
 class SumMonotonePhases(_ThresholdPolicy):
@@ -236,12 +230,13 @@ class SumMonotonePhases(_ThresholdPolicy):
 
 
 # Selector name -> (policy, the parameters it takes with their defaults).
+# ``greedy_tau_vector`` is another name for ``greedy_tau``.
 ALGORITHMS: dict[str, tuple[type[OnlineAlgorithm], dict[str, float]]] = {
     "greedy_tau": (GreedyTau, {"tau": 1.0}),
     "max_mono": (GreedyMaxMonotone, {}),
     "vector_greedy": (GreedyBatchOblivious, {}),
     "phases": (SumMonotonePhases, {}),
-    "greedy_tau_vector": (VectorThresholdGreedy, {"tau": 1.0}),
+    "greedy_tau_vector": (GreedyTau, {"tau": 1.0}),
 }
 ALGORITHM_NAMES = tuple(ALGORITHMS)
 

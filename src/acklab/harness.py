@@ -138,11 +138,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _optimum(instance: Instance, oracle: str) -> tuple[float, str]:
-    cost, _, used = exact_optimum(instance.arrivals, instance.model, oracle)
-    return cost, used
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -195,7 +190,8 @@ def run_bench(config: dict) -> list[BenchRow]:
                         alg_cost = evaluate_schedule(instance, schedule).total
                         elapsed = (time.perf_counter() - start) * 1000.0
                         if (n, seed) not in optima:
-                            optima[n, seed] = _optimum(instance, oracle)
+                            cost, _, used = exact_optimum(instance.arrivals, instance.model, oracle)
+                            optima[n, seed] = cost, used
                         opt_cost, used = optima[n, seed]
                         ratio = alg_cost / opt_cost if opt_cost > 0 else math.inf
                         instance_id = (

@@ -180,11 +180,6 @@ def _delays(arrivals: Sequence[float], batches: list[Batch]) -> DelayVector:
     return tuple(max(0.0, b.ack_time - arrivals[j]) for b in batches for j in b.indices)
 
 
-def delay_vector_of(arrivals: Sequence[float], schedule: Schedule) -> DelayVector:
-    """Per-packet waiting times under the schedule."""
-    return _delays(arrivals, batches_from_acks(arrivals, schedule.ack_times))
-
-
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> CostBreakdown:
     """Total cost of the schedule under the instance's objective."""
     batches = validate_schedule(instance, schedule)

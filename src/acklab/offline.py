@@ -10,9 +10,8 @@
   table grows one arrival at a time and holds the one critical-suffix
   search: the phase-based online algorithm asks it for the longest suffix
   whose optimum is a single acknowledgment after every arrival.
-* :func:`suffix_opt` / :func:`longest_critical_suffix` — push a fixed
-  arrival list into a fresh :class:`DpTable` and ask it for its suffix
-  optima or its longest critical suffix.
+* :func:`longest_critical_suffix` — push a fixed arrival list into a fresh
+  :class:`DpTable` and ask it for its longest critical suffix.
 * :class:`PermitSuffixTable` — the permit model's suffix optima kept per
   permit class for a prefix that grows one arrival at a time, brought up to
   date only when the table is asked.
@@ -250,24 +249,6 @@ class DpTable:
             self.spec, self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
         )
 
-    def suffix_optima(self) -> np.ndarray:
-        """Optimal cost of serving each suffix of the arrivals pushed so far.
-
-        Returns ``G`` of length ``size + 1`` with ``G[p]`` the optimal cost
-        of serving packets ``p..size-1`` on their own and ``G[size] = 0``.
-        The permit model folds the new arrivals into its class table; every
-        other model scans one row of block delays per start.
-        """
-        n = self.size
-        if n == 0:
-            return np.zeros(1)
-        if self._permits is not None:
-            return np.append(self._permits.fold(self._arr, n), 0.0)
-        G = np.zeros(n + 1)
-        for p in range(n - 1, -1, -1):
-            G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
-        return G
-
     def _certified_start(self) -> int:
         """First start whose single-ack cost is at most 2.
 
@@ -310,7 +291,7 @@ class DpTable:
         if certified == 0:
             return 0
         if self._permits is not None:
-            G = self.suffix_optima()[:certified]
+            G = self._permits.fold(self._arr, n)[:certified]
             single = self._singles(0, certified)
             hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
             return int(hits[0]) if hits.size else certified
@@ -372,7 +353,7 @@ class PermitSuffixTable:
     ``open[k, i + 1] = 2**k``.  It works on gaps, never on absolute times,
     so it serves every span.
 
-    The table is lazy: :meth:`DpTable.suffix_optima` folds in the packets
+    The table is lazy: :meth:`DpTable.critical_start` folds in the packets
     that arrived since it last asked, so arrivals that never ask cost nothing.
     No class above ``ceil(log4 span)`` serves a block more cheaply, so the
     table keeps classes ``0..min(K, ceil(log4 span) + 1)`` as of its last
@@ -423,18 +404,6 @@ class PermitSuffixTable:
             np.minimum.reduce(open_[:, : i + 1], axis=0, out=best[: i + 1])
         self.size = n
         return best[:n]
-
-
-def suffix_opt(arrivals: Sequence[float], spec: DelayModelSpec) -> np.ndarray:
-    """Optimal cost of serving each suffix of the arrival prefix.
-
-    Returns ``G`` of length ``n + 1`` with ``G[p]`` the optimal cost of
-    serving packets ``p..n-1`` on their own and ``G[n] = 0``.
-    """
-    table = DpTable(spec)
-    for a in check_arrivals(arrivals):
-        table.push(a)
-    return table.suffix_optima()
 
 
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:

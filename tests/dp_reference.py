@@ -8,7 +8,8 @@ costs the whole block column ``j..i`` in NumPy, takes the first minimum of
 column.  The library chooses each start from a monotone hull or per-class
 running minima and reads single-ack costs one at a time; the tests check its
 values, back-pointers, critical starts and serve costs against this kernel,
-bit for bit.
+bit for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima:
+one row scan per start, or the permit model's class table.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from acklab.cost import DelayModelSpec, Objective, batch_cost
+from acklab.model import check_arrivals
 from acklab.offline import PermitSuffixTable
 from acklab.tolerance import TOL, tol_at
 
@@ -103,3 +105,15 @@ class ColumnDpTable:
             elif slack > 1.0 + margin:
                 break
         return best
+
+
+def suffix_opt(arrivals, spec: DelayModelSpec) -> np.ndarray:
+    """Optimal cost of serving each suffix of the arrival list.
+
+    Returns ``G`` of length ``n + 1`` with ``G[p]`` the optimal cost of
+    serving packets ``p..n-1`` on their own and ``G[n] = 0``.
+    """
+    table = ColumnDpTable(spec)
+    for a in check_arrivals(arrivals):
+        table.push(a)
+    return table.suffix_optima()

@@ -17,7 +17,6 @@ from acklab import (
     Instance,
     SumMonotonePhases,
     TcpPermitAdapter,
-    VectorThresholdGreedy,
     brute_force_optimal,
     capped_linear,
     check_continuous_submodular,
@@ -202,7 +201,7 @@ def test_c07_concave_adversary():
     """Adaptive concave adversary: exact comparison costs, growing ratios."""
     factories = {
         "vector_greedy": lambda spec: GreedyBatchOblivious(spec),
-        "threshold_greedy": lambda spec: VectorThresholdGreedy(spec, 1.0),
+        "threshold_greedy": lambda spec: GreedyTau(spec, 1.0),
     }
     ratios = {}
     for name, factory in factories.items():

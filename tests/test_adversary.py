@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from acklab import (
-    FixedClassStrategy,
     GreedyBatchOblivious,
     GreedyTau,
     Instance,
@@ -13,7 +12,6 @@ from acklab import (
     ProtocolViolation,
     SumMonotonePhases,
     TcpPermitAdapter,
-    VectorThresholdGreedy,
     dp_optimal,
     evaluate_schedule,
     gen_greedy_tau_hard,
@@ -27,6 +25,20 @@ from acklab import (
     simulate,
 )
 from acklab.engine import OnlineAlgorithm
+
+
+class FixedClassStrategy:
+    """Toy permit strategy: always buy one permit of a fixed class."""
+
+    def __init__(self, k: int):
+        self.k = int(k)
+        self.account = PermitAccount()
+
+    def on_request(self, t: int) -> Permit:
+        permit = Permit(start=t, k=self.k)
+        self.account.add(permit)
+        return permit
+
 
 PIPELINE_SPEC = permit_plf(num_classes=600)
 
@@ -298,6 +310,6 @@ class TestConcaveAdversary:
             run_concave_adversary(lambda spec: _ImmediateAcker(spec), 3)
 
     def test_ratio_grows_with_n(self):
-        r64 = run_concave_adversary(lambda s: VectorThresholdGreedy(s, 1.0), 64)
-        r256 = run_concave_adversary(lambda s: VectorThresholdGreedy(s, 1.0), 256)
+        r64 = run_concave_adversary(lambda s: GreedyTau(s, 1.0), 64)
+        r256 = run_concave_adversary(lambda s: GreedyTau(s, 1.0), 256)
         assert r256.ratio > r64.ratio

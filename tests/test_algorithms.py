@@ -11,7 +11,6 @@ from acklab import (
     Instance,
     Objective,
     SumMonotonePhases,
-    VectorThresholdGreedy,
     bdelay,
     capped_linear,
     evaluate_schedule,
@@ -86,8 +85,8 @@ class TestGreedyTau:
                 got = bdelay(linear_sum(), inst.arrivals[b.start : b.stop], b.ack_time)
                 assert got == pytest.approx(1.0, abs=1e-6)
 
-    def test_requires_sum_objective(self):
-        with pytest.raises(ValueError):
+    def test_requires_sum_or_vector_objective(self):
+        with pytest.raises(ValueError, match="sum-aggregated or vector model"):
             GreedyTau(max_wait(), 1.0)
         with pytest.raises(ValueError):
             GreedyTau(linear_sum(), 0.0)
@@ -184,11 +183,11 @@ def _final_acks(instance, schedule):
     return out
 
 
-class TestVectorThresholdGreedy:
+class TestGreedyTauOnVectorModels:
     def test_matches_greedy_tau_on_sum_vector(self):
         arrivals = (0.0, 0.5, 3.0)
         v_inst = Instance(arrivals, sum_vector())
-        sched_v, _, _ = run(v_inst, VectorThresholdGreedy(sum_vector(), 1.0))
+        sched_v, _, _ = run(v_inst, GreedyTau(sum_vector(), 1.0))
         s_inst = Instance(arrivals, linear_sum())
         sched_s, _, _ = run(s_inst, GreedyTau(linear_sum(), 1.0))
         for a, b in zip(sched_v.ack_times, sched_s.ack_times):
@@ -486,7 +485,7 @@ class TestMakeAlgorithm:
         )
         assert isinstance(make_algorithm({"alg": "phases"}, linear_sum()), SumMonotonePhases)
         assert isinstance(
-            make_algorithm({"alg": "greedy_tau_vector"}, lp_norm(2)), VectorThresholdGreedy
+            make_algorithm({"alg": "greedy_tau_vector"}, lp_norm(2)), GreedyTau
         )
 
     def test_unknown_rejected(self):

@@ -290,6 +290,49 @@ class TestRun:
         acks = self.run_lp_400(tmp_path, capsys, alg, [1e-3 * i for i in range(30)])
         assert acks == pytest.approx([3e-3 + 4e-3 * i for i in range(8)], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "lp", "p": 1},
+            {"kind": "lp", "p": 2},
+            {"kind": "lp", "p": "inf"},
+            {"kind": "top_k", "k": 3},
+            {"kind": "ordered", "w": [1.0, 0.5, 0.25]},
+            {"kind": "sum_vector"},
+            {"kind": "concave_two_piece", "ell": 4, "eps": 0.05, "n": 30},
+        ],
+        ids=lambda model: "-".join(str(v) for v in model.values() if not isinstance(v, list)),
+    )
+    @pytest.mark.parametrize("tau", [1.0, 2.5])
+    def test_greedy_selectors_agree_on_vector_models(self, tmp_path, capsys, model, tau):
+        # greedy_tau_vector is another name for greedy_tau.
+        arrivals = [0.37 * i + 0.11 * (i % 3) for i in range(30)]
+        path = write_instance(tmp_path, arrivals, model)
+        runs = []
+        for alg in ("greedy_tau", "greedy_tau_vector"):
+            trace = tmp_path / f"{alg}.jsonl"
+            code, out = run_cli(
+                capsys, "run", "--instance", path, "--alg", f'{{"alg":"{alg}","tau":{tau}}}',
+                "--trace", str(trace),
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert report.pop("trace") == str(trace)
+            runs.append((report, trace.read_text()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]["ack_times"]) > 1 and runs[0][1].count("\n") > 30
+
+    @pytest.mark.parametrize("alg", ["greedy_tau", "greedy_tau_vector"])
+    def test_greedy_selectors_reject_max_models(self, tmp_path, capsys, alg):
+        path = write_instance(tmp_path, [0, 1], {"kind": "max_wait"})
+        code = main(
+            ["run", "--instance", path, "--alg", f'{{"alg":"{alg}"}}',
+             "--trace", str(tmp_path / "t.jsonl")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "sum-aggregated or vector model" in captured.err
+
     def test_mismatch_exit_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})
         code, _ = run_cli(
@@ -368,12 +411,23 @@ class TestAdversary:
         assert got["chained"] is True
         assert got["ratio"] >= 1.0
 
-    def test_vector_alg_on_concave_required(self, capsys):
+    @pytest.mark.parametrize("alg", ["max_mono", "phases"])
+    def test_vector_alg_on_concave_required(self, capsys, alg):
         code, _ = run_cli(
-            capsys, "adversary", "--kind", "concave", "--n", "8",
-            "--alg", '{"alg":"greedy_tau"}',
+            capsys, "adversary", "--kind", "concave", "--n", "8", "--alg", f'{{"alg":"{alg}"}}'
         )
         assert code == 2
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_greedy_selectors_agree_on_concave(self, capsys, n):
+        reports = [
+            run_cli(
+                capsys, "adversary", "--kind", "concave", "--n", str(n),
+                "--alg", f'{{"alg":"{alg}","tau":1.0}}',
+            )
+            for alg in ("greedy_tau", "greedy_tau_vector")
+        ]
+        assert reports[0] == reports[1] and reports[0][0] == 0
 
     @pytest.mark.parametrize("tau", BAD_TAUS)
     @pytest.mark.parametrize(
@@ -551,13 +605,13 @@ class TestBench:
         from acklab import harness
 
         calls = []
-        original = harness._optimum
+        original = harness.exact_optimum
 
-        def counting(instance, oracle):
-            calls.append(instance.arrivals)
-            return original(instance, oracle)
+        def counting(arrivals, spec, oracle):
+            calls.append(arrivals)
+            return original(arrivals, spec, oracle)
 
-        monkeypatch.setattr(harness, "_optimum", counting)
+        monkeypatch.setattr(harness, "exact_optimum", counting)
         rows = harness.run_bench(dict(BENCH_CONFIG, seeds=[1, 2]))
         assert len(rows) == 8  # 2 algorithms x 2 sizes x 2 seeds
         assert len(calls) == 4 and len(set(calls)) == 4

@@ -11,7 +11,6 @@ from acklab import (
     InvalidScheduleError,
     Schedule,
     batches_from_acks,
-    delay_vector_of,
     evaluate_schedule,
     instance_from_json,
     instance_to_json,
@@ -21,6 +20,12 @@ from acklab import (
     sum_vector,
     validate_schedule,
 )
+
+
+def delay_vector_of(arrivals, schedule):
+    """Per-packet waiting times under the schedule."""
+    batches = batches_from_acks(arrivals, schedule.ack_times)
+    return tuple(max(0.0, b.ack_time - arrivals[j]) for b in batches for j in b.indices)
 
 
 def batch_sets(batches):

@@ -16,14 +16,15 @@ from acklab import (
     max_wait_pow,
     permit_plf,
     simulate,
-    suffix_opt,
     top_k,
 )
 from acklab.algorithms import SumMonotonePhases
 from acklab.cost import batch_cost, bdelay
+import acklab
 import acklab.offline as offline
 from acklab.offline import PermitSuffixTable
 from acklab.tolerance import tol_at
+from dp_reference import suffix_opt
 
 
 def naive_suffix(arrivals, spec):
@@ -128,9 +129,7 @@ class TestDpOptimal:
         [0, 1e308, 1.7e308],  # n times the span leaves the float range
     ],
 )
-@pytest.mark.parametrize(
-    "solver", [dp_optimal, brute_force_optimal, suffix_opt, longest_critical_suffix]
-)
+@pytest.mark.parametrize("solver", [dp_optimal, brute_force_optimal, longest_critical_suffix])
 def test_solvers_reject_the_arrivals_an_instance_rejects(solver, arrivals):
     for spec in (linear_sum(), capped_linear(1.0)):
         with pytest.raises(ValueError):
@@ -255,11 +254,11 @@ class TestCriticalSuffix:
 
     def test_capped_search_runs_no_suffix_table(self, monkeypatch):
         # The capped model takes the pruned row scan of linear_sum: its
-        # critical search never builds the whole suffix table.
-        def refuse(table):
-            raise AssertionError("suffix_optima called for a capped search")
+        # critical search never folds the permit model's suffix table.
+        def refuse(table, arr, n):
+            raise AssertionError("permit suffix table folded for a capped search")
 
-        monkeypatch.setattr(DpTable, "suffix_optima", refuse)
+        monkeypatch.setattr(PermitSuffixTable, "fold", refuse)
         rng = np.random.default_rng(11)
         searched = 0
         for tau in (0.5, 3.0, 10.0, 50.0):
@@ -423,3 +422,20 @@ def test_one_critical_suffix_search_left_in_the_library():
         "_first_match",
     ):
         assert not hasattr(offline, name), name
+
+
+def test_test_only_helpers_left_the_library():
+    # The suffix optima, a schedule's delay vector and the toy permit
+    # strategy had callers only in the tests, which keep their own; the
+    # vector threshold greedy is GreedyTau.
+    for module, name in (
+        (offline, "suffix_opt"),
+        (acklab.model, "delay_vector_of"),
+        (acklab.adversary, "FixedClassStrategy"),
+        (acklab.algorithms, "VectorThresholdGreedy"),
+    ):
+        assert not hasattr(module, name), name
+        assert not hasattr(acklab, name), name
+    assert not hasattr(DpTable, "suffix_optima")
+    for name in ("_objective", "_who"):
+        assert not hasattr(acklab.GreedyTau, name), name

@@ -19,7 +19,6 @@ from acklab import (
     GreedyTau,
     Instance,
     SumMonotonePhases,
-    VectorThresholdGreedy,
     concave_two_piece,
     f_vector,
     linear_sum,
@@ -66,8 +65,8 @@ def timelines(rng):
 def policies():
     return {
         "vector_greedy": lambda spec: GreedyBatchOblivious(spec),
-        "greedy_tau_vector": lambda spec: VectorThresholdGreedy(spec, 1.0),
-        "greedy_tau_vector_2.5": lambda spec: VectorThresholdGreedy(spec, 2.5),
+        "greedy_tau_vector": lambda spec: GreedyTau(spec, 1.0),
+        "greedy_tau_vector_2.5": lambda spec: GreedyTau(spec, 2.5),
     }
 
 
@@ -233,7 +232,7 @@ def test_concave_game_acks_at_the_exact_crossing():
 
 @pytest.mark.parametrize(
     "factory",
-    [lambda s: GreedyBatchOblivious(s), lambda s: VectorThresholdGreedy(s, 1.0)],
+    [lambda s: GreedyBatchOblivious(s), lambda s: GreedyTau(s, 1.0)],
     ids=["vector_greedy", "greedy_tau_vector"],
 )
 def test_concave_game_cost_is_below_target_one_float_before_each_ack(factory):
@@ -278,7 +277,7 @@ def test_concave_adversary_reports_pinned(capsys, alg, n):
 
 @pytest.mark.parametrize(
     "factory",
-    [lambda s: GreedyBatchOblivious(s), lambda s: VectorThresholdGreedy(s, 1.0)],
+    [lambda s: GreedyBatchOblivious(s), lambda s: GreedyTau(s, 1.0)],
     ids=["vector_greedy", "greedy_tau_vector"],
 )
 def test_concave_adversary_at_large_n(factory):
@@ -303,7 +302,7 @@ def test_no_bisection_left_in_the_library():
     assert not hasattr(acklab, "solve_threshold_time")
     assert not hasattr(engine, "solve_threshold_time")
     assert not hasattr(engine, "logging")
-    for cls in (_ThresholdPolicy, GreedyBatchOblivious, VectorThresholdGreedy):
+    for cls in (_ThresholdPolicy, GreedyBatchOblivious, GreedyTau):
         assert not hasattr(cls, "_delays") and not hasattr(cls, "_cost_at"), cls
     # One threshold core: batch and vector policies plan through the same
     # aggregate and the same threshold_time.
