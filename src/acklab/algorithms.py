@@ -191,7 +191,7 @@ class SumMonotonePhases(_ThresholdPolicy):
         if self.service is None:
             self.service = 0
             self.suffix_start, self.serve_cost = start, serve
-            self._emit(
+            self.emit(
                 "service_start",
                 service="budget",
                 budget=self.budget,
@@ -202,11 +202,11 @@ class SumMonotonePhases(_ThresholdPolicy):
             if start <= self.suffix_start:
                 old = self.budget
                 self.suffix_start, self.serve_cost = start, serve
-                self._emit("budget_update", old=old, new=self.budget, serve_cost=serve)
+                self.emit("budget_update", old=old, new=self.budget, serve_cost=serve)
         elif serve >= 2.0 * self.serve_cost - tol_at(2.0 * self.serve_cost):
             self.suffix_start, self.serve_cost = start, serve
             self.service = 0
-            self._emit(
+            self.emit(
                 "promotion",
                 budget=self.budget,
                 serve_cost=serve,
@@ -220,7 +220,7 @@ class SumMonotonePhases(_ThresholdPolicy):
             self.service = None
             return
         self.service += 1
-        self._emit(
+        self.emit(
             "service_start",
             service="buffer",
             index=self.service,

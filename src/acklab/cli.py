@@ -5,6 +5,11 @@ algorithm), ``adversary`` (lower-bound drivers), ``bench`` (ratio sweeps),
 ``verify`` (property suite).
 
 Exit codes: 0 ok, 1 property failure, 2 usage/parse error, 3 infeasible.
+:func:`main` is the one place that picks them: a command and the library
+code under it raise ``ValueError`` on input they reject, and ``main`` turns
+it into one ``error:`` line and exit 2; ``BruteForceInfeasibleError``, a
+``ValueError`` too, exits 3.  Faults of the program (``EngineError``,
+``ProtocolViolation``, ``AssertionError``) still raise.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .harness import (
     svg_ratio_chart,
     verify_suite,
 )
-from .model import Instance, evaluate_schedule, instance_from_json
+from .model import evaluate_schedule, instance_from_json
 from .offline import ORACLES, BruteForceInfeasibleError, dp_optimal, exact_optimum
 
 EXIT_OK = 0
@@ -34,43 +39,32 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _parse_inline_json(text: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON {text!r}: {exc}") from exc
+        raise ValueError(f"invalid JSON {text!r}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise UsageError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     return obj
 
 
-def _load_instance(path: str) -> Instance:
-    try:
-        return instance_from_json(_load_json(path))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = instance_from_json(_load_json(args.instance))
     try:
         _, schedule, used = exact_optimum(instance.arrivals, instance.model, args.oracle)
     except BruteForceInfeasibleError:
         raise
     except ValueError as exc:
-        raise UsageError(f"{args.oracle} oracle rejected: {exc}") from exc
+        raise ValueError(f"{args.oracle} oracle rejected: {exc}") from exc
     breakdown = evaluate_schedule(instance, schedule)
     out = breakdown.to_json()
     out["ack_times"] = list(schedule.ack_times)
@@ -80,17 +74,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    alg_json = _parse_inline_json(args.alg)
-    try:
-        algorithm = make_algorithm(alg_json, instance.model)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    instance = instance_from_json(_load_json(args.instance))
+    algorithm = make_algorithm(_parse_inline_json(args.alg), instance.model)
     trace_path = args.trace or args.instance + ".trace.jsonl"
     try:
         fh = open(trace_path, "w", encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot write the trace: {exc}") from exc
+        raise ValueError(f"cannot write the trace: {exc}") from exc
     with fh:
         schedule, trace = simulate(instance, algorithm)
         for event in trace:
@@ -102,19 +92,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _as_usage(fn, *args):
-    """Call ``fn``; a ``ValueError`` from checking its input is a usage error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_adversary(args: argparse.Namespace) -> int:
     alg_json = _parse_inline_json(args.alg)
     if args.kind == "greedy_tau":
-        instance = _as_usage(adv.gen_greedy_tau_hard, args.n, args.tau, args.eps)
-        algorithm = _as_usage(make_algorithm, alg_json, instance.model)
+        instance = adv.gen_greedy_tau_hard(args.n, args.tau, args.eps)
+        algorithm = make_algorithm(alg_json, instance.model)
         schedule, _ = simulate(instance, algorithm)
         alg_cost = evaluate_schedule(instance, schedule).total
         opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
@@ -126,16 +108,13 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             "ratio": alg_cost / opt_cost,
         }
     elif args.kind == "concave":
-        result = _as_usage(
-            adv.run_concave_adversary, lambda spec: make_algorithm(alg_json, spec), args.n
-        )
+        result = adv.run_concave_adversary(lambda spec: make_algorithm(alg_json, spec), args.n)
         report = {"kind": "concave", **result.to_json()}
         report["reference_cost"] = report.pop("comparison_cost")
     else:  # permit
-        algorithm = _as_usage(make_algorithm, alg_json, permit_plf(num_classes=600))
-        adapter = adv.TcpPermitAdapter(algorithm)
-        result = _as_usage(adv.run_pp_adversary, adapter, args.n)
-        opt_cost, _ = _as_usage(adv.permit_cover_optimal, result.request_times)
+        algorithm = make_algorithm(alg_json, permit_plf(num_classes=600))
+        result = adv.run_pp_adversary(adv.TcpPermitAdapter(algorithm), args.n)
+        opt_cost, _ = adv.permit_cover_optimal(result.request_times)
         report = {
             "kind": "permit",
             "n_requests": args.n,
@@ -152,18 +131,13 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     if not isinstance(config, dict):
-        raise UsageError("bench config must be a JSON object")
+        raise ValueError("bench config must be a JSON object")
     out_dir = Path(args.out)
     # The nearest existing ancestor (or the path itself) must be a directory.
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
-        raise UsageError(f"cannot create {out_dir}: {existing} is not a directory")
-    try:
-        rows = run_bench(config)
-    except BruteForceInfeasibleError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"cannot create {out_dir}: {existing} is not a directory")
+    rows = run_bench(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench.csv").write_text(rows_to_csv(rows), encoding="utf-8")
     (out_dir / "summary.json").write_text(
@@ -177,7 +151,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     reports = verify_suite(only=args.only, samples=args.samples)
     failed = 0
     for rep in reports:
@@ -244,12 +218,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BruteForceInfeasibleError as exc:
+    except BruteForceInfeasibleError as exc:  # a ValueError, so caught first
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -367,37 +367,31 @@ def batch_cost(spec: DelayModelSpec, m, total, first, t):
     so this is the one place the batch formulas are written: online policies
     keep the numbers up to date instead of the batch itself, and the offline
     kernels pass arrays of them, one entry per block.  Any of the four
-    arguments may be a NumPy array (they broadcast); floats are evaluated
-    with builtins, which is much faster than NumPy on single numbers.
+    arguments may be a NumPy array (they broadcast into the wait, ``m * t -
+    total`` for the sums and ``t - first`` otherwise); a float wait is
+    evaluated with builtins, which is much faster than NumPy on single
+    numbers.
     """
-    if (
-        isinstance(m, np.ndarray)
-        or isinstance(t, np.ndarray)
-        or isinstance(first, np.ndarray)
-        or isinstance(total, np.ndarray)
-    ):
-        maximum, minimum = np.maximum, np.minimum
-    else:
-        maximum, minimum = max, min
     kind = spec.kind
-    if kind == "linear_sum":
-        return maximum(0.0, m * t - total)
+    wait = m * t - total if kind in ("linear_sum", "capped_linear") else t - first
+    arrays = isinstance(wait, np.ndarray)
+    wait = np.maximum(0.0, wait) if arrays else max(0.0, wait)
+    if kind in ("linear_sum", "max_wait"):
+        return wait
     if kind == "capped_linear":
-        return minimum(maximum(0.0, m * t - total), spec.tau)
-    if kind == "max_wait":
-        return maximum(0.0, t - first)
+        return np.minimum(wait, spec.tau) if arrays else min(wait, spec.tau)
     if kind == "max_wait_pow":
         # A power past the float range saturates at +inf: the cost is
         # monotone, so such a batch is never cheaper than any finite one.
-        if maximum is max:
-            try:
-                return max(0.0, t - first) ** spec.p
-            except OverflowError:
-                return math.inf
-        with np.errstate(over="ignore"):
-            return maximum(0.0, t - first) ** spec.p
+        if arrays:
+            with np.errstate(over="ignore"):
+                return wait ** spec.p
+        try:
+            return wait ** spec.p
+        except OverflowError:
+            return math.inf
     if kind == "permit_plf":
-        return plf_delay(maximum(0.0, t - first), spec.num_classes)
+        return plf_delay(wait, spec.num_classes)
     raise ValueError(f"{kind!r} is a vector model; use f_vector")
 
 

@@ -6,6 +6,9 @@ and expose it via the :class:`OnlineAlgorithm` contract: observe arrivals,
 plan the next ack, hear of each commit.  :class:`SimulationDriver` is the
 incremental core so adaptive adversaries can interleave releases with the
 algorithm's reactions; :func:`simulate` replays a fixed instance through it.
+The driver keeps the one trace: arrivals, flushes, acks with the indices
+they serve, and the policy's own events, which the policy reports through
+the :meth:`OnlineAlgorithm.emit` callback the driver hands it.
 The engine solves no threshold equations and looks no further ahead than
 the policy: each policy plans its own ack time at the exact crossing of its
 cost, and :meth:`OnlineAlgorithm.planned_ack_time` is the only look-ahead.
@@ -50,7 +53,6 @@ class OnlineAlgorithm(ABC):
 
     def __init__(self, spec: DelayModelSpec):
         self.spec = spec
-        self._events: list[tuple[str, dict]] = []
 
     # -- observation / commitment ------------------------------------------
 
@@ -67,12 +69,10 @@ class OnlineAlgorithm(ABC):
 
     # -- tracing -------------------------------------------------------------
 
-    def _emit(self, kind: str, **detail) -> None:
-        self._events.append((kind, detail))
-
-    def pop_events(self) -> list[tuple[str, dict]]:
-        out, self._events = self._events, []
-        return out
+    def emit(self, kind: str, **detail) -> None:
+        """Report a policy event.  A :class:`SimulationDriver` replaces this
+        with a callback that records it in its trace; unattached, the event
+        is dropped."""
 
 
 class SimulationDriver:
@@ -81,7 +81,8 @@ class SimulationDriver:
     Callers deliver arrivals in time order; the driver commits the
     algorithm's planned acks that fall strictly before each delivery, so an
     arrival and an ack at the same instant process the arrival first.  Each
-    commit moves every pending index into ``ack_batches``.
+    commit serves every pending index, and its ``ack`` trace event lists
+    them; the events the algorithm emits follow, stamped with ``now``.
     """
 
     def __init__(self, algorithm: OnlineAlgorithm):
@@ -89,12 +90,11 @@ class SimulationDriver:
         self.now = 0.0
         self.pending: list[int] = []
         self.ack_times: list[float] = []
-        self.ack_batches: list[list[int]] = []
         self.trace: list[TraceEvent] = []
+        algorithm.emit = self._record
 
-    def _drain(self) -> None:
-        for kind, detail in self.algorithm.pop_events():
-            self.trace.append(TraceEvent(self.now, kind, detail))
+    def _record(self, kind: str, **detail) -> None:
+        self.trace.append(TraceEvent(self.now, kind, detail))
 
     def _planned(self) -> float | None:
         t = self.algorithm.planned_ack_time()
@@ -108,12 +108,10 @@ class SimulationDriver:
             raise EngineError(f"ack at {t!r} served no pending packet")
         if self.ack_times and t <= self.ack_times[-1]:
             raise EngineError(f"ack times not strictly increasing at {t!r}")
-        acked, self.pending = self.pending, []
+        self.trace.append(TraceEvent(t, "ack", {"indices": self.pending}))
+        self.pending = []
         self.algorithm.commit_ack(t)
         self.ack_times.append(t)
-        self.ack_batches.append(acked)
-        self.trace.append(TraceEvent(t, "ack", {"indices": acked}))
-        self._drain()
 
     def run_until(self, t_limit: float) -> None:
         """Commit planned acks strictly before ``t_limit``."""
@@ -132,7 +130,6 @@ class SimulationDriver:
         self.trace.append(TraceEvent(time, "arrival", {"index": index}))
         self.pending.append(index)
         self.algorithm.observe_arrival(time, index)
-        self._drain()
 
     def finish(self, horizon: float) -> None:
         """Run remaining planned acks (possibly past the horizon), then flush.

@@ -46,7 +46,15 @@ DEFAULT_SEED = 94021
 def base_seed() -> int:
     """Default RNG seed, overridable via the ACK_SEED environment variable."""
     raw = os.environ.get("ACK_SEED")
-    return int(raw) if raw else DEFAULT_SEED
+    if not raw:
+        return DEFAULT_SEED
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"ACK_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

@@ -462,9 +462,10 @@ def test_batch_acks_at_exact_crossings_at_large_offsets(policy, shift):
     for index, a in enumerate(arrivals):
         driver.deliver(a, index)
     driver.finish(arrivals[-1])
+    batches = [ev.detail["indices"] for ev in driver.trace if ev.kind == "ack"]
     planned = [
         (t, target, [arrivals[j] for j in batch])
-        for (t, target, flag), batch in zip(commits, driver.ack_batches)
+        for (t, target, flag), batch in zip(commits, batches)
         if flag
     ]
     assert len(planned) > 40

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from acklab.algorithms import ALGORITHMS
 from acklab.cli import main
 from acklab.cost import BATCH_KINDS, VECTOR_KINDS, aggregate
 from acklab.engine import TraceEvent
-from acklab.harness import BenchRow, rows_to_csv
+from acklab.harness import DEFAULT_SEED, BenchRow, base_seed, rows_to_csv
 from acklab.tolerance import tol_at
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -233,6 +234,48 @@ class TestRun:
         assert strict_loads(line)["detail"]["new"] == "inf"
         with pytest.raises(ValueError):
             TraceEvent(1.0, "budget_update", {"new": math.nan}).to_json_line()
+
+    def test_trace_schema(self, tmp_path, capsys):
+        # Each event kind carries exactly these detail keys (the README's
+        # trace table).  The phases run reaches all four phase events; greedy_tau
+        # at tau = 2 never reaches its target under a cap of 1 and is flushed.
+        def key_sets(arrivals, model, alg):
+            path = write_instance(tmp_path, arrivals, model)
+            trace = tmp_path / "t.jsonl"
+            code, _ = run_cli(
+                capsys, "run", "--instance", path, "--alg", alg, "--trace", str(trace)
+            )
+            assert code == 0
+            seen = {}
+            for line in trace.read_text().splitlines():
+                event = json.loads(line)
+                assert set(event) == {"time", "kind", "detail"}
+                seen.setdefault(event["kind"], set()).add(frozenset(event["detail"]))
+            return seen
+
+        phases = key_sets(
+            [1.0, 1.25, 2.25, 2.5, 5.5, 7.5, 7.75, 7.75, 8.0, 9.5, 9.75, 12.0, 12.0, 13.0],
+            {"kind": "linear_sum"},
+            '{"alg":"phases"}',
+        )
+        assert phases == {
+            "arrival": {frozenset({"index"})},
+            "ack": {frozenset({"indices"})},
+            "service_start": {
+                frozenset({"service", "budget", "serve_cost", "suffix_start"}),
+                frozenset({"service", "index", "budget", "serve_cost"}),
+            },
+            "budget_update": {frozenset({"old", "new", "serve_cost"})},
+            "promotion": {frozenset({"budget", "serve_cost", "suffix_start"})},
+        }
+        flushed = key_sets(
+            [0.0, 0.5], {"kind": "capped_linear", "tau": 1.0}, '{"alg":"greedy_tau","tau":2.0}'
+        )
+        assert flushed == {
+            "arrival": {frozenset({"index"})},
+            "ack": {frozenset({"indices"})},
+            "flush": {frozenset()},
+        }
 
     def test_greedy_single(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0], {"kind": "linear_sum"})
@@ -715,6 +758,52 @@ class TestVerify:
         assert code == 2 and out == ""
 
 
+class TestErrorBoundary:
+    """Any ``ValueError`` under a command is one ``error:`` line and exit 2."""
+
+    def run_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("seed", ["abc", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_bad_ack_seed_exit_2(self, tmp_path, capsys, monkeypatch, command, seed):
+        monkeypatch.setenv("ACK_SEED", seed)
+        if command == "verify":
+            argv = ["verify", "--only", "plf", "--samples", "1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(BENCH_CONFIG))  # "seeds" is a count
+            argv = ["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        err = self.run_error(capsys, argv)
+        assert err == f"error: ACK_SEED must be a non-negative integer, got {seed!r}\n"
+
+    @pytest.mark.parametrize("raw, seed", [(None, DEFAULT_SEED), ("", DEFAULT_SEED), ("7", 7)])
+    def test_unset_or_empty_ack_seed_keeps_the_default(self, monkeypatch, raw, seed):
+        if raw is None:
+            monkeypatch.delenv("ACK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ACK_SEED", raw)
+        assert base_seed() == seed
+
+    @pytest.mark.parametrize("command", ["solve", "run", "bench"])
+    def test_input_file_not_utf8_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"arrivals": [0], "model": "\xff"}')
+        argv = {
+            "solve": ["solve", "--instance", str(path)],
+            "run": ["run", "--instance", str(path), "--alg", '{"alg":"phases"}',
+                    "--trace", str(tmp_path / "t.jsonl")],
+            "bench": ["bench", "--config", str(path), "--out", str(tmp_path / "out")],
+        }[command]
+        err = self.run_error(capsys, argv)
+        assert "can't decode byte 0xff" in err
+        assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI boundary
 # ---------------------------------------------------------------------------
@@ -837,10 +926,21 @@ COMMANDS = st.one_of(
             GENERATOR_FLOATS,
         ).map(lambda a: ["--kind", a[0], "--n", str(a[1]), "--alg", a[2], "--tau", a[3], "--eps", a[4]]),
     ),
+    st.tuples(
+        st.just("verify"),
+        st.none(),
+        st.sampled_from([["--only", "plf", "--samples", "2"], ["--samples", "0"]]),
+    ),
+)
+# ACK_SEED: unset nine calls in ten, else a count, empty or not a count.
+ACK_SEEDS = st.sampled_from(range(10)).flatmap(
+    lambda i: st.sampled_from(["0", "7", "", "-1", "abc", "1.5"]) if i == 9 else st.none()
 )
 # One call in five writes its trace or bench output below the input file, a
 # regular file.
-CLI_CALLS = st.tuples(COMMANDS, st.sampled_from(range(5))).map(lambda c: (*c[0], c[1] == 4))
+CLI_CALLS = st.tuples(COMMANDS, st.sampled_from(range(5)), ACK_SEEDS).map(
+    lambda c: (*c[0], c[1] == 4, c[2])
+)
 
 
 def overflow_call(command, objective, p, args):
@@ -851,6 +951,12 @@ def overflow_call(command, objective, p, args):
 WIDE_SPAN = {"arrivals": [0, 1e308, 1.7e308], "model": {"kind": "linear_sum"}}
 SMALL_INSTANCE = {"arrivals": [0, 1], "model": {"kind": "linear_sum"}}
 SMALL_SWEEP = {"models": [{"kind": "linear_sum"}], "algorithms": [{"alg": "phases"}], "n": [2]}
+NOT_UTF8 = b'{"arrivals": [0], "model": "\xff"}'
+VERIFY_PLF = ["--only", "plf", "--samples", "2"]
+
+
+def cli_call(command, payload, args, below_file=False, ack_seed=None):
+    return command, payload, args, below_file, ack_seed
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -864,25 +970,38 @@ SMALL_SWEEP = {"models": [{"kind": "linear_sum"}], "algorithms": [{"alg": "phase
 @example(("run", SMALL_INSTANCE, ["--alg", '{"alg":"phases"}'], True))
 @example(("run", SMALL_INSTANCE, ["--alg", '{"alg":"greedy_tau","tua":0.5}'], False))
 @example(("bench", SMALL_SWEEP, [], True))
+@example(("solve", NOT_UTF8, []))
+@example(("run", NOT_UTF8, ["--alg", '{"alg":"phases"}']))
+@example(("bench", NOT_UTF8, []))
+@example(("verify", None, VERIFY_PLF, False, "abc"))
+@example(("verify", None, VERIFY_PLF, False, "-1"))
+@example(("bench", {**SMALL_SWEEP, "seeds": 1}, [], False, "abc"))
+@example(("bench", {**SMALL_SWEEP, "seeds": 1}, [], False, "-1"))
 def test_cli_keeps_its_exit_codes_on_random_input(call):
-    # Whatever JSON reaches solve, run, bench or adversary, main returns one
-    # of its four exit codes: no exception escapes, and a NumPy overflow
-    # warning fails the test as an error.
-    command, payload, args, *below_file = call
+    # Whatever JSON (or non-UTF-8 bytes) reaches solve, run, bench or
+    # adversary, and whatever ACK_SEED holds, main returns one of its four
+    # exit codes: no exception escapes, and a NumPy overflow warning fails
+    # the test as an error.
+    command, payload, args, below_file, ack_seed = cli_call(*call)
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(
         io.StringIO()
-    ):
+    ), mock.patch.dict(os.environ):
+        os.environ.pop("ACK_SEED", None)
+        if ack_seed is not None:
+            os.environ["ACK_SEED"] = ack_seed
         path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        out_dir = path if below_file and below_file[0] else tmp
+        with open(path, "wb") as fh:
+            fh.write(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        out_dir = path if below_file else tmp
         if command == "solve":
             argv = ["solve", "--instance", path, *args]
         elif command == "run":
             argv = ["run", "--instance", path, *args, "--trace", os.path.join(out_dir, "t.jsonl")]
         elif command == "bench":
             argv = ["bench", "--config", path, "--out", os.path.join(out_dir, "out")]
+        elif command == "verify":
+            argv = ["verify", *args]
         else:
             argv = ["adversary", *args]
         code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, payload)
+    assert code in (0, 1, 2, 3), (argv, payload, ack_seed)

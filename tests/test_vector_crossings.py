@@ -86,15 +86,15 @@ def test_planned_times_match_bisection_reference(spec, policy):
             alg = factory(spec)
             driver = engine.SimulationDriver(alg)
             frozen: list[float] = []
-            acks_seen = 0
+            events_seen = 0
             for index, a in enumerate(arrivals):
                 driver.deliver(a, index)
-                for t, batch in zip(driver.ack_times[acks_seen:], driver.ack_batches[acks_seen:]):
-                    if oblivious:
-                        frozen.extend(t - arrivals[j] for j in batch)
+                for ev in driver.trace[events_seen:]:
+                    if oblivious and ev.kind == "ack":
+                        frozen.extend(ev.time - arrivals[j] for j in ev.detail["indices"])
                         want = f_vector(spec, frozen)
                         assert abs(alg.baseline - want) <= tol_at(want), (family, shift)
-                acks_seen = len(driver.ack_times)
+                events_seen = len(driver.trace)
 
                 pending = [arrivals[j] for j in driver.pending]
                 head = frozen if oblivious else []
