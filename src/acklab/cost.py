@@ -23,10 +23,11 @@ Two families of models are supported:
 Online, every model is kept as a running aggregate (:func:`aggregate`): a
 batch model's pending batch as its size and arrival offsets, with the
 model's closed-form inverse as its crossing, and a vector model's growing
-delay vector as what its kind needs of it (``concave_two_piece``: one sum
-aggregate for its head and one for its tail).  :func:`threshold_time` turns
-any aggregate's crossing into the first float time at which its cost
-reaches a target; only the capped model's cap is given a tolerance.
+delay vector as what its kind needs of it (``sum_vector``, ``lp`` with
+p = 1 and each half of ``concave_two_piece``: the ``linear_sum`` batch
+aggregate with a frozen part).  :func:`threshold_time` turns any
+aggregate's crossing into the first float time at which its cost reaches a
+target; it alone finds a target out of reach.
 
 The module also provides the JSON wire format (:func:`model_to_json`,
 :func:`dump_json`), the piecewise-linear permit cost curve :func:`plf_eval`
@@ -167,10 +168,6 @@ class DelayModelSpec:
             raise ValueError(f"{what} must be a whole number, got {value!r}")
         object.__setattr__(self, field_name, int(value))
         return int(value)
-
-    @property
-    def is_batch_kind(self) -> bool:
-        return self.kind in BATCH_KINDS
 
 
 def linear_sum(objective: Objective = Objective.SUM_BATCH) -> DelayModelSpec:
@@ -402,7 +399,7 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
     Times are taken relative to the batch's first arrival, so the cost keeps
     its digits however far from zero the batch lies.
     """
-    if not spec.is_batch_kind:
+    if spec.objective is Objective.VECTOR:
         raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
     if len(batch_arrivals) == 0:
         return 0.0
@@ -448,7 +445,7 @@ def f_rows(spec: DelayModelSpec, delays: np.ndarray) -> np.ndarray:
     rounds differently in the last bit.  Its vector ``log2`` does too, so
     rows whose scaling test lies near its bound repeat the test in Python.
     """
-    if spec.is_batch_kind:
+    if spec.objective is not Objective.VECTOR:
         raise ValueError(f"{spec.kind!r} is a batch model; use bdelay")
     D = np.ascontiguousarray(delays, dtype=float)
     if D.size and float(D.min()) < 0.0:
@@ -511,12 +508,12 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
 # * ``cost(s)`` — the cost at offset ``s``: :func:`batch_cost` of the
 #   pending batch, or :func:`f_vector` of the whole delay vector;
 # * ``crossing(goal)`` — an offset at which the cost reaches ``goal``,
-#   exact up to rounding, or None when it never does;
+#   exact up to rounding, or +inf when it never does;
 # * ``freeze(s)`` (vector models) — serve the pending packets at ``s``,
 #   keep their delays, and return the cost of the frozen part alone;
 # * ``clear()`` — drop the pending packets without keeping their delays;
-# * ``cap`` (batch models) — the least upper bound of the cost: the capped
-#   model's ``tau``, inf for the others and for every vector model.
+# * ``cap`` (batch aggregates) — the least upper bound of the cost: the
+#   capped model's ``tau``, inf for the others and for every vector model.
 
 
 def _affine_crossing(slope: float, value0: float, goal: float) -> float:
@@ -545,12 +542,14 @@ def _newton_down(value_slope, s: float, lo: float) -> float:
 class _BatchAggregate:
     """A batch model's pending batch: its size and the sum of its arrival
     offsets, the first arrival being at offset 0, which is all
-    :func:`batch_cost` needs.  The crossing is the model's closed-form
-    inverse; a goal more than a tolerance above ``cap`` is unreachable."""
+    :func:`batch_cost` needs, plus the cost of served packets, ``frozen``
+    (0 under batch policies; under ``linear_sum`` this is the vector sum's
+    aggregate).  The crossing is the model's closed-form inverse."""
 
     def __init__(self, spec: DelayModelSpec):
         self.spec = spec
         self.cap = spec.tau if spec.kind == "capped_linear" else math.inf
+        self.frozen = 0.0
         self.clear()
 
     def add(self, x: float) -> None:
@@ -558,16 +557,12 @@ class _BatchAggregate:
         self.total += x
 
     def cost(self, s: float) -> float:
-        return batch_cost(self.spec, self.m, self.total, 0.0, s)
+        return self.frozen + batch_cost(self.spec, self.m, self.total, 0.0, s)
 
-    def crossing(self, goal: float) -> float | None:
-        if self.cap < goal:
-            if self.cap < goal - tol_at(goal):
-                return None
-            goal = self.cap
+    def crossing(self, goal: float) -> float:
         kind = self.spec.kind
         if kind in ("linear_sum", "capped_linear"):
-            return (goal + self.total) / self.m
+            return (goal - self.frozen + self.total) / self.m
         if kind == "max_wait":
             return goal
         if kind == "max_wait_pow":
@@ -582,29 +577,6 @@ class _BatchAggregate:
             w = 2.0 ** min(max(cand, 0), self.spec.num_classes)
             span = max(span, w * (level - w))
         return span
-
-    def clear(self) -> None:
-        self.m = 0
-        self.total = 0.0
-
-
-class _SumAggregate:
-    """``sum_vector`` and ``lp`` with p = 1: a count and an arrival sum."""
-
-    def __init__(self, spec: DelayModelSpec):
-        self.frozen = 0.0
-        self.m = 0
-        self.total = 0.0
-
-    def add(self, x: float) -> None:
-        self.m += 1
-        self.total += x
-
-    def cost(self, s: float) -> float:
-        return self.frozen + max(0.0, self.m * s - self.total)
-
-    def crossing(self, goal: float) -> float | None:
-        return (goal - self.frozen + self.total) / self.m
 
     def freeze(self, s: float) -> float:
         self.frozen = self.cost(s)
@@ -642,7 +614,7 @@ class _PowerAggregate:
         powers = (self.frozen / scale) ** p + sum((max(0.0, s - x) / scale) ** p for x in self.xs)
         return scale * powers ** (1.0 / p)
 
-    def crossing(self, goal: float) -> float | None:
+    def crossing(self, goal: float) -> float:
         # In units of goal: sum ((s - x) / goal)**p must reach need.
         p, xs = self.p, self.xs
         need = 1.0 - (self.frozen / goal) ** p
@@ -694,7 +666,7 @@ class _TopKAggregate:
     def cost(self, s: float) -> float:
         return max(j * s - total + frozen for j, total, frozen in self._pieces())
 
-    def crossing(self, goal: float) -> float | None:
+    def crossing(self, goal: float) -> float:
         return min((goal - frozen + total) / j for j, total, frozen in self._pieces() if j)
 
     def freeze(self, s: float) -> float:
@@ -745,9 +717,9 @@ class _OrderedAggregate:
     def cost(self, s: float) -> float:
         return self._merge(s)[0]
 
-    def crossing(self, goal: float) -> float | None:
+    def crossing(self, goal: float) -> float:
         if self.w[0] <= 0.0:
-            return None
+            return math.inf
 
         def value_slope(s):
             value, slope = self._merge(s)
@@ -766,17 +738,18 @@ class _OrderedAggregate:
 
 
 class _ConcaveAggregate:
-    """``concave_two_piece``: one sum aggregate for the head (the first
-    ``ell`` packets the aggregate holds) and one for the tail.  The cost is
-    the minimum of two affine functions, so its crossing is the later of
-    their crossings."""
+    """``concave_two_piece``: one ``linear_sum`` batch aggregate for the
+    head (the first ``ell`` packets the aggregate holds) and one for the
+    tail, each with its frozen part.  The cost is the minimum of two affine
+    functions, so its crossing is the later of their crossings, +inf when
+    either never reaches the goal."""
 
     def __init__(self, spec: DelayModelSpec):
         self.ell = spec.prefix_len
         self.eps = spec.eps
         self.ratio = spec.dim / spec.prefix_len
-        self.head = _SumAggregate(spec)
-        self.tail = _SumAggregate(spec)
+        self.head = _BatchAggregate(linear_sum())
+        self.tail = _BatchAggregate(linear_sum())
         self.held = 0  # packets held, frozen ones included
 
     def add(self, x: float) -> None:
@@ -787,15 +760,14 @@ class _ConcaveAggregate:
         head, tail = self.head.cost(s), self.tail.cost(s)
         return min(self.eps * head + tail, self.ratio * head + self.eps * tail)
 
-    def crossing(self, goal: float) -> float | None:
+    def crossing(self, goal: float) -> float:
         eps, ratio, head, tail = self.eps, self.ratio, self.head, self.tail
         head0 = head.frozen - head.total
         tail0 = tail.frozen - tail.total
-        s = max(
+        return max(
             _affine_crossing(eps * head.m + tail.m, eps * head0 + tail0, goal),
             _affine_crossing(ratio * head.m + eps * tail.m, ratio * head0 + eps * tail0, goal),
         )
-        return s if s < math.inf else None
 
     def freeze(self, s: float) -> float:
         self.head.freeze(s)
@@ -810,18 +782,18 @@ class _ConcaveAggregate:
 
 _AGGREGATES = {
     **dict.fromkeys(BATCH_KINDS, _BatchAggregate),
-    "sum_vector": _SumAggregate,
     "top_k": _TopKAggregate,
     "ordered": _OrderedAggregate,
     "concave_two_piece": _ConcaveAggregate,
 }
-_LP_AGGREGATES = {1: _SumAggregate, math.inf: _OrderedAggregate}
 
 
 def aggregate(spec: DelayModelSpec):
     """Empty running aggregate of a model's pending batch or delay vector."""
+    if spec.kind == "sum_vector" or (spec.kind == "lp" and spec.p == 1):
+        return _BatchAggregate(linear_sum())
     if spec.kind == "lp":
-        return _LP_AGGREGATES.get(spec.p, _PowerAggregate)(spec)
+        return (_OrderedAggregate if spec.p == math.inf else _PowerAggregate)(spec)
     return _AGGREGATES[spec.kind](spec)
 
 
@@ -836,15 +808,25 @@ def threshold_time(aggregate, origin: float, target: float, t_lo: float) -> floa
     cost falls short of it, so the time is exact even where float spacing
     exceeds the tolerance.  The goal is the target, or the cost's cap when
     the target lies within tolerance above it.
+
+    This is the one place a target is found out of reach: when it lies more
+    than a tolerance above the cap, and when the crossing gives no finite
+    time (``origin`` plus the crossing is +inf or NaN), from which no walk
+    could end.
     """
     cost = aggregate.cost
     if cost(t_lo - origin) >= target:
         return t_lo
-    s = aggregate.crossing(target)
-    if s is None:
+    goal = target
+    cap = getattr(aggregate, "cap", math.inf)
+    if cap < goal:
+        if cap < goal - tol_at(goal):
+            return None
+        goal = cap
+    t = origin + aggregate.crossing(goal)
+    if not t < math.inf:
         return None
-    goal = min(target, getattr(aggregate, "cap", math.inf))
-    t = max(t_lo, origin + s)
+    t = max(t_lo, t)
     while t > t_lo and cost(math.nextafter(t, -math.inf) - origin) >= goal:
         t = math.nextafter(t, -math.inf)
     while cost(t - origin) < goal:

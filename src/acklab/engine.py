@@ -8,7 +8,9 @@ incremental core so adaptive adversaries can interleave releases with the
 algorithm's reactions; :func:`simulate` replays a fixed instance through it.
 The driver keeps the one trace: arrivals, flushes, acks with the indices
 they serve, and the policy's own events, which the policy reports through
-the :meth:`OnlineAlgorithm.emit` callback the driver hands it.
+the :meth:`OnlineAlgorithm.emit` callback the driver hands it, stamped with
+the time of the arrival or ack they follow.  The callback holds the trace,
+not the driver, so a finished run is freed without the cycle collector.
 The engine solves no threshold equations and looks no further ahead than
 the policy: each policy plans its own ack time at the exact crossing of its
 cost, and :meth:`OnlineAlgorithm.planned_ack_time` is the only look-ahead.
@@ -16,6 +18,7 @@ cost, and :meth:`OnlineAlgorithm.planned_ack_time` is the only look-ahead.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -71,8 +74,8 @@ class OnlineAlgorithm(ABC):
 
     def emit(self, kind: str, **detail) -> None:
         """Report a policy event.  A :class:`SimulationDriver` replaces this
-        with a callback that records it in its trace; unattached, the event
-        is dropped."""
+        with a callback that records it after the arrival or ack it follows,
+        at that time; unattached, the event is dropped."""
 
 
 class SimulationDriver:
@@ -82,7 +85,7 @@ class SimulationDriver:
     algorithm's planned acks that fall strictly before each delivery, so an
     arrival and an ack at the same instant process the arrival first.  Each
     commit serves every pending index, and its ``ack`` trace event lists
-    them; the events the algorithm emits follow, stamped with ``now``.
+    them; the events the algorithm emits follow it, at its time.
     """
 
     def __init__(self, algorithm: OnlineAlgorithm):
@@ -91,10 +94,12 @@ class SimulationDriver:
         self.pending: list[int] = []
         self.ack_times: list[float] = []
         self.trace: list[TraceEvent] = []
-        algorithm.emit = self._record
+        trace = self.trace
 
-    def _record(self, kind: str, **detail) -> None:
-        self.trace.append(TraceEvent(self.now, kind, detail))
+        def record(kind: str, **detail) -> None:  # holds no reference to the driver
+            trace.append(TraceEvent(trace[-1].time, kind, detail))
+
+        algorithm.emit = record
 
     def _planned(self) -> float | None:
         t = self.algorithm.planned_ack_time()
@@ -138,11 +143,7 @@ class SimulationDriver:
         but no ack is planned, the driver issues one flush ack at
         ``max(horizon, now)`` — the earliest legal time.
         """
-        while True:
-            t = self._planned()
-            if t is None:
-                break
-            self._commit(t)
+        self.run_until(math.inf)
         if self.pending:
             t = max(horizon, self.now)
             self.trace.append(TraceEvent(t, "flush", {}))

@@ -114,19 +114,21 @@ class DpTable:
         self._certified = 0  # first start with a single-ack cost <= 2, as last found
         self._column: np.ndarray | None = None  # the last block column (max kinds)
         self._permits = None
+        # A plain function, called with the table: a bound method stored on
+        # the table would tie it into a reference cycle.
         if spec.kind in ("linear_sum", "capped_linear"):
-            self._step = self._hull_step
+            self._step = DpTable._hull_step
             self._linear = spec if spec.kind == "linear_sum" else linear_sum()
             self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)
         elif spec.kind == "permit_plf":
-            self._step = self._class_step
+            self._step = DpTable._class_step
             self._permits = PermitSuffixTable(spec.num_classes)
             self._slopes: list[float] = []  # 2**-k per class k kept
             self._class_min: list[float] = []  # min_j values[j] - a_j * 2**-k
             self._class_arg: list[tuple] = []  # its first minimising start
             self._covered = -1  # largest span the classes kept serve in full
         else:
-            self._step = self._column_step
+            self._step = DpTable._column_step
 
     def push(self, time: float) -> None:
         """Add an arrival no earlier than the last one and fill its DP entry."""
@@ -147,7 +149,7 @@ class DpTable:
         self._firsts.append(x)
         self._sums.append(total)
         # Start i as the stored formula reads it: (j, values[j], S[j], a_j).
-        j, value = self._step((i, float(self.values[i]), before, x), x, total)
+        j, value = self._step(self, (i, float(self.values[i]), before, x), x, total)
         self.values[i + 1] = value
         self.choice[i + 1] = j
         self.size = i + 1
@@ -434,6 +436,14 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     * a saturated ``p'`` costs ``tau + 1`` alone, as start 0 does, and
       ``G[p'] <= G[0]`` since serving fewer packets never costs more, so its
       slack is at least start 0's: it is not critical, or no scan would run.
+
+    The permit search has no such stop.  The permit curve is concave in the
+    span, so a long dense run can make one ack optimal for a suffix whose
+    tail alone prefers a split, and a large slack at ``p`` says nothing of
+    earlier starts.  For ``[0.0] + [1e6 + i for i in range(201)] + [1e6 +
+    216, 1e6 + 232]`` the longest critical suffix starts at 1, yet start
+    202's single-ack cost exceeds its optimum by 6, so the stop rule above
+    would answer 203.
 
     The search is :meth:`DpTable.critical_start`, asked once after the whole
     list is pushed; the phase algorithm asks its own table after every

@@ -21,7 +21,7 @@ from acklab.offline import BruteForceInfeasibleError
 
 def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
     """Delay cost of the full per-packet delay vector."""
-    if spec.is_batch_kind:
+    if spec.objective is not Objective.VECTOR:
         raise ValueError(f"{spec.kind!r} is a batch model; use bdelay")
     d = np.asarray(delays, dtype=float)
     if d.size and float(d.min()) < 0.0:

@@ -301,6 +301,27 @@ class TestRun:
         got = json.loads(out)
         assert got["delay"] == 48.0 and got["acks"] == 3
 
+    @pytest.mark.parametrize(
+        "arrivals, model, tau",
+        [
+            # The permit crossing overflows to +inf.
+            ([0, 1, 2], "permit_plf", 1e300),
+            # The linear crossing overflows; a walk down from +inf never ends.
+            ([0, 5e307], "linear_sum", 1.7e308),
+        ],
+    )
+    def test_target_past_the_float_range_flushes_at_the_horizon(
+        self, tmp_path, capsys, arrivals, model, tau
+    ):
+        path = write_instance(tmp_path, arrivals, {"kind": model})
+        code, out = run_cli(
+            capsys, "run", "--instance", path,
+            "--alg", json.dumps({"alg": "greedy_tau", "tau": tau}),
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0 and out.count("\n") == 1
+        assert json.loads(out)["ack_times"] == [arrivals[-1]]
+
     def run_lp_400(self, tmp_path, capsys, alg, arrivals):
         """``ack run`` on ``lp`` with p = 400; checks the printed delay
         against the cost the policy's aggregate freezes for the schedule."""
@@ -950,6 +971,7 @@ def overflow_call(command, objective, p, args):
 
 WIDE_SPAN = {"arrivals": [0, 1e308, 1.7e308], "model": {"kind": "linear_sum"}}
 SMALL_INSTANCE = {"arrivals": [0, 1], "model": {"kind": "linear_sum"}}
+PERMIT_OUT_OF_REACH = {"arrivals": [0, 1, 2], "model": {"kind": "permit_plf"}}
 SMALL_SWEEP = {"models": [{"kind": "linear_sum"}], "algorithms": [{"alg": "phases"}], "n": [2]}
 NOT_UTF8 = b'{"arrivals": [0], "model": "\xff"}'
 VERIFY_PLF = ["--only", "plf", "--samples", "2"]
@@ -977,6 +999,7 @@ def cli_call(command, payload, args, below_file=False, ack_seed=None):
 @example(("verify", None, VERIFY_PLF, False, "-1"))
 @example(("bench", {**SMALL_SWEEP, "seeds": 1}, [], False, "abc"))
 @example(("bench", {**SMALL_SWEEP, "seeds": 1}, [], False, "-1"))
+@example(("run", PERMIT_OUT_OF_REACH, ["--alg", '{"alg":"greedy_tau","tau":1e300}']))
 def test_cli_keeps_its_exit_codes_on_random_input(call):
     # Whatever JSON (or non-UTF-8 bytes) reaches solve, run, bench or
     # adversary, and whatever ACK_SEED holds, main returns one of its four

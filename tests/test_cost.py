@@ -155,6 +155,18 @@ class TestBatchThresholdTime:
         # A target within tolerance above the cap is met where the cap is.
         assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.0 + 1e-12, 0.5) == 0.75
 
+    @pytest.mark.parametrize(
+        "spec, batch, target",
+        [
+            # (goal + total) / m overflows, and a walk down from +inf never ends.
+            (linear_sum(), [0.0, 5e307], 1.7e308),
+            # The permit crossing w * (level - w) overflows to +inf.
+            (permit_plf(), [0.0, 1.0, 2.0], 1e300),
+        ],
+    )
+    def test_crossing_past_the_float_range_is_unreachable(self, spec, batch, target):
+        assert _threshold_time(spec, batch, target, batch[-1]) is None
+
     def test_already_met_returns_t_lo(self):
         assert _threshold_time(linear_sum(), [0.0, 3.0], 1.0, 3.0) == 3.0
 

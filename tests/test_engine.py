@@ -1,6 +1,8 @@
 import copy
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -266,6 +268,23 @@ class TestDriverOwnsThePendingPackets:
         alg.observe_arrival(0.0, 0)
         assert alg.commit_ack(1.0) is None
         assert not hasattr(alg, "_pending")
+
+
+@pytest.mark.parametrize("spec", [linear_sum(), permit_plf()], ids=lambda s: s.kind)
+def test_finished_run_is_freed_without_the_cycle_collector(spec):
+    # Neither the driver's trace callback nor the prefix DP's step may tie
+    # the policy or its table into a reference cycle.
+    arrivals = tuple(np.cumsum(np.random.default_rng(0).exponential(1.0, 50)).tolist())
+    gc.disable()
+    try:
+        policy = SumMonotonePhases(spec)
+        refs = weakref.ref(policy), weakref.ref(policy._table)
+        result = simulate(Instance(arrivals, spec), policy)
+        assert result[1]
+        del policy, result
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_arrivals_processed_before_equal_time_ack():

@@ -283,6 +283,25 @@ class TestCriticalSuffix:
                 arrivals[:n], spec
             )
 
+    def test_permit_search_has_no_early_stop(self):
+        # A dense run of 201 packets after a lone one, then two packets 16
+        # apart.  One ack serves packets 1.. optimally, though the tail 202..
+        # alone prefers a split: its single-ack cost exceeds its optimum by 6.
+        spec = permit_plf()
+        arrivals = [0.0] + [1e6 + i for i in range(201)] + [1e6 + 216, 1e6 + 232]
+
+        def slack(p):
+            single = bdelay(spec, arrivals[p:], arrivals[-1]) + 1.0
+            return single - dp_optimal(arrivals[p:], spec)[0]
+
+        assert longest_critical_suffix(arrivals, spec) == 1
+        assert slack(1) == 0.0
+        # The search starts below 203, the first start whose single-ack cost
+        # is at most 2, and linear_sum's stop rule (slack above 1) would end
+        # it at 202 and answer 203.
+        assert bdelay(spec, arrivals[203:], arrivals[-1]) + 1.0 <= 2.0
+        assert slack(202) == 6.0
+
     @pytest.mark.parametrize("num_classes", [3, 32, 600])
     def test_permit_kernel_on_geometric_timelines(self, num_classes):
         rng = np.random.default_rng(8)
