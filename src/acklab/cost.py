@@ -59,34 +59,38 @@ class Objective(str, Enum):
     VECTOR = "vector"
 
 
-BATCH_KINDS = ("linear_sum", "max_wait", "max_wait_pow", "capped_linear", "permit_plf")
-VECTOR_KINDS = ("lp", "top_k", "ordered", "concave_two_piece", "sum_vector")
-
-_DEFAULT_OBJECTIVE = {
-    "linear_sum": Objective.SUM_BATCH,
-    "max_wait": Objective.MAX_BATCH,
-    "max_wait_pow": Objective.MAX_BATCH,
-    "capped_linear": Objective.SUM_BATCH,
-    "permit_plf": Objective.SUM_BATCH,
+# The model catalogue: each kind's default objective (a vector kind's only
+# one) and the parameters it takes, as (DelayModelSpec field, JSON key)
+# pairs.  A kind leaves every other field None, and its JSON takes no other
+# key but "kind" and "objective".
+_KINDS: dict[str, tuple[Objective, tuple[tuple[str, str], ...]]] = {
+    "linear_sum": (Objective.SUM_BATCH, ()),
+    "max_wait": (Objective.MAX_BATCH, ()),
+    "max_wait_pow": (Objective.MAX_BATCH, (("p", "p"),)),
+    "capped_linear": (Objective.SUM_BATCH, (("tau", "tau"),)),
+    "permit_plf": (Objective.SUM_BATCH, (("num_classes", "K"),)),
+    "lp": (Objective.VECTOR, (("p", "p"),)),
+    "top_k": (Objective.VECTOR, (("k", "k"),)),
+    "ordered": (Objective.VECTOR, (("weights", "w"),)),
+    "concave_two_piece": (Objective.VECTOR, (("prefix_len", "ell"), ("eps", "eps"), ("dim", "n"))),
+    "sum_vector": (Objective.VECTOR, ()),
 }
-
-# The parameters each kind takes, as (DelayModelSpec field, JSON key) pairs.
-# A kind leaves every other field None, and its JSON takes no other key but
-# "kind" and "objective".
-_KIND_PARAMS: dict[str, tuple[tuple[str, str], ...]] = {
-    "linear_sum": (),
-    "max_wait": (),
-    "max_wait_pow": (("p", "p"),),
-    "capped_linear": (("tau", "tau"),),
-    "permit_plf": (("num_classes", "K"),),
-    "lp": (("p", "p"),),
-    "top_k": (("k", "k"),),
-    "ordered": (("weights", "w"),),
-    "concave_two_piece": (("prefix_len", "ell"), ("eps", "eps"), ("dim", "n")),
-    "sum_vector": (),
-}
+VECTOR_KINDS = tuple(kind for kind, (default, _) in _KINDS.items() if default is Objective.VECTOR)
+BATCH_KINDS = tuple(kind for kind in _KINDS if kind not in VECTOR_KINDS)
+# The batch kinds whose wait is the batch's summed wait m t - sum(a), not
+# its span t - a_first.
+SUM_WAIT_KINDS = ("linear_sum", "capped_linear")
 
 DEFAULT_PERMIT_CLASSES = 32
+
+
+def _catalogue_row(kind) -> tuple[Objective, tuple[tuple[str, str], ...]]:
+    """The ``_KINDS`` row of ``kind``; any other value, an unhashable one
+    included, is an unknown kind."""
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown delay model kind {kind!r}") from None
 
 
 def check_real(value, what: str, allow_inf: bool = False) -> float:
@@ -118,15 +122,13 @@ class DelayModelSpec:
     dim: int | None = None                      # concave_two_piece nominal size
 
     def __post_init__(self) -> None:
-        if self.kind in BATCH_KINDS:
-            if self.objective not in (Objective.SUM_BATCH, Objective.MAX_BATCH):
-                raise ValueError(f"batch model {self.kind!r} needs a sum or max objective")
-        elif self.kind in VECTOR_KINDS:
+        default, params = _catalogue_row(self.kind)
+        if default is Objective.VECTOR:
             if self.objective is not Objective.VECTOR:
                 raise ValueError(f"vector model {self.kind!r} needs the vector objective")
-        else:
-            raise ValueError(f"unknown delay model kind {self.kind!r}")
-        taken = {"kind", "objective", *(name for name, _ in _KIND_PARAMS[self.kind])}
+        elif self.objective not in (Objective.SUM_BATCH, Objective.MAX_BATCH):
+            raise ValueError(f"batch model {self.kind!r} needs a sum or max objective")
+        taken = {"kind", "objective", *(name for name, _ in params)}
         for f in fields(self):
             if f.name not in taken and getattr(self, f.name) is not None:
                 raise ValueError(f"delay model {self.kind!r} takes no {f.name}")
@@ -255,12 +257,13 @@ def dump_json(obj, **kwargs) -> str:
 
 def model_to_json(spec: DelayModelSpec) -> dict:
     out: dict = {"kind": spec.kind}
-    for name, key in _KIND_PARAMS[spec.kind]:
+    default, params = _KINDS[spec.kind]
+    for name, key in params:
         value = getattr(spec, name)
         if name == "weights":
             value = list(value)
         out[key] = "inf" if value == math.inf else value
-    if spec.kind in BATCH_KINDS and spec.objective is not _DEFAULT_OBJECTIVE[spec.kind]:
+    if spec.objective is not default:
         out["objective"] = spec.objective.value
     return out
 
@@ -269,13 +272,8 @@ def model_from_json(obj: dict) -> DelayModelSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("model spec must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind in BATCH_KINDS:
-        objective = Objective(obj.get("objective", _DEFAULT_OBJECTIVE[kind].value))
-    elif kind in VECTOR_KINDS:
-        objective = Objective(obj.get("objective", Objective.VECTOR.value))
-    else:
-        raise ValueError(f"unknown delay model kind {kind!r}")
-    params = _KIND_PARAMS[kind]
+    default, params = _catalogue_row(kind)
+    objective = Objective(obj.get("objective", default.value))
     unknown = set(obj) - {"kind", "objective", *(key for _, key in params)}
     if unknown:
         names = ", ".join(sorted(map(repr, unknown)))
@@ -370,7 +368,7 @@ def batch_cost(spec: DelayModelSpec, m, total, first, t):
     numbers.
     """
     kind = spec.kind
-    wait = m * t - total if kind in ("linear_sum", "capped_linear") else t - first
+    wait = m * t - total if kind in SUM_WAIT_KINDS else t - first
     arrays = isinstance(wait, np.ndarray)
     wait = np.maximum(0.0, wait) if arrays else max(0.0, wait)
     if kind in ("linear_sum", "max_wait"):
@@ -561,7 +559,7 @@ class _BatchAggregate:
 
     def crossing(self, goal: float) -> float:
         kind = self.spec.kind
-        if kind in ("linear_sum", "capped_linear"):
+        if kind in SUM_WAIT_KINDS:
             return (goal - self.frozen + self.total) / self.m
         if kind == "max_wait":
             return goal

@@ -10,7 +10,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import groupby
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -256,16 +258,14 @@ def summarize(rows: Sequence[BenchRow]) -> dict:
     return {"groups": out}
 
 
-def svg_ratio_chart(rows: Sequence[BenchRow], width: int = 640, height: int = 400) -> str:
-    """Minimal ratio-vs-n line chart (one polyline per model/alg series)."""
-    series: dict[tuple[str, str], dict[int, list[float]]] = {}
-    for r in rows:
-        series.setdefault((r.model_kind, r.alg_spec), {}).setdefault(r.n, []).append(
-            r.ratio
-        )
-    margin = 40
-    xs = sorted({r.n for r in rows})
-    max_ratio = max((r.ratio for r in rows), default=1.0)
+def svg_ratio_chart(rows: Sequence[BenchRow]) -> str:
+    """Minimal ratio-vs-n line chart: one polyline per model/alg series
+    through the mean ratios of :func:`summarize`, scaled to its largest max
+    ratio."""
+    groups = summarize(rows)["groups"]
+    width, height, margin = 640, 400, 40
+    sizes = [g["n"] for g in groups]
+    max_ratio = max((g["max_ratio"] for g in groups), default=1.0)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - 10}" '
@@ -274,8 +274,8 @@ def svg_ratio_chart(rows: Sequence[BenchRow], width: int = 640, height: int = 40
         f'<text x="{width // 2}" y="{height - 8}" font-size="12">n</text>',
         f'<text x="4" y="{height // 2}" font-size="12">ratio</text>',
     ]
-    if xs:
-        xmin, xmax = min(xs), max(xs)
+    if sizes:
+        xmin, xmax = min(sizes), max(sizes)
         xspan = max(1, xmax - xmin)
 
         def px(n: int) -> float:
@@ -285,10 +285,9 @@ def svg_ratio_chart(rows: Sequence[BenchRow], width: int = 640, height: int = 40
             return (height - margin) - ratio / max(max_ratio, 1e-12) * (height - margin - 20)
 
         palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-        for idx, ((model_kind, alg_spec), by_n) in enumerate(sorted(series.items())):
-            pts = " ".join(
-                f"{px(n):.1f},{py(sum(v) / len(v)):.1f}" for n, v in sorted(by_n.items())
-            )
+        series = groupby(groups, key=lambda g: (g["model"], g["alg"]))
+        for idx, ((model_kind, alg_spec), points) in enumerate(series):
+            pts = " ".join(f"{px(g['n']):.1f},{py(g['mean_ratio']):.1f}" for g in points)
             color = palette[idx % len(palette)]
             parts.append(f'<polyline fill="none" stroke="{color}" points="{pts}"/>')
             parts.append(
@@ -303,33 +302,32 @@ def svg_ratio_chart(rows: Sequence[BenchRow], width: int = 640, height: int = 40
 # Property suite (ack verify)
 # ---------------------------------------------------------------------------
 
-def _report(name: str, passed: bool, detail: str = "") -> PropertyReport:
-    return PropertyReport(name, passed, 1, None if passed else {"detail": detail})
+def _report(passed: bool, detail: str = "") -> PropertyReport:
+    """One-sample report of a lab check; :func:`verify_suite` names it."""
+    return PropertyReport("", passed, 1, None if passed else {"detail": detail})
+
+
+def _rejected(report: PropertyReport) -> PropertyReport:
+    """A planted counterexample's report: it passes when the tester failed
+    the planted model, and keeps the counterexample the tester found."""
+    return replace(report, passed=not report.passed)
 
 
 def _check_oracle_equivalence(seed: int) -> PropertyReport:
     rng = np.random.default_rng(seed)
     specs = [linear_sum(), capped_linear(1.0), permit_plf()]
-    worst = 0.0
     for i in range(60):
         n = int(rng.integers(1, 9))
         arrivals = tuple(sorted(rng.uniform(0.0, 10.0, n)))
         spec = specs[i % len(specs)]
         dp_cost, dp_sched = dp_optimal(arrivals, spec)
         bf_cost, _ = brute_force_optimal(arrivals, spec)
-        worst = max(worst, abs(dp_cost - bf_cost))
         if abs(dp_cost - bf_cost) > tol_at(bf_cost):
-            return _report(
-                "oracle:dp-vs-brute",
-                False,
-                f"n={n} {spec.kind}: dp={dp_cost} brute={bf_cost}",
-            )
+            return _report(False, f"n={n} {spec.kind}: dp={dp_cost} brute={bf_cost}")
         realized = evaluate_schedule(Instance(arrivals, spec), dp_sched).total
         if abs(realized - dp_cost) > tol_at(dp_cost):
-            return _report(
-                "oracle:dp-vs-brute", False, f"dp schedule realizes {realized} != {dp_cost}"
-            )
-    return _report("oracle:dp-vs-brute", True)
+            return _report(False, f"dp schedule realizes {realized} != {dp_cost}")
+    return _report(True)
 
 
 def _check_plf_concavity(seed: int) -> PropertyReport:
@@ -339,8 +337,8 @@ def _check_plf_concavity(seed: int) -> PropertyReport:
         mid = plf_eval((x1 + x2) / 2.0)
         chord = (plf_eval(x1) + plf_eval(x2)) / 2.0
         if mid < chord - tol_at(chord):
-            return _report("plf:concavity", False, f"x1={x1} x2={x2}")
-    return _report("plf:concavity", True)
+            return _report(False, f"x1={x1} x2={x2}")
+    return _report(True)
 
 
 def _check_roundup(seed: int) -> PropertyReport:
@@ -349,8 +347,8 @@ def _check_roundup(seed: int) -> PropertyReport:
     for x in xs:
         k = adv.plf_round_up(float(x))  # postconditions asserted inside
         if not (4 ** k >= x and 2 ** k <= 2.0 * plf_eval(float(x), num_classes=None)):
-            return _report("plf:round-up", False, f"x={x} k={k}")
-    return _report("plf:round-up", True)
+            return _report(False, f"x={x} k={k}")
+    return _report(True)
 
 
 def _check_greedy_hard_family(seed: int) -> PropertyReport:
@@ -360,8 +358,7 @@ def _check_greedy_hard_family(seed: int) -> PropertyReport:
     alg_cost = evaluate_schedule(instance, schedule).total
     opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
     ratio = alg_cost / opt_cost
-    ok = abs(ratio - 25.0) <= 1e-6
-    return _report("adversary:greedy-hard", ok, f"ratio={ratio}")
+    return _report(abs(ratio - 25.0) <= 1e-6, f"ratio={ratio}")
 
 
 def _check_permit_charging(seed: int) -> PropertyReport:
@@ -377,10 +374,8 @@ def _check_permit_charging(seed: int) -> PropertyReport:
             Instance(tuple(float(t) for t in times), spec), schedule
         ).total
         if total > 2.0 * cost + tol_at(2.0 * cost):
-            return _report(
-                "adversary:permit-charging", False, f"tcp={total} > 2*permit={cost}"
-            )
-    return _report("adversary:permit-charging", True)
+            return _report(False, f"tcp={total} > 2*permit={cost}")
+    return _report(True)
 
 
 def _check_determinism(seed: int) -> PropertyReport:
@@ -396,87 +391,57 @@ def _check_determinism(seed: int) -> PropertyReport:
             json.dumps(list(schedule.ack_times))
             + "".join(ev.to_json_line() for ev in trace)
         )
-    return _report("engine:determinism", outs[0] == outs[1])
+    return _report(outs[0] == outs[1])
 
 
-def _builtin_batch_models() -> list[DelayModelSpec]:
-    return [
-        linear_sum(),
-        max_wait(),
-        max_wait_pow(2),
-        capped_linear(1.0),
-        permit_plf(),
-    ]
-
-
-def _builtin_vector_models() -> list[DelayModelSpec]:
-    return [
-        lp_norm(1.0),
-        lp_norm(2.0),
-        lp_norm(math.inf),
-        top_k(3),
-        ordered_norm((3.0, 2.0, 1.0, 1.0, 0.5)),
-        sum_vector(),
-    ]
+_BATCH_MODELS = (linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf())
+_VECTOR_MODELS = (
+    lp_norm(1.0),
+    lp_norm(2.0),
+    lp_norm(math.inf),
+    top_k(3),
+    ordered_norm((3.0, 2.0, 1.0, 1.0, 0.5)),
+    sum_vector(),
+)
 
 
 def verify_suite(only: str | None = None, samples: int = 10_000, seed: int | None = None) -> list[PropertyReport]:
-    """Run the named property checks (filtered by substring) and report."""
+    """Run the named property checks (filtered by substring) and report.
+
+    Each check is one ``(name, check)`` entry below, called with the seed;
+    its report takes the entry's name, so ``--only`` filters match the
+    output."""
     seed = base_seed() if seed is None else seed
-    checks: list[tuple[str, Callable[[], PropertyReport]]] = []
-    for spec in _builtin_batch_models():
-        checks.append(
-            (
-                f"monotone:{spec.kind}",
-                lambda s=spec: check_monotone(s, samples=samples, seed=seed),
-            )
-        )
-    for spec in _builtin_vector_models():
-        checks.append(
+    checks: list[tuple[str, Callable[..., PropertyReport]]] = [
+        *(
+            (f"monotone:{spec.kind}", partial(check_monotone, spec, samples=samples))
+            for spec in _BATCH_MODELS
+        ),
+        *(
             (
                 f"submodular:{spec.kind}-p{spec.p}" if spec.kind == "lp" else f"submodular:{spec.kind}",
-                lambda s=spec: check_continuous_submodular(s, samples=samples, seed=seed),
+                partial(check_continuous_submodular, spec, samples=samples),
             )
-        )
-
-    def planted_square() -> PropertyReport:
-        rep = check_continuous_submodular(
-            lambda d: float(sum(d)) ** 2, samples=samples, seed=seed
-        )
+            for spec in _VECTOR_MODELS
+        ),
         # The squared sum is superadditive, so the tester must reject it.
-        return PropertyReport(
+        (
             "submodular:planted-square-rejected",
-            not rep.passed,
-            rep.samples,
-            rep.counterexample,
-        )
-
-    checks.append(("submodular:planted-square-rejected", planted_square))
-
-    def planted_decreasing() -> PropertyReport:
-        rep = check_monotone(
-            lambda batch, t: 1.0 / (1.0 + t), samples=samples, seed=seed
-        )
-        return PropertyReport(
+            lambda seed: _rejected(
+                check_continuous_submodular(lambda d: float(sum(d)) ** 2, samples=samples, seed=seed)
+            ),
+        ),
+        (
             "monotone:planted-decreasing-rejected",
-            not rep.passed,
-            rep.samples,
-            rep.counterexample,
-        )
-
-    checks.append(("monotone:planted-decreasing-rejected", planted_decreasing))
-    checks.append(("oracle:dp-vs-brute", lambda: _check_oracle_equivalence(seed)))
-    checks.append(("plf:concavity", lambda: _check_plf_concavity(seed)))
-    checks.append(("plf:round-up", lambda: _check_roundup(seed)))
-    checks.append(("adversary:greedy-hard", lambda: _check_greedy_hard_family(seed)))
-    checks.append(("adversary:permit-charging", lambda: _check_permit_charging(seed)))
-    checks.append(("engine:determinism", lambda: _check_determinism(seed)))
-
-    reports = []
-    for name, fn in checks:
-        if only and only not in name:
-            continue
-        rep = fn()
-        # Keep the registered name so --only filters match the output.
-        reports.append(PropertyReport(name, rep.passed, rep.samples, rep.counterexample))
-    return reports
+            lambda seed: _rejected(
+                check_monotone(lambda batch, t: 1.0 / (1.0 + t), samples=samples, seed=seed)
+            ),
+        ),
+        ("oracle:dp-vs-brute", _check_oracle_equivalence),
+        ("plf:concavity", _check_plf_concavity),
+        ("plf:round-up", _check_roundup),
+        ("adversary:greedy-hard", _check_greedy_hard_family),
+        ("adversary:permit-charging", _check_permit_charging),
+        ("engine:determinism", _check_determinism),
+    ]
+    return [replace(check(seed=seed), name=name) for name, check in checks if not only or only in name]

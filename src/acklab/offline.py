@@ -43,6 +43,7 @@ import numpy as np
 from .cost import (
     DelayModelSpec,
     Objective,
+    SUM_WAIT_KINDS,
     batch_cost,
     bdelay,
     f_rows,
@@ -116,7 +117,7 @@ class DpTable:
         self._permits = None
         # A plain function, called with the table: a bound method stored on
         # the table would tie it into a reference cycle.
-        if spec.kind in ("linear_sum", "capped_linear"):
+        if spec.kind in SUM_WAIT_KINDS:
             self._step = DpTable._hull_step
             self._linear = spec if spec.kind == "linear_sum" else linear_sum()
             self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)

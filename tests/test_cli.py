@@ -151,6 +151,8 @@ class TestSolve:
             ([0, 1], {"kind": "ordered", "w": None}, None),
             ([0, 1], {"kind": "linear_sum", "tau": 1}, None),
             ([0, 1], {"kind": "lp", "p": 2, "w": [1, 2]}, None),
+            ([0, 1], {"kind": [1]}, None),
+            ([0, 1], {"kind": {"a": 1}}, None),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, arrivals, model, horizon):
@@ -756,6 +758,29 @@ class TestBench:
             assert float(row["ratio"]) == pytest.approx(float(row["n"]), abs=1e-6)
 
 
+VERIFY_NAMES = [
+    "monotone:linear_sum",
+    "monotone:max_wait",
+    "monotone:max_wait_pow",
+    "monotone:capped_linear",
+    "monotone:permit_plf",
+    "submodular:lp-p1.0",
+    "submodular:lp-p2.0",
+    "submodular:lp-pinf",
+    "submodular:top_k",
+    "submodular:ordered",
+    "submodular:sum_vector",
+    "submodular:planted-square-rejected",
+    "monotone:planted-decreasing-rejected",
+    "oracle:dp-vs-brute",
+    "plf:concavity",
+    "plf:round-up",
+    "adversary:greedy-hard",
+    "adversary:permit-charging",
+    "engine:determinism",
+]
+
+
 class TestVerify:
     def test_filtered_subset_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "--only", "plf", "--samples", "500")
@@ -769,6 +794,23 @@ class TestVerify:
         assert "FAIL" not in out
         assert "monotone:linear_sum" in out
         assert "submodular:planted-square-rejected" in out
+
+    def test_registry_names_and_order(self, capsys):
+        code, out = run_cli(capsys, "verify", "--samples", "20")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in VERIFY_NAMES]
+        assert lines[-1] == "19/19 properties passed"
+
+    def test_only_planted_selects_the_two_planted_checks(self, capsys):
+        code, out = run_cli(capsys, "verify", "--only", "planted", "--samples", "300")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", "submodular:planted-square-rejected"],
+            ["PASS", "monotone:planted-decreasing-rejected"],
+        ]
+        assert lines[-1] == "2/2 properties passed"
 
     def test_usage_error(self, capsys):
         assert main(["bogus-command"]) == 2
@@ -972,6 +1014,10 @@ def overflow_call(command, objective, p, args):
 WIDE_SPAN = {"arrivals": [0, 1e308, 1.7e308], "model": {"kind": "linear_sum"}}
 SMALL_INSTANCE = {"arrivals": [0, 1], "model": {"kind": "linear_sum"}}
 PERMIT_OUT_OF_REACH = {"arrivals": [0, 1, 2], "model": {"kind": "permit_plf"}}
+# The model strategy draws string kinds only; a kind that cannot be hashed
+# is still an unknown kind, not a traceback.
+LIST_KIND = {"arrivals": [0, 1], "model": {"kind": [1]}}
+OBJECT_KIND = {"arrivals": [0, 1], "model": {"kind": {"a": 1}}}
 SMALL_SWEEP = {"models": [{"kind": "linear_sum"}], "algorithms": [{"alg": "phases"}], "n": [2]}
 NOT_UTF8 = b'{"arrivals": [0], "model": "\xff"}'
 VERIFY_PLF = ["--only", "plf", "--samples", "2"]
@@ -1000,6 +1046,9 @@ def cli_call(command, payload, args, below_file=False, ack_seed=None):
 @example(("bench", {**SMALL_SWEEP, "seeds": 1}, [], False, "abc"))
 @example(("bench", {**SMALL_SWEEP, "seeds": 1}, [], False, "-1"))
 @example(("run", PERMIT_OUT_OF_REACH, ["--alg", '{"alg":"greedy_tau","tau":1e300}']))
+@example(("solve", LIST_KIND, []))
+@example(("run", OBJECT_KIND, ["--alg", '{"alg":"phases"}']))
+@example(("bench", {**SMALL_SWEEP, "models": [{"kind": [1]}]}, []))
 def test_cli_keeps_its_exit_codes_on_random_input(call):
     # Whatever JSON (or non-UTF-8 bytes) reaches solve, run, bench or
     # adversary, and whatever ACK_SEED holds, main returns one of its four

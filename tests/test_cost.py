@@ -25,7 +25,15 @@ from acklab import (
     top_k,
 )
 from acklab.adversary import plf_round_up
-from acklab.cost import aggregate, batch_cost, plf_delay, threshold_time
+from acklab.cost import (
+    _KINDS,
+    BATCH_KINDS,
+    VECTOR_KINDS,
+    aggregate,
+    batch_cost,
+    plf_delay,
+    threshold_time,
+)
 from bisection_reference import solve_threshold_time
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
@@ -297,11 +305,67 @@ class TestPlf:
             assert mid >= (plf_eval(x1) + plf_eval(x2)) / 2 - 1e-9 * max(1.0, mid)
 
 
+# One spec per catalogue row, built by the kind's factory.
+FACTORY_SPECS = {
+    "linear_sum": linear_sum(),
+    "max_wait": max_wait(),
+    "max_wait_pow": max_wait_pow(2),
+    "capped_linear": capped_linear(1.0),
+    "permit_plf": permit_plf(5),
+    "lp": lp_norm(math.inf),
+    "top_k": top_k(3),
+    "ordered": ordered_norm((3, 2, 1)),
+    "concave_two_piece": concave_two_piece(2, 0.5, 5),
+    "sum_vector": sum_vector(),
+}
+
+
+class TestCatalogue:
+    def test_every_row_has_a_factory(self):
+        assert list(FACTORY_SPECS) == list(_KINDS)
+
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_factory_spec_round_trips_with_its_row_keys(self, kind):
+        spec = FACTORY_SPECS[kind]
+        default, params = _KINDS[kind]
+        assert spec.kind == kind and spec.objective is default
+        wire = model_to_json(spec)
+        assert list(wire) == ["kind", *(key for _, key in params)]
+        assert model_from_json(wire) == spec
+
+    def test_kinds_split_by_default_objective(self):
+        assert BATCH_KINDS == ("linear_sum", "max_wait", "max_wait_pow", "capped_linear", "permit_plf")
+        assert VECTOR_KINDS == ("lp", "top_k", "ordered", "concave_two_piece", "sum_vector")
+        for kind in BATCH_KINDS:
+            assert _KINDS[kind][0] in (Objective.SUM_BATCH, Objective.MAX_BATCH)
+        for kind in VECTOR_KINDS:
+            assert _KINDS[kind][0] is Objective.VECTOR
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "capped_linear", "tau": 1.0, "K": 3}, "delay model 'capped_linear' takes no key 'K'"),
+            ({"kind": "sum_vector", "w": [1], "p": 1}, "delay model 'sum_vector' takes no key 'p', 'w'"),
+        ],
+    )
+    def test_foreign_key_messages(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            model_from_json(obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}, None, 3])
+    def test_non_string_kind_is_unknown(self, kind):
+        for make in (lambda: model_from_json({"kind": kind}), lambda: DelayModelSpec(kind, Objective.SUM_BATCH)):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == f"unknown delay model kind {kind!r}"
+
+
 class TestSpecValidation:
     def test_objective_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vector model 'lp' needs the vector objective$"):
             DelayModelSpec("lp", Objective.SUM_BATCH, p=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^batch model 'linear_sum' needs a sum or max objective$"):
             DelayModelSpec("linear_sum", Objective.VECTOR)
 
     def test_bad_params(self):
@@ -317,9 +381,9 @@ class TestSpecValidation:
             max_wait_pow(1.5)
 
     def test_fields_the_kind_does_not_take(self):
-        with pytest.raises(ValueError, match="takes no tau"):
+        with pytest.raises(ValueError, match=r"^delay model 'linear_sum' takes no tau$"):
             DelayModelSpec("linear_sum", Objective.SUM_BATCH, tau=1.0)
-        with pytest.raises(ValueError, match="takes no weights"):
+        with pytest.raises(ValueError, match=r"^delay model 'lp' takes no weights$"):
             DelayModelSpec("lp", Objective.VECTOR, p=2, weights=(1.0, 2.0))
 
     @pytest.mark.parametrize(
@@ -367,8 +431,10 @@ class TestSpecValidation:
         assert model_from_json({"kind": "lp", "p": "inf"}).p == math.inf
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown delay model kind 'bogus'$"):
             DelayModelSpec("bogus", Objective.SUM_BATCH)
+        with pytest.raises(ValueError, match=r"^unknown delay model kind 'bogus'$"):
+            model_from_json({"kind": "bogus"})
 
     @pytest.mark.parametrize("spec", ALL_BATCH + ALL_VECTOR)
     def test_json_roundtrip(self, spec):
