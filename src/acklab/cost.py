@@ -6,10 +6,12 @@ Two families of models are supported:
   (``linear_sum``, ``max_wait``, ``max_wait_pow``, ``capped_linear``,
   ``permit_plf``), aggregated as a sum or a max across batches.  Each depends
   on its batch only through the batch's size, arrival sum and first arrival,
-  and :func:`batch_cost` is the one evaluator of all five: it takes those
-  numbers as floats, for the online policies, or as NumPy arrays, for the
-  offline kernels' blocks.  :func:`bdelay` feeds it times relative to the
-  batch's first arrival, so costs keep their digits at any time offset;
+  and each kind's formula of those numbers is written once
+  (``_BATCH_COSTS``).  :func:`cost_kernel` binds it for Python floats, once
+  per model, for the online aggregates and the prefix DP; :func:`batch_cost`
+  also takes NumPy arrays, for the offline kernels' blocks.  :func:`bdelay`
+  feeds the float kernel times relative to the batch's first arrival, so
+  costs keep their digits at any time offset;
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
   ``sum_vector``).  It is the one-row case of :func:`f_rows`, which costs
@@ -44,7 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,6 +125,10 @@ class DelayModelSpec:
 
     def __post_init__(self) -> None:
         default, params = _catalogue_row(self.kind)
+        try:
+            object.__setattr__(self, "objective", Objective(self.objective))
+        except (ValueError, TypeError):
+            raise ValueError(f"unknown objective {self.objective!r}") from None
         if default is Objective.VECTOR:
             if self.objective is not Objective.VECTOR:
                 raise ValueError(f"vector model {self.kind!r} needs the vector objective")
@@ -245,14 +251,20 @@ def _inf_as_string(obj):
     return obj
 
 
+# The strict encoder of every call with no options, trace lines included:
+# json.dumps would build a new one for each.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def dump_json(obj, **kwargs) -> str:
     """Strict JSON text of ``obj``: +inf is written as the string ``"inf"``,
     as ``lp`` writes its p, and any other non-finite float raises
-    ValueError.  ``kwargs`` go to :func:`json.dumps`."""
+    ValueError.  ``kwargs`` go to :class:`json.JSONEncoder`."""
+    encoder = json.JSONEncoder(allow_nan=False, **kwargs) if kwargs else _ENCODER
     try:
-        return json.dumps(obj, allow_nan=False, **kwargs)
+        return encoder.encode(obj)
     except ValueError:
-        return json.dumps(_inf_as_string(obj), allow_nan=False, **kwargs)
+        return encoder.encode(_inf_as_string(obj))
 
 
 def model_to_json(spec: DelayModelSpec) -> dict:
@@ -273,7 +285,6 @@ def model_from_json(obj: dict) -> DelayModelSpec:
         raise ValueError("model spec must be an object with a 'kind' field")
     kind = obj["kind"]
     default, params = _catalogue_row(kind)
-    objective = Objective(obj.get("objective", default.value))
     unknown = set(obj) - {"kind", "objective", *(key for _, key in params)}
     if unknown:
         names = ", ".join(sorted(map(repr, unknown)))
@@ -287,7 +298,7 @@ def model_from_json(obj: dict) -> DelayModelSpec:
         if not isinstance(obj["w"], list):
             raise ValueError(f"ordered norm weights w must be a list, got {obj['w']!r}")
         values["weights"] = tuple(obj["w"])
-    return DelayModelSpec(kind, objective, **values)
+    return DelayModelSpec(kind, obj.get("objective", default), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -354,40 +365,116 @@ def plf_round_up(x: float) -> int:
     return k
 
 
+class CostOps(NamedTuple):
+    """The operations a batch formula takes beyond arithmetic, for floats
+    or for arrays."""
+
+    maximum: Callable
+    minimum: Callable
+    power: Callable
+
+
+def _float_power(x: float, p) -> float:
+    # A power past the float range saturates at +inf: the cost is monotone,
+    # so such a batch is never cheaper than any finite one.
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+def _array_power(x: np.ndarray, p) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return x ** p
+
+
+FLOAT_OPS = CostOps(max, min, _float_power)
+ARRAY_OPS = CostOps(np.maximum, np.minimum, _array_power)
+
+
+# Each batch kind's delay cost of a batch of ``m >= 1`` packets whose
+# arrival times sum to ``total`` and start at ``first``, acknowledged at
+# ``t``, written once over the operations it takes: given the model and
+# those operations, it returns ``cost(m, total, first, t)``.  The wait is
+# ``m t - total`` for SUM_WAIT_KINDS and ``t - first`` for the others,
+# clamped at 0.
+
+def _linear_sum_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
+    maximum = ops.maximum
+
+    def cost(m, total, first, t):
+        return maximum(0.0, m * t - total)
+    return cost
+
+
+def _capped_linear_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
+    maximum, minimum, tau = ops.maximum, ops.minimum, spec.tau
+
+    def cost(m, total, first, t):
+        return minimum(maximum(0.0, m * t - total), tau)
+    return cost
+
+
+def _max_wait_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
+    maximum = ops.maximum
+
+    def cost(m, total, first, t):
+        return maximum(0.0, t - first)
+    return cost
+
+
+def _max_wait_pow_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
+    maximum, power, p = ops.maximum, ops.power, spec.p
+
+    def cost(m, total, first, t):
+        return power(maximum(0.0, t - first), p)
+    return cost
+
+
+def _permit_plf_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
+    maximum, classes = ops.maximum, spec.num_classes
+
+    def cost(m, total, first, t):
+        return plf_delay(maximum(0.0, t - first), classes)
+    return cost
+
+
+_BATCH_COSTS = {
+    "linear_sum": _linear_sum_cost,
+    "capped_linear": _capped_linear_cost,
+    "max_wait": _max_wait_cost,
+    "max_wait_pow": _max_wait_pow_cost,
+    "permit_plf": _permit_plf_cost,
+}
+
+
+def cost_kernel(spec: DelayModelSpec, ops: CostOps = FLOAT_OPS) -> Callable:
+    """``spec``'s batch cost as a function ``cost(m, total, first, t)``,
+    bound once: with :data:`FLOAT_OPS` it takes and returns Python floats,
+    with :data:`ARRAY_OPS` NumPy arrays, one entry per batch.
+
+    Every batch kind depends on its batch only through its size, arrival
+    sum and first arrival, so these are the only batch formulas: online
+    aggregates and the prefix DP bind the float kernel once and keep the
+    three numbers up to date instead of the batch itself.
+    """
+    make = _BATCH_COSTS.get(spec.kind)
+    if make is None:
+        raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
+    return make(spec, ops)
+
+
 def batch_cost(spec: DelayModelSpec, m, total, first, t):
     """Delay cost of acknowledging, at ``t``, a batch of ``m >= 1`` packets
     whose arrival times sum to ``total`` and start at ``first``.
 
-    Every batch kind depends on its batch only through these three numbers,
-    so this is the one place the batch formulas are written: online policies
-    keep the numbers up to date instead of the batch itself, and the offline
-    kernels pass arrays of them, one entry per block.  Any of the four
-    arguments may be a NumPy array (they broadcast into the wait, ``m * t -
-    total`` for the sums and ``t - first`` otherwise); a float wait is
-    evaluated with builtins, which is much faster than NumPy on single
+    Any of the four arguments may be a NumPy array (they broadcast into the
+    wait), and then :func:`cost_kernel`'s array kernel costs them; floats
+    go to its float kernel, which is much faster than NumPy on single
     numbers.
     """
-    kind = spec.kind
-    wait = m * t - total if kind in SUM_WAIT_KINDS else t - first
-    arrays = isinstance(wait, np.ndarray)
-    wait = np.maximum(0.0, wait) if arrays else max(0.0, wait)
-    if kind in ("linear_sum", "max_wait"):
-        return wait
-    if kind == "capped_linear":
-        return np.minimum(wait, spec.tau) if arrays else min(wait, spec.tau)
-    if kind == "max_wait_pow":
-        # A power past the float range saturates at +inf: the cost is
-        # monotone, so such a batch is never cheaper than any finite one.
-        if arrays:
-            with np.errstate(over="ignore"):
-                return wait ** spec.p
-        try:
-            return wait ** spec.p
-        except OverflowError:
-            return math.inf
-    if kind == "permit_plf":
-        return plf_delay(wait, spec.num_classes)
-    raise ValueError(f"{kind!r} is a vector model; use f_vector")
+    arrays = any(isinstance(x, np.ndarray) for x in (m, total, first, t))
+    return cost_kernel(spec, ARRAY_OPS if arrays else FLOAT_OPS)(m, total, first, t)
 
 
 def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> float:
@@ -406,7 +493,7 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
         raise ValueError(f"ack time {t!r} precedes an arrival in the batch")
     first = min(batch_arrivals)
     total = math.fsum(a - first for a in batch_arrivals)
-    return batch_cost(spec, len(batch_arrivals), total, 0.0, t - first)
+    return cost_kernel(spec)(len(batch_arrivals), total, 0.0, t - first)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +590,7 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
 # aggregate keeps what its model needs of both parts and implements:
 #
 # * ``add(x)`` — a packet arrives at offset ``x``;
-# * ``cost(s)`` — the cost at offset ``s``: :func:`batch_cost` of the
+# * ``cost(s)`` — the cost at offset ``s``: the model's batch kernel of the
 #   pending batch, or :func:`f_vector` of the whole delay vector;
 # * ``crossing(goal)`` — an offset at which the cost reaches ``goal``,
 #   exact up to rounding, or +inf when it never does;
@@ -539,13 +626,14 @@ def _newton_down(value_slope, s: float, lo: float) -> float:
 
 class _BatchAggregate:
     """A batch model's pending batch: its size and the sum of its arrival
-    offsets, the first arrival being at offset 0, which is all
-    :func:`batch_cost` needs, plus the cost of served packets, ``frozen``
+    offsets, the first arrival being at offset 0, which is all the model's
+    batch kernel needs, plus the cost of served packets, ``frozen``
     (0 under batch policies; under ``linear_sum`` this is the vector sum's
     aggregate).  The crossing is the model's closed-form inverse."""
 
     def __init__(self, spec: DelayModelSpec):
         self.spec = spec
+        self._cost = cost_kernel(spec)
         self.cap = spec.tau if spec.kind == "capped_linear" else math.inf
         self.frozen = 0.0
         self.clear()
@@ -555,7 +643,7 @@ class _BatchAggregate:
         self.total += x
 
     def cost(self, s: float) -> float:
-        return self.frozen + batch_cost(self.spec, self.m, self.total, 0.0, s)
+        return self.frozen + self._cost(self.m, self.total, 0.0, s)
 
     def crossing(self, goal: float) -> float:
         kind = self.spec.kind

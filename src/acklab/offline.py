@@ -24,10 +24,12 @@
   one of them is named.
 
 The DP and suffix kernels work on arrival times minus the first arrival, so
-their costs keep their digits however far from zero the instance lies, and
-they evaluate blocks through :func:`acklab.cost.batch_cost`: one block at a
-time where the DP stores a value or reads a single-ack cost, one array entry
-per block in the column steps and row scans.  The permit suffix table is the
+their costs keep their digits however far from zero the instance lies.  A
+table binds its model's block kernel once (:func:`acklab.cost.cost_kernel`)
+and costs one block at a time on Python floats wherever the DP stores a
+value, reads a single-ack cost or scans for the critical suffix; only the
+max kinds' column steps and the permit search's single-ack costs go through
+:func:`acklab.cost.batch_cost` as arrays.  The permit suffix table is the
 exception: it uses the permit class decomposition directly and works on the
 gaps between neighbouring arrivals, at any span.
 """
@@ -36,16 +38,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import count
 from typing import Sequence
 
 import numpy as np
 
 from .cost import (
+    ARRAY_OPS,
     DelayModelSpec,
+    FLOAT_OPS,
     Objective,
     SUM_WAIT_KINDS,
     batch_cost,
     bdelay,
+    cost_kernel,
     f_rows,
     linear_sum,
     plf_round_up,
@@ -55,6 +61,17 @@ from .tolerance import TOL, tol_at
 
 
 _MASK_CHUNK = 1 << 14  # cut masks per NumPy chunk in brute_force_optimal
+
+
+def _numpy_power(x: float, p) -> float:
+    """``x ** p`` as a NumPy block column rounds it: Python's power can
+    round the same block apart."""
+    return float(ARRAY_OPS.power(np.array([x]), p)[0])
+
+
+# The operations of the prefix DP's float kernels: builtin max and min
+# round as np.maximum and np.minimum do.
+_TABLE_OPS = FLOAT_OPS._replace(power=_numpy_power)
 
 
 class BruteForceInfeasibleError(ValueError):
@@ -70,8 +87,8 @@ class DpTable:
     and the batch sizes ``1..capacity``; all arrays grow by doubling.
 
     A step chooses the new arrival's last-batch start ``j`` and stores
-    ``values[j] + batch_cost(block j..i) + 1``.  How it chooses depends on
-    the kind:
+    ``values[j] + cost(block j..i) + 1``, where ``cost`` is the model's
+    block kernel, bound once.  How it chooses depends on the kind:
 
     * ``linear_sum``: block ``j..i`` at arrival ``x`` costs
       ``(i - j + 1)·x - (S[i+1] - S[j])``, so ``j`` minimises the line
@@ -90,8 +107,9 @@ class DpTable:
       value lies within :func:`tol_at` of the best are decided by the
       stored formula.
     * ``max_wait`` and ``max_wait_pow`` cost the whole block column ``0..i``
-      and take its first minimum.  :meth:`single` reads that column: NumPy's
-      power and Python's can round the same block apart.
+      and take its first minimum.  :meth:`single` reads that column, and the
+      block kernel raises to a power through NumPy too: NumPy's power and
+      Python's can round the same block apart.
     """
 
     def __init__(self, spec: DelayModelSpec):
@@ -115,11 +133,13 @@ class DpTable:
         self._certified = 0  # first start with a single-ack cost <= 2, as last found
         self._column: np.ndarray | None = None  # the last block column (max kinds)
         self._permits = None
+        self._cost = cost_kernel(spec, _TABLE_OPS)  # cost(m, total, first, t) of one block
         # A plain function, called with the table: a bound method stored on
         # the table would tie it into a reference cycle.
         if spec.kind in SUM_WAIT_KINDS:
             self._step = DpTable._hull_step
-            self._linear = spec if spec.kind == "linear_sum" else linear_sum()
+            linear = spec.kind == "linear_sum"
+            self._linear = self._cost if linear else cost_kernel(linear_sum(), _TABLE_OPS)
             self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)
         elif spec.kind == "permit_plf":
             self._step = DpTable._class_step
@@ -159,11 +179,12 @@ class DpTable:
         return j, float(self.values[j]), self._sums[j], self._firsts[j]
 
     @staticmethod
-    def _cand(spec: DelayModelSpec, start: tuple, i: int, x: float, total: float) -> float:
-        """``values[j]`` plus the serve cost of block ``j..i`` at ``x``: the
-        DP entry that last-batch start ``j`` gives arrival ``i``."""
+    def _cand(cost, start: tuple, i: int, x: float, total: float) -> float:
+        """``values[j]`` plus the serve cost of block ``j..i`` at ``x`` under
+        the block kernel ``cost``: the DP entry that last-batch start ``j``
+        gives arrival ``i``."""
         j, value, before, first = start
-        return value + batch_cost(spec, float(i - j + 1), total - before, first, x) + 1.0
+        return value + cost(float(i - j + 1), total - before, first, x) + 1.0
 
     def _hull_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
         lines, cand, linear = self._lines, self._cand, self._linear
@@ -188,10 +209,10 @@ class DpTable:
             lines.popleft()
             best = nxt
         j = lines[0][1][0]
-        if self.spec is linear:
+        if self._cost is linear:
             return j, best
-        capped = cand(self.spec, lines[0][1], i, x, total)
-        whole = cand(self.spec, self._start(0), i, x, total)
+        capped = cand(self._cost, lines[0][1], i, x, total)
+        whole = cand(self._cost, self._start(0), i, x, total)
         return (0, whole) if whole <= capped else (j, capped)
 
     def _class_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
@@ -216,7 +237,7 @@ class DpTable:
         low = min(cls)
         bound = low + tol_at(low)
         near = [args[k] for k, c in enumerate(cls) if c <= bound]
-        value, j = min((self._cand(self.spec, s, i, x, total), s[0]) for s in near)
+        value, j = min((self._cand(self._cost, s, i, x, total), s[0]) for s in near)
         return j, value
 
     def _column_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
@@ -234,23 +255,7 @@ class DpTable:
         if self._column is not None:
             return float(self._column[p]) + 1.0
         n, sums, firsts = self.size, self._sums, self._firsts
-        return batch_cost(self.spec, float(n - p), sums[n] - sums[p], firsts[p], firsts[n - 1]) + 1.0
-
-    def _singles(self, lo: int, hi: int) -> np.ndarray:
-        """:meth:`single` of the starts ``lo..hi-1``, as one array."""
-        if self._column is not None:
-            return self._column[lo:hi] + 1.0
-        n, arr, prefix = self.size, self._arr, self._prefix
-        counts = self._counts[n - hi : n - lo][::-1]
-        return batch_cost(self.spec, counts, prefix[n] - prefix[lo:hi], arr[lo:hi], arr[n - 1]) + 1.0
-
-    def _row(self, p: int) -> np.ndarray:
-        """``bdelay`` of the blocks ``p..q`` acknowledged at ``q``, for every
-        end ``q`` from ``p`` to the last arrival."""
-        n, arr, prefix = self.size, self._arr, self._prefix
-        return batch_cost(
-            self.spec, self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
-        )
+        return self._cost(float(n - p), sums[n] - sums[p], firsts[p], firsts[n - 1]) + 1.0
 
     def _certified_start(self) -> int:
         """First start whose single-ack cost is at most 2.
@@ -281,9 +286,12 @@ class DpTable:
         When one ack for everything is optimal, the whole prefix is the
         critical suffix and no suffix search runs.  Otherwise the certified
         start comes from :meth:`_certified_start`, and only when it is past
-        0 are the single-ack costs built as one array: the permit model
-        then reads its suffix table, and every other model runs the pruned
-        right-to-left scan.
+        0 does a search run.  The permit model reads its suffix table and
+        costs the single acks before the certified start as one array.
+        Every other model runs the pruned right-to-left scan on Python
+        floats: it costs each block ``p..q`` with the table's block kernel
+        from the prefix sums and first arrivals, and keeps the suffix optima
+        from ``p`` on in a list, as long as the suffixes scanned.
         """
         n = self.size
         opt = float(self.values[n])
@@ -294,20 +302,36 @@ class DpTable:
         if certified == 0:
             return 0
         if self._permits is not None:
-            G = self._permits.fold(self._arr, n)[:certified]
-            single = self._singles(0, certified)
+            arr, prefix = self._arr, self._prefix
+            G = self._permits.fold(arr, n)[:certified]
+            counts = self._counts[n - certified : n][::-1]
+            single = batch_cost(
+                self.spec, counts, prefix[n] - prefix[:certified], arr[:certified], arr[n - 1]
+            ) + 1.0
             hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
             return int(hits[0]) if hits.size else certified
         # whole bounds every G[p], so this margin dominates the criticality
         # tolerance at every earlier start and pruning never changes the answer.
         margin = tol_at(whole)
-        G = np.zeros(n + 1)
-        G[certified:n] = self._singles(certified, n)
+        cost, sums, firsts, single = self._cost, self._sums, self._firsts, self.single
+        # suffix[k] is G[n - k], the optimum of packets n - k..n - 1 on their
+        # own: 0 for none, then the single-ack costs of the certified starts.
+        suffix = [0.0]
+        suffix.extend(single(q) for q in range(n - 1, certified - 1, -1))
         best = certified
         for p in range(certified - 1, -1, -1):
-            G[p] = float(np.min(self._row(p) + G[p + 1 :])) + 1.0
-            slack = self.single(p) - G[p]
-            if slack <= tol_at(G[p]):
+            # G[p]: a first block p..q of m packets acknowledged at a_q, then
+            # G[q + 1]; reversed(suffix) runs over G[p + 1..n].
+            before, first = sums[p], firsts[p]
+            g = math.inf
+            for m, total, t, rest in zip(count(1.0), sums[p + 1 :], firsts[p:], reversed(suffix)):
+                c = cost(m, total - before, first, t) + rest
+                if c < g:
+                    g = c
+            g += 1.0
+            suffix.append(g)
+            slack = single(p) - g
+            if slack <= tol_at(g):
                 best = p
             elif slack > 1.0 + margin:
                 break

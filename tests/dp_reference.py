@@ -5,10 +5,13 @@
 costs the whole block column ``j..i`` in NumPy, takes the first minimum of
 ``values[j] + block + 1`` with ``argmin`` and returns the column, and
 :meth:`~ColumnDpTable.critical_start` reads the single-ack costs from that
-column.  The library chooses each start from a monotone hull or per-class
-running minima and reads single-ack costs one at a time; the tests check its
-values, back-pointers, critical starts and serve costs against this kernel,
-bit for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima:
+column and runs the pruned right-to-left scan on NumPy rows, one row of
+blocks ``p..q`` per start and an array of all ``n + 1`` suffix optima, as
+the library did before it scanned on Python floats.  The library chooses
+each start from a monotone hull or per-class running minima, reads
+single-ack costs one at a time and scans with its float block kernel; the
+tests check its values, back-pointers, critical starts and serve costs
+against this kernel, bit for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima:
 one row scan per start, or the permit model's class table.
 """
 

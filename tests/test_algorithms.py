@@ -26,7 +26,10 @@ from acklab import (
     simulate,
     sum_vector,
 )
+import acklab.cost
+import acklab.offline
 from acklab.algorithms import ALGORITHM_NAMES, ALGORITHMS
+from acklab.cost import FLOAT_OPS, cost_kernel
 from acklab.engine import SimulationDriver
 from acklab.harness import gen_bursty, gen_uniform
 from acklab.model import batches_from_acks
@@ -200,6 +203,31 @@ PINNED_PHASE_ARRIVALS = (
 
 
 class TestSumMonotonePhases:
+    def test_block_costs_per_arrival_do_not_grow_with_n(self, monkeypatch):
+        # Every block the policy costs goes through a kernel bound from
+        # cost_kernel: the DP step, the certified start, the critical-suffix
+        # scan and the pending batch's aggregate.  About 26 per arrival on
+        # bursty arrivals; work linear in the arrivals seen would be
+        # thousands.
+        calls = 0
+
+        def counting(spec, ops=FLOAT_OPS):
+            kernel = cost_kernel(spec, ops)
+
+            def cost(*numbers):
+                nonlocal calls
+                calls += 1
+                return kernel(*numbers)
+
+            return cost
+
+        monkeypatch.setattr(acklab.cost, "cost_kernel", counting)
+        monkeypatch.setattr(acklab.offline, "cost_kernel", counting)
+        n = 4000
+        arrivals = gen_bursty(n, 0.25, 4.0, 0.01, np.random.default_rng(7))
+        simulate(Instance(arrivals, linear_sum()), SumMonotonePhases(linear_sum()))
+        assert n <= calls <= 40 * n
+
     def test_single_packet(self):
         inst = Instance((0,), linear_sum())
         sched, trace, out = run(inst, SumMonotonePhases(linear_sum()))

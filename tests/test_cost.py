@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,11 +27,14 @@ from acklab import (
 )
 from acklab.adversary import plf_round_up
 from acklab.cost import (
+    _BATCH_COSTS,
     _KINDS,
     BATCH_KINDS,
     VECTOR_KINDS,
     aggregate,
     batch_cost,
+    cost_kernel,
+    dump_json,
     plf_delay,
     threshold_time,
 )
@@ -333,6 +337,12 @@ class TestCatalogue:
         assert list(wire) == ["kind", *(key for _, key in params)]
         assert model_from_json(wire) == spec
 
+    def test_every_batch_kind_has_one_cost_kernel(self):
+        assert sorted(_BATCH_COSTS) == sorted(BATCH_KINDS)
+        for kind in VECTOR_KINDS:
+            with pytest.raises(ValueError, match="is a vector model; use f_vector"):
+                cost_kernel(FACTORY_SPECS[kind])
+
     def test_kinds_split_by_default_objective(self):
         assert BATCH_KINDS == ("linear_sum", "max_wait", "max_wait_pow", "capped_linear", "permit_plf")
         assert VECTOR_KINDS == ("lp", "top_k", "ordered", "concave_two_piece", "sum_vector")
@@ -361,7 +371,41 @@ class TestCatalogue:
             assert str(info.value) == f"unknown delay model kind {kind!r}"
 
 
+class TestDumpJson:
+    @pytest.mark.parametrize("kwargs", [{}, {"indent": 2}, {"sort_keys": True}])
+    def test_writes_what_json_dumps_writes(self, kwargs):
+        obj = {"time": 0.1 + 0.2, "kind": "ack", "detail": {"indices": [2, 0], "p": math.inf}}
+        wire = dict(obj, detail={"indices": [2, 0], "p": "inf"})
+        assert dump_json(obj, **kwargs) == json.dumps(wire, **kwargs)
+        assert dump_json(wire, **kwargs) == json.dumps(wire, **kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_rejects_other_non_finite_floats(self, value):
+        with pytest.raises(ValueError):
+            dump_json({"x": [value]})
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("objective, want", [("sum", Objective.SUM_BATCH), ("max", Objective.MAX_BATCH)])
+    def test_objective_value_is_coerced(self, objective, want):
+        spec = DelayModelSpec("linear_sum", objective)
+        assert spec.objective is want
+        assert spec == DelayModelSpec("linear_sum", want)
+        assert model_from_json(model_to_json(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "objective, message",
+        [
+            ("vector", "batch model 'linear_sum' needs a sum or max objective"),
+            ("bogus", "unknown objective 'bogus'"),
+            (["sum"], "unknown objective ['sum']"),
+        ],
+    )
+    def test_objective_value_is_checked(self, objective, message):
+        with pytest.raises(ValueError) as info:
+            DelayModelSpec("linear_sum", objective)
+        assert str(info.value) == message
+
     def test_objective_mismatch(self):
         with pytest.raises(ValueError, match=r"^vector model 'lp' needs the vector objective$"):
             DelayModelSpec("lp", Objective.SUM_BATCH, p=2)

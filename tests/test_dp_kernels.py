@@ -1,4 +1,5 @@
-"""The prefix DP's hull and class-minimum steps against the column kernel.
+"""The prefix DP's hull and class-minimum steps, and its critical-suffix
+scan on Python floats, against the column kernel and its NumPy row scan.
 
 After every arrival the library's :class:`DpTable` must hold the same
 values and back-pointers as :class:`dp_reference.ColumnDpTable`, bit for
@@ -141,3 +142,44 @@ def test_no_start_certified_when_prefix_sums_round_away_a_packet():
     assert all(table.single(p) > 2.0 for p in range(len(arrivals)))
     assert table._certified_start() == 0
     assert_tables_agree(linear_sum(), arrivals + [1e17 + 48, 1e17 + 64])
+
+
+SCAN_SPECS = [
+    linear_sum(),
+    capped_linear(0.5),
+    capped_linear(1.0),
+    capped_linear(1000.0),
+    max_wait(Objective.SUM_BATCH),
+    max_wait_pow(2, Objective.SUM_BATCH),
+    max_wait_pow(3, Objective.SUM_BATCH),
+    max_wait_pow(5, Objective.SUM_BATCH),
+]
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: f"{s.kind}-{s.tau or s.p or ''}")
+def test_float_scan_matches_numpy_row_scan(spec):
+    # The scan costs each block with the table's float kernel and keeps the
+    # suffix optima in a list; the reference scan costs whole NumPy rows
+    # into an array of n + 1 optima.  Both must stop at the same start and
+    # serve it at the same cost, after every arrival.
+    scans = 0
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        for shape, arrivals in timelines(rng, 100):
+            if shape == "uniform":
+                continue
+            for shift in (0.0, 1e6, 1e12):
+                ref, table = ColumnDpTable(spec), DpTable(spec)
+                for t in arrivals + shift:
+                    blocks = ref.push(t)
+                    table.push(t)
+                    n, single = table.size, blocks + 1.0
+                    start = ref.critical_start(blocks)
+                    assert table.critical_start() == start, (shape, shift, n)
+                    assert table.single(start) == float(single[start]), (shape, shift, n)
+                    whole_optimal = single[0] - ref.values[n] <= tol_at(float(ref.values[n]))
+                    scans += not whole_optimal and np.argmax(single <= 2.0) > 0
+    # Under a cap tau <= 1 one ack costs at most 2, so every start is
+    # certified and no scan runs.
+    capped_low = spec.kind == "capped_linear" and spec.tau <= 1.0
+    assert scans == 0 if capped_low else scans >= 1000

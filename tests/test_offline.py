@@ -19,7 +19,7 @@ from acklab import (
     top_k,
 )
 from acklab.algorithms import SumMonotonePhases
-from acklab.cost import batch_cost, bdelay
+from acklab.cost import bdelay, cost_kernel
 import acklab
 import acklab.offline as offline
 from acklab.offline import PermitSuffixTable
@@ -398,11 +398,13 @@ def test_vectorized_blocks_match_scalar_bdelay():
                     assert table.single(j) - 1.0 == pytest.approx(
                         bdelay(spec, arr[j : i + 1], arr[i]), rel=1e-12, abs=1e-12
                     )
+            # The critical-suffix scan costs block p..q at a_q with the
+            # table's kernel, from its prefix sums and first arrivals.
             p = int(rng.integers(n))
-            row = table._row(p)
-            assert row.size == n - p
+            sums, firsts = table._sums, table._firsts
             for q in range(p, n):
-                assert row[q - p] == pytest.approx(
+                block = table._cost(float(q - p + 1), sums[q + 1] - sums[p], firsts[p], firsts[q])
+                assert block == pytest.approx(
                     bdelay(spec, arr[p : q + 1], arr[q]), rel=1e-12, abs=1e-12
                 )
 
@@ -410,16 +412,22 @@ def test_vectorized_blocks_match_scalar_bdelay():
 @pytest.mark.parametrize("spec", [linear_sum(), capped_linear(1.0), permit_plf()])
 def test_push_costs_no_block_column(monkeypatch, spec):
     # The hull and the class minima choose each start; push then costs the
-    # chosen blocks one at a time and never builds a column of them.
+    # chosen blocks one at a time with the kernel the table bound, and never
+    # builds a column of them.
     costed = []
 
-    def scalars_only(model, *numbers):
-        if any(isinstance(x, np.ndarray) for x in numbers):
-            raise AssertionError("push passed an array to batch_cost")
-        costed.append(numbers)
-        return batch_cost(model, *numbers)
+    def scalars_only(model, ops):
+        kernel = cost_kernel(model, ops)
 
-    monkeypatch.setattr(offline, "batch_cost", scalars_only)
+        def cost(*numbers):
+            if any(isinstance(x, np.ndarray) for x in numbers):
+                raise AssertionError("push passed an array to the block kernel")
+            costed.append(numbers)
+            return kernel(*numbers)
+
+        return cost
+
+    monkeypatch.setattr(offline, "cost_kernel", scalars_only)
     table = DpTable(spec)
     for t in geometric_timeline(np.random.default_rng(12), 1e4, integer=False):
         table.push(t)
