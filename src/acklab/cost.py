@@ -7,9 +7,9 @@ Two families of models are supported:
   ``permit_plf``), aggregated as a sum or a max across batches.  Each depends
   on its batch only through the batch's size, arrival sum and first arrival,
   and each kind's formula of those numbers is written once
-  (``_BATCH_COSTS``).  :func:`cost_kernel` binds it for Python floats, once
-  per model, for the online aggregates and the prefix DP; :func:`batch_cost`
-  also takes NumPy arrays, for the offline kernels' blocks.  :func:`bdelay`
+  (``_BATCH_COSTS``).  :func:`cost_kernel` binds it once per model, for
+  Python floats (the online aggregates and the prefix DP's steps) or NumPy
+  arrays (the prefix DP's block columns and rows).  :func:`bdelay`
   feeds the float kernel times relative to the batch's first arrival, so
   costs keep their digits at any time offset;
 * vector models, evaluated once over the per-packet delay vector via
@@ -125,10 +125,8 @@ class DelayModelSpec:
 
     def __post_init__(self) -> None:
         default, params = _catalogue_row(self.kind)
-        try:
-            object.__setattr__(self, "objective", Objective(self.objective))
-        except (ValueError, TypeError):
-            raise ValueError(f"unknown objective {self.objective!r}") from None
+        # Objective() raises ValueError for any other value, unhashable too.
+        object.__setattr__(self, "objective", Objective(self.objective))
         if default is Objective.VECTOR:
             if self.objective is not Objective.VECTOR:
                 raise ValueError(f"vector model {self.kind!r} needs the vector objective")
@@ -285,6 +283,7 @@ def model_from_json(obj: dict) -> DelayModelSpec:
         raise ValueError("model spec must be an object with a 'kind' field")
     kind = obj["kind"]
     default, params = _catalogue_row(kind)
+    objective = Objective(obj.get("objective", default))
     unknown = set(obj) - {"kind", "objective", *(key for _, key in params)}
     if unknown:
         names = ", ".join(sorted(map(repr, unknown)))
@@ -298,7 +297,7 @@ def model_from_json(obj: dict) -> DelayModelSpec:
         if not isinstance(obj["w"], list):
             raise ValueError(f"ordered norm weights w must be a list, got {obj['w']!r}")
         values["weights"] = tuple(obj["w"])
-    return DelayModelSpec(kind, obj.get("objective", default), **values)
+    return DelayModelSpec(kind, objective, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +461,6 @@ def cost_kernel(spec: DelayModelSpec, ops: CostOps = FLOAT_OPS) -> Callable:
     if make is None:
         raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
     return make(spec, ops)
-
-
-def batch_cost(spec: DelayModelSpec, m, total, first, t):
-    """Delay cost of acknowledging, at ``t``, a batch of ``m >= 1`` packets
-    whose arrival times sum to ``total`` and start at ``first``.
-
-    Any of the four arguments may be a NumPy array (they broadcast into the
-    wait), and then :func:`cost_kernel`'s array kernel costs them; floats
-    go to its float kernel, which is much faster than NumPy on single
-    numbers.
-    """
-    arrays = any(isinstance(x, np.ndarray) for x in (m, total, first, t))
-    return cost_kernel(spec, ARRAY_OPS if arrays else FLOAT_OPS)(m, total, first, t)
 
 
 def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> float:

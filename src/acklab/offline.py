@@ -25,13 +25,15 @@
 
 The DP and suffix kernels work on arrival times minus the first arrival, so
 their costs keep their digits however far from zero the instance lies.  A
-table binds its model's block kernel once (:func:`acklab.cost.cost_kernel`)
-and costs one block at a time on Python floats wherever the DP stores a
-value, reads a single-ack cost or scans for the critical suffix; only the
-max kinds' column steps and the permit search's single-ack costs go through
-:func:`acklab.cost.batch_cost` as arrays.  The permit suffix table is the
-exception: it uses the permit class decomposition directly and works on the
-gaps between neighbouring arrivals, at any span.
+table binds its model's block kernel once (:func:`acklab.cost.cost_kernel`),
+for Python floats and for NumPy arrays.  The sum-wait kinds cost one block
+at a time on floats wherever the DP stores a value, reads a single-ack cost
+or scans for the critical suffix.  The max kinds cost arrays: a whole block
+column per step and a whole row per scanned start, which on dense arrivals
+run to hundreds of blocks; the permit search costs its single acks as one
+array too.  The permit suffix table is the exception: it uses the permit
+class decomposition directly and works on the gaps between neighbouring
+arrivals, at any span.
 """
 
 from __future__ import annotations
@@ -46,10 +48,8 @@ import numpy as np
 from .cost import (
     ARRAY_OPS,
     DelayModelSpec,
-    FLOAT_OPS,
     Objective,
     SUM_WAIT_KINDS,
-    batch_cost,
     bdelay,
     cost_kernel,
     f_rows,
@@ -61,17 +61,6 @@ from .tolerance import TOL, tol_at
 
 
 _MASK_CHUNK = 1 << 14  # cut masks per NumPy chunk in brute_force_optimal
-
-
-def _numpy_power(x: float, p) -> float:
-    """``x ** p`` as a NumPy block column rounds it: Python's power can
-    round the same block apart."""
-    return float(ARRAY_OPS.power(np.array([x]), p)[0])
-
-
-# The operations of the prefix DP's float kernels: builtin max and min
-# round as np.maximum and np.minimum do.
-_TABLE_OPS = FLOAT_OPS._replace(power=_numpy_power)
 
 
 class BruteForceInfeasibleError(ValueError):
@@ -88,7 +77,8 @@ class DpTable:
 
     A step chooses the new arrival's last-batch start ``j`` and stores
     ``values[j] + cost(block j..i) + 1``, where ``cost`` is the model's
-    block kernel, bound once.  How it chooses depends on the kind:
+    block kernel, bound once for floats and once for arrays.  How it chooses
+    depends on the kind:
 
     * ``linear_sum``: block ``j..i`` at arrival ``x`` costs
       ``(i - j + 1)·x - (S[i+1] - S[j])``, so ``j`` minimises the line
@@ -107,9 +97,10 @@ class DpTable:
       value lies within :func:`tol_at` of the best are decided by the
       stored formula.
     * ``max_wait`` and ``max_wait_pow`` cost the whole block column ``0..i``
-      and take its first minimum.  :meth:`single` reads that column, and the
-      block kernel raises to a power through NumPy too: NumPy's power and
-      Python's can round the same block apart.
+      with the array kernel and take its first minimum.  :meth:`single`
+      reads that column, and the critical-suffix scan costs their rows with
+      the array kernel too: NumPy's power and Python's can round the same
+      block apart, so the max kinds never cost a block on floats.
     """
 
     def __init__(self, spec: DelayModelSpec):
@@ -133,13 +124,14 @@ class DpTable:
         self._certified = 0  # first start with a single-ack cost <= 2, as last found
         self._column: np.ndarray | None = None  # the last block column (max kinds)
         self._permits = None
-        self._cost = cost_kernel(spec, _TABLE_OPS)  # cost(m, total, first, t) of one block
+        self._cost = cost_kernel(spec)  # cost(m, total, first, t) of one block
+        self._blocks = cost_kernel(spec, ARRAY_OPS)  # the same, of a block array
         # A plain function, called with the table: a bound method stored on
         # the table would tie it into a reference cycle.
         if spec.kind in SUM_WAIT_KINDS:
             self._step = DpTable._hull_step
             linear = spec.kind == "linear_sum"
-            self._linear = self._cost if linear else cost_kernel(linear_sum(), _TABLE_OPS)
+            self._linear = self._cost if linear else cost_kernel(linear_sum())
             self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)
         elif spec.kind == "permit_plf":
             self._step = DpTable._class_step
@@ -242,8 +234,8 @@ class DpTable:
 
     def _column_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
         i, prefix = new[0], self._prefix
-        self._column = blocks = batch_cost(
-            self.spec, self._counts[i::-1], total - prefix[: i + 1], self._arr[: i + 1], x
+        self._column = blocks = self._blocks(
+            self._counts[i::-1], total - prefix[: i + 1], self._arr[: i + 1], x
         )
         cand = self.values[: i + 1] + blocks + 1.0
         j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
@@ -279,6 +271,42 @@ class DpTable:
         self._certified = c
         return c if c < n else 0
 
+    def _block_optima(self, certified: int):
+        """Yield ``(p, G[p])`` for the starts ``p`` before ``certified``,
+        right to left, where ``G[p]`` is the optimum of packets ``p..n-1``
+        on their own, costing one block at a time on Python floats.
+
+        ``suffix[k]`` is ``G[n - k]``: 0 for no packets, then the single-ack
+        costs of the certified starts, then each optimum found."""
+        n, cost, sums, firsts = self.size, self._cost, self._sums, self._firsts
+        suffix = [0.0]
+        suffix.extend(self.single(q) for q in range(n - 1, certified - 1, -1))
+        for p in range(certified - 1, -1, -1):
+            # A first block p..q of m packets acknowledged at a_q, then
+            # G[q + 1]; reversed(suffix) runs over G[p + 1..n].
+            before, first = sums[p], firsts[p]
+            g = math.inf
+            for m, total, t, rest in zip(count(1.0), sums[p + 1 :], firsts[p:], reversed(suffix)):
+                c = cost(m, total - before, first, t) + rest
+                if c < g:
+                    g = c
+            g += 1.0
+            suffix.append(g)
+            yield p, g
+
+    def _row_optima(self, certified: int):
+        """:meth:`_block_optima` for the max kinds, costing each row of
+        blocks ``p..q`` as one array with the suffix optima in an array."""
+        n, arr, prefix = self.size, self._arr, self._prefix
+        G = np.zeros(n + 1)
+        G[certified:n] = self._column[certified:n] + 1.0
+        for p in range(certified - 1, -1, -1):
+            row = self._blocks(
+                self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
+            )
+            g = G[p] = float(np.min(row + G[p + 1 :])) + 1.0
+            yield p, g
+
     def critical_start(self) -> int:
         """Start index of the longest critical suffix of the arrivals pushed
         so far: see :func:`longest_critical_suffix`.
@@ -288,10 +316,14 @@ class DpTable:
         start comes from :meth:`_certified_start`, and only when it is past
         0 does a search run.  The permit model reads its suffix table and
         costs the single acks before the certified start as one array.
-        Every other model runs the pruned right-to-left scan on Python
-        floats: it costs each block ``p..q`` with the table's block kernel
-        from the prefix sums and first arrivals, and keeps the suffix optima
-        from ``p`` on in a list, as long as the suffixes scanned.
+        Every other model runs the pruned right-to-left scan over the suffix
+        optima.  The sum-wait kinds cost each block ``p..q`` on Python
+        floats from the prefix sums and first arrivals and keep the optima
+        in a list, as long as the suffixes scanned: their certified start
+        lies a few blocks back.  The max kinds cost each row ``p..n-1`` as
+        one array, as their DP steps cost each column: on dense arrivals
+        their certified start lies as many blocks back as arrive in one time
+        unit, and every row they scan is longer.
         """
         n = self.size
         opt = float(self.values[n])
@@ -305,32 +337,18 @@ class DpTable:
             arr, prefix = self._arr, self._prefix
             G = self._permits.fold(arr, n)[:certified]
             counts = self._counts[n - certified : n][::-1]
-            single = batch_cost(
-                self.spec, counts, prefix[n] - prefix[:certified], arr[:certified], arr[n - 1]
+            single = self._blocks(
+                counts, prefix[n] - prefix[:certified], arr[:certified], arr[n - 1]
             ) + 1.0
             hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
             return int(hits[0]) if hits.size else certified
         # whole bounds every G[p], so this margin dominates the criticality
         # tolerance at every earlier start and pruning never changes the answer.
         margin = tol_at(whole)
-        cost, sums, firsts, single = self._cost, self._sums, self._firsts, self.single
-        # suffix[k] is G[n - k], the optimum of packets n - k..n - 1 on their
-        # own: 0 for none, then the single-ack costs of the certified starts.
-        suffix = [0.0]
-        suffix.extend(single(q) for q in range(n - 1, certified - 1, -1))
+        optima = self._block_optima if self._column is None else self._row_optima
         best = certified
-        for p in range(certified - 1, -1, -1):
-            # G[p]: a first block p..q of m packets acknowledged at a_q, then
-            # G[q + 1]; reversed(suffix) runs over G[p + 1..n].
-            before, first = sums[p], firsts[p]
-            g = math.inf
-            for m, total, t, rest in zip(count(1.0), sums[p + 1 :], firsts[p:], reversed(suffix)):
-                c = cost(m, total - before, first, t) + rest
-                if c < g:
-                    g = c
-            g += 1.0
-            suffix.append(g)
-            slack = single(p) - g
+        for p, g in optima(certified):
+            slack = self.single(p) - g
             if slack <= tol_at(g):
                 best = p
             elif slack > 1.0 + margin:

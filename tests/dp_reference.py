@@ -7,19 +7,20 @@ costs the whole block column ``j..i`` in NumPy, takes the first minimum of
 :meth:`~ColumnDpTable.critical_start` reads the single-ack costs from that
 column and runs the pruned right-to-left scan on NumPy rows, one row of
 blocks ``p..q`` per start and an array of all ``n + 1`` suffix optima, as
-the library did before it scanned on Python floats.  The library chooses
-each start from a monotone hull or per-class running minima, reads
-single-ack costs one at a time and scans with its float block kernel; the
-tests check its values, back-pointers, critical starts and serve costs
-against this kernel, bit for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima:
-one row scan per start, or the permit model's class table.
+the library still does under the max kinds.  The library chooses each
+start from a monotone hull or per-class running minima, reads single-ack
+costs one at a time and, under the sum-wait kinds, scans with its float
+block kernel; the tests check its values, back-pointers, critical starts
+and serve costs against this kernel, bit for bit.  :func:`suffix_opt` asks
+a fresh table for its suffix optima: one row scan per start, or the permit
+model's class table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from acklab.cost import DelayModelSpec, Objective, batch_cost
+from acklab.cost import ARRAY_OPS, DelayModelSpec, Objective, cost_kernel
 from acklab.model import check_arrivals
 from acklab.offline import PermitSuffixTable
 from acklab.tolerance import TOL, tol_at
@@ -32,6 +33,7 @@ class ColumnDpTable:
         if spec.objective is not Objective.SUM_BATCH:
             raise ValueError("the prefix DP requires a sum-aggregated batch model")
         self.spec = spec
+        self._blocks = cost_kernel(spec, ARRAY_OPS)
         self.size = 0
         self._origin = 0.0
         self._arr = np.zeros(16)
@@ -56,8 +58,8 @@ class ColumnDpTable:
         arr, prefix, values = self._arr, self._prefix, self.values
         arr[i] = rebased = time - self._origin
         prefix[i + 1] = prefix[i] + rebased
-        blocks = batch_cost(
-            self.spec, self._counts[i::-1], prefix[i + 1] - prefix[: i + 1], arr[: i + 1], rebased
+        blocks = self._blocks(
+            self._counts[i::-1], prefix[i + 1] - prefix[: i + 1], arr[: i + 1], rebased
         )
         cand = values[: i + 1] + blocks + 1.0
         j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
@@ -68,8 +70,8 @@ class ColumnDpTable:
 
     def _row(self, p: int) -> np.ndarray:
         n, arr, prefix = self.size, self._arr, self._prefix
-        return batch_cost(
-            self.spec, self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
+        return self._blocks(
+            self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
         )
 
     def suffix_optima(self) -> np.ndarray:

@@ -87,6 +87,22 @@ class TestSolve:
         code, _ = run_cli(capsys, "solve", "--instance", path, "--oracle", "brute")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "linear_sum", "objective": "bogus"},
+            # The objective is checked before the keys and the parameters.
+            {"kind": "linear_sum", "objective": "bogus", "tau": 1.0},
+            {"kind": "ordered", "objective": "bogus", "w": 1.0},
+        ],
+    )
+    def test_unknown_objective_message(self, tmp_path, capsys, model):
+        path = write_instance(tmp_path, [0, 1], model)
+        code = main(["solve", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: 'bogus' is not a valid Objective\n"
+
     def test_dp_rejects_max_objective(self, tmp_path, capsys):
         path = write_instance(tmp_path, [0, 1], {"kind": "max_wait"})
         code, _ = run_cli(capsys, "solve", "--instance", path, "--oracle", "dp")

@@ -1,5 +1,5 @@
 """The prefix DP's hull and class-minimum steps, and its critical-suffix
-scan on Python floats, against the column kernel and its NumPy row scan.
+scan, against the column kernel and its NumPy row scan.
 
 After every arrival the library's :class:`DpTable` must hold the same
 values and back-pointers as :class:`dp_reference.ColumnDpTable`, bit for
@@ -157,10 +157,11 @@ SCAN_SPECS = [
 
 
 @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: f"{s.kind}-{s.tau or s.p or ''}")
-def test_float_scan_matches_numpy_row_scan(spec):
-    # The scan costs each block with the table's float kernel and keeps the
-    # suffix optima in a list; the reference scan costs whole NumPy rows
-    # into an array of n + 1 optima.  Both must stop at the same start and
+def test_scan_matches_numpy_row_scan(spec):
+    # Under the sum-wait kinds the scan costs each block with the table's
+    # float kernel and keeps the suffix optima in a list; the reference scan
+    # costs whole NumPy rows into an array of n + 1 optima, as the table
+    # does under the max kinds.  Both must stop at the same start and
     # serve it at the same cost, after every arrival.
     scans = 0
     for seed in range(3):

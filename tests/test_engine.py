@@ -21,7 +21,7 @@ from acklab import (
 )
 from acklab import engine
 from acklab.adversary import TcpPermitAdapter
-from acklab.cost import batch_cost
+from acklab.cost import cost_kernel
 from acklab.engine import OnlineAlgorithm, SimulationDriver
 from bisection_reference import solve_threshold_time
 
@@ -32,15 +32,15 @@ class TestSolveThresholdTime:
         assert t == pytest.approx(1.0, abs=1e-9)
 
     def test_bounded_evaluator_returns_none(self):
-        fn = lambda t: batch_cost(capped_linear(1.0), 1, 0.0, 0.0, t)  # noqa: E731
+        fn = lambda t: cost_kernel(capped_linear(1.0))(1, 0.0, 0.0, t)  # noqa: E731
         assert solve_threshold_time(fn, 0.0, 2.0) is None
 
     def test_bounded_evaluator_none_without_sup_hint(self):
-        fn = lambda t: batch_cost(capped_linear(1.0), 1, 0.0, 0.0, t)  # noqa: E731
+        fn = lambda t: cost_kernel(capped_linear(1.0))(1, 0.0, 0.0, t)  # noqa: E731
         assert solve_threshold_time(fn, 0.0, 2.0, expansion_cap=2.0 ** 40) is None
 
     def test_two_packet_example(self):
-        fn = lambda t: batch_cost(linear_sum(), 2, 0.1, 0.0, t)  # noqa: E731
+        fn = lambda t: cost_kernel(linear_sum())(2, 0.1, 0.0, t)  # noqa: E731
         t = solve_threshold_time(fn, 0.1, 1.2)
         assert t == pytest.approx(0.65, abs=1e-9)
 

@@ -19,7 +19,7 @@ from acklab import (
     top_k,
 )
 from acklab.algorithms import SumMonotonePhases
-from acklab.cost import bdelay, cost_kernel
+from acklab.cost import FLOAT_OPS, bdelay, cost_kernel
 import acklab
 import acklab.offline as offline
 from acklab.offline import PermitSuffixTable
@@ -416,7 +416,7 @@ def test_push_costs_no_block_column(monkeypatch, spec):
     # builds a column of them.
     costed = []
 
-    def scalars_only(model, ops):
+    def scalars_only(model, ops=FLOAT_OPS):
         kernel = cost_kernel(model, ops)
 
         def cost(*numbers):
