@@ -153,10 +153,11 @@ class SumMonotonePhases(_ThresholdPolicy):
 
     The policy pushes every arrival into one offline prefix DP
     (:class:`DpTable`), asks it for the longest critical suffix and reads
-    that suffix's serve cost with :meth:`DpTable.single`; no block column
-    is built on the way for the ``linear_sum``, ``capped_linear`` and
-    ``permit_plf`` models.  ``service`` is None between phases, 0 in a
-    budget service and 1-3 in a buffer service.
+    that suffix's serve cost with :meth:`DpTable.single`.  Only
+    ``max_wait_pow`` builds block columns and rows on the way; ``max_wait``
+    is served as permit class 0, by ``permit_plf``'s class minima and
+    suffix table.  ``service`` is None between phases, 0 in a budget
+    service and 1-3 in a buffer service.
     """
 
     def __init__(self, spec: DelayModelSpec):

@@ -350,7 +350,11 @@ def plf_round_up(x: float) -> int:
     there class ``a - 1`` does not cover ``x``.  ``4**k`` is compared with
     ``x`` exactly, so integer spans past 2**53 round up correctly.  The
     result also satisfies ``2**k <= 2 * plf_eval(x)`` (classes unbounded).
+    A NaN or infinite span has no such class and raises ValueError, as a
+    negative one does.
     """
+    if not isinstance(x, int) and not math.isfinite(x):
+        raise ValueError(f"span must be finite, got {x!r}")
     if x < 0:
         raise ValueError("span must be non-negative")
     k = 0
@@ -468,17 +472,20 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
 
     Empty batches cost 0; ``t`` must not precede any arrival in the batch.
     Times are taken relative to the batch's first arrival, so the cost keeps
-    its digits however far from zero the batch lies.
+    its digits however far from zero the batch lies.  A NaN ack time or
+    arrival raises ValueError rather than pricing as zero delay.
     """
     if spec.objective is Objective.VECTOR:
         raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
     if len(batch_arrivals) == 0:
         return 0.0
     last = max(batch_arrivals)
-    if t < last - tol_at(last):
-        raise ValueError(f"ack time {t!r} precedes an arrival in the batch")
+    if not t >= last - tol_at(last):
+        raise ValueError(f"ack time {t!r} does not follow every arrival in the batch")
     first = min(batch_arrivals)
     total = math.fsum(a - first for a in batch_arrivals)
+    if not math.isfinite(total):
+        raise ValueError(f"batch arrival offsets must sum to a finite number, got {total!r}")
     return cost_kernel(spec)(len(batch_arrivals), total, 0.0, t - first)
 
 

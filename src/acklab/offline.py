@@ -5,16 +5,17 @@
   for monotone batch costs: moving an ack earlier onto the batch's last
   arrival never increases cost).  A step costs amortised O(1) under
   ``linear_sum`` and ``capped_linear`` (a monotone hull) and O(classes)
-  under ``permit_plf`` (a running minimum per class); ``max_wait`` and
-  ``max_wait_pow`` still cost a whole block column, O(n) per step.  The
-  table grows one arrival at a time and holds the one critical-suffix
-  search: the phase-based online algorithm asks it for the longest suffix
-  whose optimum is a single acknowledgment after every arrival.
+  under ``permit_plf`` and ``max_wait``, its class 0 (a running minimum per
+  class); ``max_wait_pow`` still costs a whole block column, O(n) per
+  step.  The table grows one arrival at a time and holds the one
+  critical-suffix search: the phase-based online algorithm asks it for the
+  longest suffix whose optimum is a single acknowledgment after every
+  arrival.
 * :func:`longest_critical_suffix` — push a fixed arrival list into a fresh
   :class:`DpTable` and ask it for its longest critical suffix.
 * :class:`PermitSuffixTable` — the permit model's suffix optima kept per
   permit class for a prefix that grows one arrival at a time, brought up to
-  date only when the table is asked.
+  date only when the table is asked; with class 0 alone, ``max_wait``'s.
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions,
   in NumPy chunks of cut masks with one matrix row per partition; the
   independent oracle for every objective kind (and the only exact one for
@@ -26,14 +27,14 @@
 The DP and suffix kernels work on arrival times minus the first arrival, so
 their costs keep their digits however far from zero the instance lies.  A
 table binds its model's block kernel once (:func:`acklab.cost.cost_kernel`),
-for Python floats and for NumPy arrays.  The sum-wait kinds cost one block
-at a time on floats wherever the DP stores a value, reads a single-ack cost
-or scans for the critical suffix.  The max kinds cost arrays: a whole block
-column per step and a whole row per scanned start, which on dense arrivals
-run to hundreds of blocks; the permit search costs its single acks as one
-array too.  The permit suffix table is the exception: it uses the permit
-class decomposition directly and works on the gaps between neighbouring
-arrivals, at any span.
+for Python floats and for NumPy arrays.  Only ``max_wait_pow`` costs block
+columns and rows: a whole column per step and a whole row per scanned
+start, which on dense arrivals run to hundreds of blocks.  The other kinds
+cost one block at a time on floats wherever the DP stores a value, reads a
+single-ack cost or, under the sum-wait kinds, scans for the critical
+suffix.  The class kinds (``permit_plf``, and ``max_wait`` as class 0)
+search with the permit suffix table instead, which works on the gaps
+between neighbouring arrivals, at any span.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class DpTable:
 
     For ``i <= size``, ``values[i]`` is the optimal cost of serving the first
     ``i`` packets and ``choice[i]`` the start index of the last batch in that
-    optimum.  Arrivals are kept minus the first one, with their prefix sums
-    and the batch sizes ``1..capacity``; all arrays grow by doubling.
+    optimum.  Arrivals are kept minus the first one; all arrays grow by
+    doubling.
 
     A step chooses the new arrival's last-batch start ``j`` and stores
     ``values[j] + cost(block j..i) + 1``, where ``cost`` is the model's
@@ -96,11 +97,13 @@ class DpTable:
       span grows is filled once from the past starts.  Starts whose class
       value lies within :func:`tol_at` of the best are decided by the
       stored formula.
-    * ``max_wait`` and ``max_wait_pow`` cost the whole block column ``0..i``
-      with the array kernel and take its first minimum.  :meth:`single`
-      reads that column, and the critical-suffix scan costs their rows with
-      the array kernel too: NumPy's power and Python's can round the same
-      block apart, so the max kinds never cost a block on floats.
+    * ``max_wait``: a block's delay is its span, permit class 0's cost, so
+      the step and the critical-suffix search are ``permit_plf``'s with
+      class 0 alone (K = 0).
+    * ``max_wait_pow`` costs the whole block column ``0..i`` with the array
+      kernel and takes its first minimum; :meth:`single` reads that column
+      and the critical-suffix scan costs rows as arrays too, since NumPy's
+      power and Python's can round the same block apart.
     """
 
     def __init__(self, spec: DelayModelSpec):
@@ -113,8 +116,6 @@ class DpTable:
         self.size = 0  # arrivals pushed
         self._origin = 0.0
         self._arr = np.zeros(16)
-        self._prefix = np.zeros(17)
-        self._counts = np.arange(1.0, 17.0)
         self.values = np.zeros(17)
         self.choice = np.zeros(17, dtype=int)
         # S[0..size] and a[0..size-1] again as Python floats: one element
@@ -122,10 +123,13 @@ class DpTable:
         self._sums = [0.0]
         self._firsts: list[float] = []
         self._certified = 0  # first start with a single-ack cost <= 2, as last found
-        self._column: np.ndarray | None = None  # the last block column (max kinds)
+        self._column: np.ndarray | None = None  # the last block column (max_wait_pow)
         self._permits = None
         self._cost = cost_kernel(spec)  # cost(m, total, first, t) of one block
-        self._blocks = cost_kernel(spec, ARRAY_OPS)  # the same, of a block array
+        # The same, of a block array.  It serves only kinds whose cost reads
+        # the first arrival and the ack time alone (max_wait_pow, the class
+        # kinds' single acks), so callers pass 0.0 for size and arrival sum.
+        self._blocks = cost_kernel(spec, ARRAY_OPS)
         # A plain function, called with the table: a bound method stored on
         # the table would tie it into a reference cycle.
         if spec.kind in SUM_WAIT_KINDS:
@@ -133,9 +137,11 @@ class DpTable:
             linear = spec.kind == "linear_sum"
             self._linear = self._cost if linear else cost_kernel(linear_sum())
             self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)
-        elif spec.kind == "permit_plf":
+        elif spec.kind in ("permit_plf", "max_wait"):
+            # max_wait's batch delay is its span: permit class 0 alone.
+            self._classes = spec.num_classes if spec.kind == "permit_plf" else 0
             self._step = DpTable._class_step
-            self._permits = PermitSuffixTable(spec.num_classes)
+            self._permits = PermitSuffixTable(self._classes)
             self._slopes: list[float] = []  # 2**-k per class k kept
             self._class_min: list[float] = []  # min_j values[j] - a_j * 2**-k
             self._class_arg: list[tuple] = []  # its first minimising start
@@ -147,18 +153,16 @@ class DpTable:
         """Add an arrival no earlier than the last one and fill its DP entry."""
         i = self.size
         if i == self._arr.size:
-            self._arr, self._prefix, self.values, self.choice = (
+            self._arr, self.values, self.choice = (
                 np.concatenate((a, np.zeros(i, dtype=a.dtype)))
-                for a in (self._arr, self._prefix, self.values, self.choice)
+                for a in (self._arr, self.values, self.choice)
             )
-            self._counts = np.arange(1.0, 2 * i + 1.0)
         if i == 0:
             self._origin = time
         x = float(time - self._origin)
         before = self._sums[i]
         total = before + x
         self._arr[i] = x
-        self._prefix[i + 1] = total
         self._firsts.append(x)
         self._sums.append(total)
         # Start i as the stored formula reads it: (j, values[j], S[j], a_j).
@@ -211,14 +215,14 @@ class DpTable:
         mins, args, slopes = self._class_min, self._class_arg, self._slopes
         i, own = new[0], new[1]
         if x > self._covered:
-            top = _permit_classes(x, self.spec.num_classes)
+            top = _permit_classes(x, self._classes)
             for k in range(len(mins), top + 1):
                 slopes.append(2.0 ** -k)
                 past = self.values[: i + 1] - self._arr[: i + 1] * slopes[k]
                 j = int(np.argmin(past))
                 mins.append(float(past[j]))
                 args.append(self._start(j))
-            self._covered = 4 ** (top - 1) if top < self.spec.num_classes else math.inf
+            self._covered = 4 ** (top - 1) if top < self._classes else math.inf
         # Class k serves block j..i for (values[j] - a_j 2**-k) + 2**k + x 2**-k.
         cls = []
         for k, w in enumerate(slopes):
@@ -233,10 +237,8 @@ class DpTable:
         return j, value
 
     def _column_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
-        i, prefix = new[0], self._prefix
-        self._column = blocks = self._blocks(
-            self._counts[i::-1], total - prefix[: i + 1], self._arr[: i + 1], x
-        )
+        i = new[0]
+        self._column = blocks = self._blocks(0.0, 0.0, self._arr[: i + 1], x)
         cand = self.values[: i + 1] + blocks + 1.0
         j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
         return j, float(cand[j])
@@ -295,15 +297,13 @@ class DpTable:
             yield p, g
 
     def _row_optima(self, certified: int):
-        """:meth:`_block_optima` for the max kinds, costing each row of
+        """:meth:`_block_optima` for ``max_wait_pow``, costing each row of
         blocks ``p..q`` as one array with the suffix optima in an array."""
-        n, arr, prefix = self.size, self._arr, self._prefix
+        n, arr = self.size, self._arr
         G = np.zeros(n + 1)
         G[certified:n] = self._column[certified:n] + 1.0
         for p in range(certified - 1, -1, -1):
-            row = self._blocks(
-                self._counts[: n - p], prefix[p + 1 : n + 1] - prefix[p], arr[p], arr[p:n]
-            )
+            row = self._blocks(0.0, 0.0, arr[p], arr[p:n])
             g = G[p] = float(np.min(row + G[p + 1 :])) + 1.0
             yield p, g
 
@@ -314,16 +314,14 @@ class DpTable:
         When one ack for everything is optimal, the whole prefix is the
         critical suffix and no suffix search runs.  Otherwise the certified
         start comes from :meth:`_certified_start`, and only when it is past
-        0 does a search run.  The permit model reads its suffix table and
-        costs the single acks before the certified start as one array.
-        Every other model runs the pruned right-to-left scan over the suffix
-        optima.  The sum-wait kinds cost each block ``p..q`` on Python
-        floats from the prefix sums and first arrivals and keep the optima
-        in a list, as long as the suffixes scanned: their certified start
-        lies a few blocks back.  The max kinds cost each row ``p..n-1`` as
-        one array, as their DP steps cost each column: on dense arrivals
-        their certified start lies as many blocks back as arrive in one time
-        unit, and every row they scan is longer.
+        0 does a search run.  The class kinds (``permit_plf``, and
+        ``max_wait`` as class 0) read their suffix table and cost the single
+        acks before the certified start as one array.  The other models run
+        the pruned right-to-left scan over the suffix optima: the sum-wait
+        kinds cost each block ``p..q`` on Python floats and keep the optima
+        in a list, as long as the suffixes scanned, since their certified
+        start lies a few blocks back; ``max_wait_pow`` costs each row
+        ``p..n-1`` as one array, as its DP steps cost each column.
         """
         n = self.size
         opt = float(self.values[n])
@@ -334,12 +332,8 @@ class DpTable:
         if certified == 0:
             return 0
         if self._permits is not None:
-            arr, prefix = self._arr, self._prefix
-            G = self._permits.fold(arr, n)[:certified]
-            counts = self._counts[n - certified : n][::-1]
-            single = self._blocks(
-                counts, prefix[n] - prefix[:certified], arr[:certified], arr[n - 1]
-            ) + 1.0
+            G = self._permits.fold(self._firsts, n)[:certified]
+            single = self._blocks(0.0, 0.0, self._arr[:certified], self._firsts[n - 1]) + 1.0
             hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
             return int(hits[0]) if hits.size else certified
         # whole bounds every G[p], so this margin dominates the criticality
@@ -403,10 +397,12 @@ class PermitSuffixTable:
     No class above ``ceil(log4 span)`` serves a block more cheaply, so the
     table keeps classes ``0..min(K, ceil(log4 span) + 1)`` as of its last
     replay, and replays from the first packet once the span outgrows its
-    top class: at most about ``log4(span) / 2`` times.  A fresh table asked
-    once folds the whole list in one pass, sized from its final span, and
-    never replays.  Columns (starts) grow by doubling.  A class is a row of
-    ``open``, so the minimum over classes runs across whole rows.
+    top class: at most about ``log4(span) / 2`` times.  With K = 0 it keeps
+    class 0 alone, ``max_wait``'s block cost ``1 + span``, and never
+    replays.  A fresh table asked once folds the whole list in one pass,
+    sized from its final span, and never replays.  Columns (starts) grow by
+    doubling.  A class is a row of ``open``, so the minimum over classes
+    runs across whole rows.
     """
 
     def __init__(self, num_classes: int):
@@ -417,7 +413,7 @@ class PermitSuffixTable:
         self._open = np.zeros((0, 16))
         self._best = np.zeros(16)
 
-    def fold(self, arr: np.ndarray, n: int) -> np.ndarray:
+    def fold(self, arr: Sequence[float], n: int) -> np.ndarray:
         """Fold in ``arr[size:n]`` and return the suffix optima of ``arr[:n]``.
 
         ``arr[:size]`` must be the packets already folded in.
@@ -462,17 +458,18 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     A start whose single-ack cost is at most 2 is critical, since any split
     pays at least two acks.  The single-ack cost never increases with the
     start, so every start from the first such one on is critical and only
-    earlier starts are searched.  The permit model searches them with its
-    suffix table and one vectorized criticality pass.
+    earlier starts are searched.  The permit model, and ``max_wait`` as its
+    class 0 alone, search them with the suffix table and one vectorized
+    criticality pass.
 
-    The other models (``linear_sum``, ``capped_linear``, ``max_wait``,
-    ``max_wait_pow``) scan right to left and stop once a start ``p`` has a
-    single-ack slack over its optimum above 1: no earlier start ``p'`` is
-    critical then, so the stop never changes the answer.  Serving
-    ``p'..p-1`` in one batch gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and
-    where the block delay is superadditive the single-ack cost of ``p'``
-    exceeds that of ``p`` by at least ``d(p'..p-1)``.  The capped delay
-    ``min(linear, tau)`` leaves two cases:
+    The other models (``linear_sum``, ``capped_linear``, ``max_wait_pow``)
+    scan right to left and stop once a start ``p`` has a single-ack slack
+    over its optimum above 1: no earlier start ``p'`` is critical then, so
+    the stop never changes the answer.  Serving ``p'..p-1`` in one batch
+    gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and where the block delay is
+    superadditive the single-ack cost of ``p'`` exceeds that of ``p`` by at
+    least ``d(p'..p-1)``.  The capped delay ``min(linear, tau)`` leaves two
+    cases:
 
     * an unsaturated ``p'`` (single-ack delay below ``tau``) has every block
       inside ``p'..n-1`` below the cap, where the model is ``linear_sum``;

@@ -7,13 +7,15 @@ costs the whole block column ``j..i`` in NumPy, takes the first minimum of
 :meth:`~ColumnDpTable.critical_start` reads the single-ack costs from that
 column and runs the pruned right-to-left scan on NumPy rows, one row of
 blocks ``p..q`` per start and an array of all ``n + 1`` suffix optima, as
-the library still does under the max kinds.  The library chooses each
-start from a monotone hull or per-class running minima, reads single-ack
-costs one at a time and, under the sum-wait kinds, scans with its float
-block kernel; the tests check its values, back-pointers, critical starts
-and serve costs against this kernel, bit for bit.  :func:`suffix_opt` asks
-a fresh table for its suffix optima: one row scan per start, or the permit
-model's class table.
+the library still does under ``max_wait_pow``, the only kind it costs on
+block columns and rows.  The library chooses each start from a monotone
+hull or per-class running minima, reads single-ack costs one at a time
+and, under the sum-wait kinds, scans with its float block kernel; under
+``max_wait``, permit class 0 alone, it searches with the permit class
+table, where this kernel scans rows.  The tests check its values,
+back-pointers, critical starts and serve costs against this kernel, bit
+for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima: one
+row scan per start, or the permit model's class table.
 """
 
 from __future__ import annotations

@@ -80,6 +80,12 @@ class TestPlfRoundUp:
         with pytest.raises(ValueError):
             plf_round_up(-1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_rejected(self, x):
+        # inf would never leave the 4**k < x loop, and NaN would pass it as 0.
+        with pytest.raises(ValueError, match="finite"):
+            plf_round_up(x)
+
     def test_postconditions_random(self):
         rng = np.random.default_rng(0)
         for x in rng.uniform(0.0, 4.0 ** 10, 10_000):

@@ -203,12 +203,24 @@ PINNED_PHASE_ARRIVALS = (
 
 
 class TestSumMonotonePhases:
-    def test_block_costs_per_arrival_do_not_grow_with_n(self, monkeypatch):
-        # Every block the policy costs goes through a kernel bound from
-        # cost_kernel: the DP step, the certified start, the critical-suffix
-        # scan and the pending batch's aggregate.  About 26 per arrival on
-        # bursty arrivals; work linear in the arrivals seen would be
-        # thousands.
+    @pytest.mark.parametrize(
+        "spec, cluster_rate, burst_mean, intra_scale",
+        [
+            (linear_sum(), 0.25, 4.0, 0.01),
+            # Dense bursts: a row scan would cost hundreds of rows per arrival.
+            (max_wait(Objective.SUM_BATCH), 1.0, 100.0, 0.001),
+        ],
+        ids=["linear_sum", "max_wait"],
+    )
+    def test_block_costs_per_arrival_do_not_grow_with_n(
+        self, monkeypatch, spec, cluster_rate, burst_mean, intra_scale
+    ):
+        # Every call of a kernel bound from cost_kernel counts once, on a
+        # block or on an array of them: the DP step, the certified start,
+        # the critical-suffix search and the pending batch's aggregate.
+        # About 26 per arrival under linear_sum and 9 under max_wait, whose
+        # search costs its single acks as one array; work linear in the
+        # arrivals seen would be thousands.
         calls = 0
 
         def counting(spec, ops=FLOAT_OPS):
@@ -224,8 +236,8 @@ class TestSumMonotonePhases:
         monkeypatch.setattr(acklab.cost, "cost_kernel", counting)
         monkeypatch.setattr(acklab.offline, "cost_kernel", counting)
         n = 4000
-        arrivals = gen_bursty(n, 0.25, 4.0, 0.01, np.random.default_rng(7))
-        simulate(Instance(arrivals, linear_sum()), SumMonotonePhases(linear_sum()))
+        arrivals = gen_bursty(n, cluster_rate, burst_mean, intra_scale, np.random.default_rng(7))
+        simulate(Instance(arrivals, spec), SumMonotonePhases(spec))
         assert n <= calls <= 40 * n
 
     def test_single_packet(self):

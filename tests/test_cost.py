@@ -73,6 +73,14 @@ class TestBdelay:
         with pytest.raises(ValueError):
             bdelay(linear_sum(), [5], 4)
 
+    @pytest.mark.parametrize(
+        "batch, t", [([0.0, 1.0], math.nan), ([0.0, math.nan], 1.0), ([math.nan, 0.0], 1.0)]
+    )
+    def test_nan_is_not_zero_delay(self, batch, t):
+        # max(0.0, nan) is 0.0: unchecked, a NaN ack time or arrival would cost nothing.
+        with pytest.raises(ValueError):
+            bdelay(linear_sum(), batch, t)
+
     def test_vector_kind_rejected(self):
         with pytest.raises(ValueError):
             bdelay(lp_norm(2), [0], 1)

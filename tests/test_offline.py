@@ -409,11 +409,13 @@ def test_vectorized_blocks_match_scalar_bdelay():
                 )
 
 
-@pytest.mark.parametrize("spec", [linear_sum(), capped_linear(1.0), permit_plf()])
+@pytest.mark.parametrize(
+    "spec", [linear_sum(), capped_linear(1.0), permit_plf(), max_wait(Objective.SUM_BATCH)]
+)
 def test_push_costs_no_block_column(monkeypatch, spec):
-    # The hull and the class minima choose each start; push then costs the
-    # chosen blocks one at a time with the kernel the table bound, and never
-    # builds a column of them.
+    # The hull and the class minima (max_wait's is permit class 0) choose
+    # each start; push then costs the chosen blocks one at a time with the
+    # kernel the table bound, and never builds a column of them.
     costed = []
 
     def scalars_only(model, ops=FLOAT_OPS):
