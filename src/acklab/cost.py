@@ -11,7 +11,8 @@ Two families of models are supported:
   Python floats (the online aggregates and the prefix DP's steps) or NumPy
   arrays (the prefix DP's block columns and rows).  :func:`bdelay`
   feeds the float kernel times relative to the batch's first arrival, so
-  costs keep their digits at any time offset;
+  costs keep their digits at any time offset, and :func:`bdelay_kernel`
+  binds it once for callers that price many batches;
 * vector models, evaluated once over the per-packet delay vector via
   :func:`f_vector` (``lp``, ``top_k``, ``ordered``, ``concave_two_piece``,
   ``sum_vector``).  It is the one-row case of :func:`f_rows`, which costs
@@ -467,6 +468,31 @@ def cost_kernel(spec: DelayModelSpec, ops: CostOps = FLOAT_OPS) -> Callable:
     return make(spec, ops)
 
 
+def bdelay_kernel(spec: DelayModelSpec) -> Callable[[Sequence[float], float], float]:
+    """:func:`bdelay` for ``spec`` with its float kernel bound once: a
+    function ``delay(batch_arrivals, t)`` for callers that price many
+    batches of one model, such as :func:`acklab.model.evaluate_schedule`
+    and brute force's block table.  Every call makes :func:`bdelay`'s
+    checks."""
+    if spec.objective is Objective.VECTOR:
+        raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
+    cost = cost_kernel(spec)
+
+    def delay(batch_arrivals: Sequence[float], t: float) -> float:
+        if len(batch_arrivals) == 0:
+            return 0.0
+        last = max(batch_arrivals)
+        if not t >= last - tol_at(last):
+            raise ValueError(f"ack time {t!r} does not follow every arrival in the batch")
+        first = min(batch_arrivals)
+        total = math.fsum(a - first for a in batch_arrivals)
+        if not math.isfinite(total):
+            raise ValueError(f"batch arrival offsets must sum to a finite number, got {total!r}")
+        return cost(len(batch_arrivals), total, 0.0, t - first)
+
+    return delay
+
+
 def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> float:
     """Delay cost of acknowledging the given batch at time ``t``.
 
@@ -475,18 +501,7 @@ def bdelay(spec: DelayModelSpec, batch_arrivals: Sequence[float], t: float) -> f
     its digits however far from zero the batch lies.  A NaN ack time or
     arrival raises ValueError rather than pricing as zero delay.
     """
-    if spec.objective is Objective.VECTOR:
-        raise ValueError(f"{spec.kind!r} is a vector model; use f_vector")
-    if len(batch_arrivals) == 0:
-        return 0.0
-    last = max(batch_arrivals)
-    if not t >= last - tol_at(last):
-        raise ValueError(f"ack time {t!r} does not follow every arrival in the batch")
-    first = min(batch_arrivals)
-    total = math.fsum(a - first for a in batch_arrivals)
-    if not math.isfinite(total):
-        raise ValueError(f"batch arrival offsets must sum to a finite number, got {total!r}")
-    return cost_kernel(spec)(len(batch_arrivals), total, 0.0, t - first)
+    return bdelay_kernel(spec)(batch_arrivals, t)
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +963,7 @@ def check_monotone(
     for probing deliberately broken models).
     """
     if isinstance(model, DelayModelSpec):
-        fn = lambda batch, t: bdelay(model, batch, t)  # noqa: E731
+        fn = bdelay_kernel(model)
         name = f"monotone:{model.kind}"
     else:
         fn = model

@@ -19,7 +19,7 @@ from typing import Sequence
 from .cost import (
     DelayModelSpec,
     Objective,
-    bdelay,
+    bdelay_kernel,
     check_real,
     f_vector,
     model_from_json,
@@ -188,10 +188,8 @@ def evaluate_schedule(instance: Instance, schedule: Schedule) -> CostBreakdown:
     if spec.objective is Objective.VECTOR:
         delay = f_vector(spec, _delays(instance.arrivals, batches))
     else:
-        per_batch = [
-            bdelay(spec, instance.arrivals[b.start : b.stop], b.ack_time)
-            for b in batches
-        ]
+        delay_of = bdelay_kernel(spec)
+        per_batch = [delay_of(instance.arrivals[b.start : b.stop], b.ack_time) for b in batches]
         if spec.objective is Objective.SUM_BATCH:
             delay = float(sum(per_batch))
         else:

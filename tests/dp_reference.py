@@ -15,7 +15,8 @@ and, under the sum-wait kinds, scans with its float block kernel; under
 table, where this kernel scans rows.  The tests check its values,
 back-pointers, critical starts and serve costs against this kernel, bit
 for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima: one
-row scan per start, or the permit model's class table.
+row scan per start, or the permit model's class table that replays its
+prefix (:class:`permit_reference.ReplayPermitTable`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from acklab.cost import ARRAY_OPS, DelayModelSpec, Objective, cost_kernel
 from acklab.model import check_arrivals
-from acklab.offline import PermitSuffixTable
 from acklab.tolerance import TOL, tol_at
+from permit_reference import ReplayPermitTable
 
 
 class ColumnDpTable:
@@ -43,7 +44,7 @@ class ColumnDpTable:
         self._counts = np.arange(1.0, 17.0)
         self.values = np.zeros(17)
         self.choice = np.zeros(17, dtype=int)
-        self._permits = PermitSuffixTable(spec.num_classes) if spec.kind == "permit_plf" else None
+        self._permits = ReplayPermitTable(spec.num_classes) if spec.kind == "permit_plf" else None
 
     def push(self, time: float) -> np.ndarray:
         """Fill the new arrival's DP entry; return the delays of the blocks

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acklab.cost
 from acklab import (
     Instance,
     InvalidScheduleError,
@@ -17,6 +18,7 @@ from acklab import (
     linear_sum,
     lp_norm,
     max_wait,
+    permit_plf,
     sum_vector,
     validate_schedule,
 )
@@ -86,6 +88,22 @@ class TestEvaluateSchedule:
         inst = Instance((0, 3), linear_sum())
         with pytest.raises(InvalidScheduleError):
             validate_schedule(inst, Schedule((1, 2, 3)))
+
+    def test_binds_one_kernel_per_schedule(self, monkeypatch):
+        # bdelay binds its model's cost kernel on every call; a schedule
+        # binds it once for all of its batches.
+        binds = []
+        bind = acklab.cost.cost_kernel
+
+        def counted(spec, *args):
+            binds.append(spec)
+            return bind(spec, *args)
+
+        monkeypatch.setattr(acklab.cost, "cost_kernel", counted)
+        arrivals = tuple(float(i) for i in range(40))
+        out = evaluate_schedule(Instance(arrivals, permit_plf()), Schedule(arrivals[3::4]))
+        assert out.ack_count == 10
+        assert binds == [permit_plf()]
 
     def test_vector_objective(self):
         inst = Instance((0, 1), lp_norm(2))

@@ -323,7 +323,7 @@ class TestPermitSuffixTable:
     def test_matches_suffix_kernel(self, num_classes):
         # Folding in a few arrivals at a time, as the phase algorithm does
         # when it asks only now and then, gives the scalar reference's
-        # optima, also across the replays that add a class.
+        # optima, also across the joins that add a class.
         rng = np.random.default_rng(9)
         spec = permit_plf(num_classes=num_classes)
         timelines = [geometric_timeline(rng, 1e7, integer=i % 2 == 0) for i in range(4)]
@@ -362,6 +362,18 @@ class TestBruteForce:
         cost, sched = brute_force_optimal([0, 0.5, 3], top_k(1))
         assert cost == pytest.approx(2.5)
         assert sched.ack_times == (0.5, 3.0)
+
+    def test_block_table_binds_one_kernel(self, monkeypatch):
+        binds = []
+        bind = acklab.cost.cost_kernel
+
+        def counted(spec, *args):
+            binds.append(spec)
+            return bind(spec, *args)
+
+        monkeypatch.setattr(acklab.cost, "cost_kernel", counted)
+        brute_force_optimal([0.0, 0.5, 1.0, 4.0, 4.5, 9.0], max_wait())
+        assert binds == [max_wait()]
 
     def test_size_guard(self):
         with pytest.raises(BruteForceInfeasibleError):
