@@ -7,7 +7,8 @@
   ``linear_sum`` and ``capped_linear`` (a monotone hull) and O(classes)
   under ``permit_plf`` and ``max_wait``, its class 0 (a running minimum per
   class); ``max_wait_pow`` still costs a whole block column, O(n) per
-  step.  The table grows one arrival at a time and holds the one
+  step.  The table grows one arrival at a time, keeping each per-arrival
+  fact once in a flat :class:`array.array` buffer, and holds the one
   critical-suffix search: the phase-based online algorithm asks it for the
   longest suffix whose optimum is a single acknowledgment after every
   arrival.
@@ -46,6 +47,7 @@ between neighbouring arrivals, at any span.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from itertools import count
 from typing import Sequence
@@ -79,8 +81,15 @@ class DpTable:
 
     For ``i <= size``, ``values[i]`` is the optimal cost of serving the first
     ``i`` packets and ``choice[i]`` the start index of the last batch in that
-    optimum.  Arrivals are kept minus the first one; all arrays grow by
-    doubling.
+    optimum.  Each per-arrival fact is kept once, in a flat buffer that
+    :meth:`push` appends to: ``values`` and the arrival offsets ``a`` (minus
+    the first arrival) and prefix sums ``S`` as ``array("d")``, ``choice``
+    as ``array("q")``.  The loops read them as Python floats and ints; the
+    NumPy passes (the class join, the column step, the row scan and the
+    permit criticality pass) take zero-copy ``np.frombuffer`` views.  An
+    ``array`` that exports a buffer cannot grow and raises BufferError, so
+    no view may outlive the call that makes it: the row scan's generator
+    holds one until :meth:`critical_start` returns.
 
     A step chooses the new arrival's last-batch start ``j`` and stores
     ``values[j] + cost(block j..i) + 1``, where ``cost`` is the model's
@@ -99,7 +108,7 @@ class DpTable:
     * ``permit_plf``: the price curve is a minimum of one affine function of
       the span per class k, so ``j`` minimises ``values[j] - a_j·2**-k``
       for some k: one running minimum per class, for the classes
-      ``0..min(K, plf_round_up(span) + 1)``.  A class that joins as the
+      ``0..min(K, plf_round_up(span))``.  A class that joins as the
       span grows is filled once from the past starts.  Starts whose class
       value lies within :func:`tol_at` of the best are decided by the
       stored formula.
@@ -121,13 +130,10 @@ class DpTable:
         self.spec = spec
         self.size = 0  # arrivals pushed
         self._origin = 0.0
-        self._arr = np.zeros(16)
-        self.values = np.zeros(17)
-        self.choice = np.zeros(17, dtype=int)
-        # S[0..size] and a[0..size-1] again as Python floats: one element
-        # of a list reads several times faster than one of an array.
-        self._sums = [0.0]
-        self._firsts: list[float] = []
+        self.values = array("d", [0.0])
+        self.choice = array("q", [0])
+        self._sums = array("d", [0.0])  # S[0..size]
+        self._firsts = array("d")  # a[0..size-1]
         self._certified = 0  # first start with a single-ack cost <= 2, as last found
         self._column: np.ndarray | None = None  # the last block column (max_wait_pow)
         self._permits = None
@@ -142,7 +148,7 @@ class DpTable:
             self._step = DpTable._hull_step
             linear = spec.kind == "linear_sum"
             self._linear = self._cost if linear else cost_kernel(linear_sum())
-            self._lines: deque[tuple[float, tuple]] = deque()  # (values[j] + S[j], start j)
+            self._lines: deque[tuple[float, int]] = deque()  # (values[j] + S[j], start j)
         elif spec.kind in ("permit_plf", "max_wait"):
             # max_wait's batch delay is its span: permit class 0 alone.
             self._classes = spec.num_classes if spec.kind == "permit_plf" else 0
@@ -150,7 +156,7 @@ class DpTable:
             self._permits = PermitSuffixTable(self._classes)
             self._slopes: list[float] = []  # 2**-k per class k kept
             self._class_min: list[float] = []  # min_j values[j] - a_j * 2**-k
-            self._class_arg: list[tuple] = []  # its first minimising start
+            self._class_arg: list[int] = []  # its first minimising start
             self._covered = -1  # largest span the classes kept serve in full
         else:
             self._step = DpTable._column_step
@@ -158,94 +164,81 @@ class DpTable:
     def push(self, time: float) -> None:
         """Add an arrival no earlier than the last one and fill its DP entry."""
         i = self.size
-        if i == self._arr.size:
-            self._arr, self.values, self.choice = (
-                np.concatenate((a, np.zeros(i, dtype=a.dtype)))
-                for a in (self._arr, self.values, self.choice)
-            )
         if i == 0:
             self._origin = time
         x = float(time - self._origin)
-        before = self._sums[i]
-        total = before + x
-        self._arr[i] = x
+        total = self._sums[i] + x
         self._firsts.append(x)
         self._sums.append(total)
-        # Start i as the stored formula reads it: (j, values[j], S[j], a_j).
-        j, value = self._step(self, (i, float(self.values[i]), before, x), x, total)
-        self.values[i + 1] = value
-        self.choice[i + 1] = j
+        j, value = self._step(self, i, x, total)
+        self.values.append(value)
+        self.choice.append(j)
         self.size = i + 1
 
-    def _start(self, j: int) -> tuple[int, float, float, float]:
-        return j, float(self.values[j]), self._sums[j], self._firsts[j]
-
-    @staticmethod
-    def _cand(cost, start: tuple, i: int, x: float, total: float) -> float:
+    def _cand(self, cost, j: int, i: int, x: float, total: float) -> float:
         """``values[j]`` plus the serve cost of block ``j..i`` at ``x`` under
         the block kernel ``cost``: the DP entry that last-batch start ``j``
         gives arrival ``i``."""
-        j, value, before, first = start
-        return value + cost(float(i - j + 1), total - before, first, x) + 1.0
+        before, first = self._sums[j], self._firsts[j]
+        return self.values[j] + cost(float(i - j + 1), total - before, first, x) + 1.0
 
-    def _hull_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
+    def _hull_step(self, i: int, x: float, total: float) -> tuple[int, float]:
         lines, cand, linear = self._lines, self._cand, self._linear
-        i, value, before, _ = new
-        b = value + before
+        b = self.values[i] + self._sums[i]
         # Line j2 is never the first minimum once line i meets line j1 no
         # later than j2 does.
         while len(lines) >= 2:
-            b1, (j1, *_) = lines[-2]
-            b2, (j2, *_) = lines[-1]
+            b1, j1 = lines[-2]
+            b2, j2 = lines[-1]
             if (b - b1) * (j2 - j1) <= (b2 - b1) * (i - j1):
                 lines.pop()
             else:
                 break
-        lines.append((b, new))
+        lines.append((b, i))
         # The head is the first minimum of the stored formula among the lines.
-        best = cand(linear, lines[0][1], i, x, total)
+        j = lines[0][1]
+        best = cand(linear, j, i, x, total)
         while len(lines) >= 2:
             nxt = cand(linear, lines[1][1], i, x, total)
             if not nxt < best:
                 break
             lines.popleft()
-            best = nxt
-        j = lines[0][1][0]
+            j, best = lines[0][1], nxt
         if self._cost is linear:
             return j, best
-        capped = cand(self._cost, lines[0][1], i, x, total)
-        whole = cand(self._cost, self._start(0), i, x, total)
+        capped = cand(self._cost, j, i, x, total)
+        whole = cand(self._cost, 0, i, x, total)
         return (0, whole) if whole <= capped else (j, capped)
 
-    def _class_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
+    def _class_step(self, i: int, x: float, total: float) -> tuple[int, float]:
         mins, args, slopes = self._class_min, self._class_arg, self._slopes
-        i, own = new[0], new[1]
+        own = self.values[i]
         if x > self._covered:
             top = _permit_classes(x, self._classes)
+            values, firsts = np.frombuffer(self.values), np.frombuffer(self._firsts)
             for k in range(len(mins), top + 1):
                 slopes.append(2.0 ** -k)
-                past = self.values[: i + 1] - self._arr[: i + 1] * slopes[k]
+                past = values - firsts * slopes[k]
                 j = int(np.argmin(past))
                 mins.append(float(past[j]))
-                args.append(self._start(j))
-            self._covered = 4 ** (top - 1) if top < self._classes else math.inf
+                args.append(j)
+            self._covered = 4**top if top < self._classes else math.inf
         # Class k serves block j..i for (values[j] - a_j 2**-k) + 2**k + x 2**-k.
         cls = []
         for k, w in enumerate(slopes):
             xw = x * w
             if own - xw < mins[k]:
-                mins[k], args[k] = own - xw, new
+                mins[k], args[k] = own - xw, i
             cls.append(mins[k] + (1.0 / w + xw))
         low = min(cls)
         bound = low + tol_at(low)
         near = [args[k] for k, c in enumerate(cls) if c <= bound]
-        value, j = min((self._cand(self._cost, s, i, x, total), s[0]) for s in near)
+        value, j = min((self._cand(self._cost, j, i, x, total), j) for j in near)
         return j, value
 
-    def _column_step(self, new: tuple, x: float, total: float) -> tuple[int, float]:
-        i = new[0]
-        self._column = blocks = self._blocks(0.0, 0.0, self._arr[: i + 1], x)
-        cand = self.values[: i + 1] + blocks + 1.0
+    def _column_step(self, i: int, x: float, total: float) -> tuple[int, float]:
+        self._column = blocks = self._blocks(0.0, 0.0, np.frombuffer(self._firsts), x)
+        cand = np.frombuffer(self.values) + blocks + 1.0
         j = int(np.argmin(cand))  # first minimum: ties prefer the larger batch
         return j, float(cand[j])
 
@@ -305,7 +298,7 @@ class DpTable:
     def _row_optima(self, certified: int):
         """:meth:`_block_optima` for ``max_wait_pow``, costing each row of
         blocks ``p..q`` as one array with the suffix optima in an array."""
-        n, arr = self.size, self._arr
+        n, arr = self.size, np.frombuffer(self._firsts)
         G = np.zeros(n + 1)
         G[certified:n] = self._column[certified:n] + 1.0
         for p in range(certified - 1, -1, -1):
@@ -330,7 +323,7 @@ class DpTable:
         ``p..n-1`` as one array, as its DP steps cost each column.
         """
         n = self.size
-        opt = float(self.values[n])
+        opt = self.values[n]
         whole = self.single(0)
         if whole - opt <= tol_at(opt):
             return 0
@@ -339,7 +332,8 @@ class DpTable:
             return 0
         if self._permits is not None:
             G = self._permits.fold(self._firsts, n)[:certified]
-            single = self._blocks(0.0, 0.0, self._arr[:certified], self._firsts[n - 1]) + 1.0
+            firsts = np.frombuffer(self._firsts, count=certified)
+            single = self._blocks(0.0, 0.0, firsts, self._firsts[n - 1]) + 1.0
             hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
             return int(hits[0]) if hits.size else certified
         # whole bounds every G[p], so this margin dominates the criticality
@@ -368,10 +362,10 @@ def dp_optimal(
     i = len(arr)
     while i > 0:
         acks.append(arr[i - 1])
-        i = int(table.choice[i])
+        i = table.choice[i]
     # Exactly tied arrivals across a batch boundary collapse into one ack.
     schedule = Schedule(tuple(sorted(set(acks))))
-    return float(table.values[len(arr)]), schedule
+    return table.values[len(arr)], schedule
 
 
 def _permit_classes(span: float, num_classes: int) -> int:
@@ -379,10 +373,10 @@ def _permit_classes(span: float, num_classes: int) -> int:
     to ``span``.
 
     Class k costs ``2**k + x * 2**-k``; for ``x <= 4**k`` every higher class
-    costs more, so classes up to ``ceil(log4 span)`` suffice.  The DP keeps
-    one more, capped at ``num_classes``.
+    costs more, so classes up to ``ceil(log4 span)`` suffice, capped at
+    ``num_classes``.  :class:`PermitSuffixTable` keeps the same classes.
     """
-    return min(num_classes, plf_round_up(span) + 1)
+    return min(num_classes, plf_round_up(span))
 
 
 class PermitSuffixTable:
@@ -444,7 +438,7 @@ class PermitSuffixTable:
             self._grow(n)
         top, span = self._costs.size - 1, float(arr[n - 1] - arr[0])
         if top < self.num_classes and span > 4.0 ** top:
-            top = min(self.num_classes, plf_round_up(span))
+            top = _permit_classes(span, self.num_classes)
             self._join(arr, top)
         open_, best, costs, slopes = self._open, self._best, self._costs, self._slopes
         # Only a gap wider than 2**(top + 1) can start a block of a class not kept.

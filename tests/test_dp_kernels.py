@@ -6,6 +6,8 @@ values and back-pointers as :class:`dp_reference.ColumnDpTable`, bit for
 bit, and give the same critical start, certified start and serve cost.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,10 @@ def timelines(rng, n):
 
 def assert_tables_agree(spec, arrivals):
     """Push ``arrivals`` into both tables and compare them after each one.
+
+    Every push after a search also checks that no NumPy view of the
+    table's buffers outlived it: a buffer that still exports one cannot
+    grow and raises BufferError.
 
     Returns how often the certified start moved left.
     """
@@ -184,3 +190,27 @@ def test_scan_matches_numpy_row_scan(spec):
     # certified and no scan runs.
     capped_low = spec.kind == "capped_linear" and spec.tau <= 1.0
     assert scans == 0 if capped_low else scans >= 1000
+
+
+def test_table_keeps_each_arrival_fact_once():
+    # Offsets, prefix sums, values and back-pointers sit in one flat buffer
+    # each, 8 bytes an arrival apiece; the hull and the class minima hold a
+    # handful of starts.  A second copy of the arrivals, or a list of float
+    # objects (32 bytes an entry), would pass the bound.
+    n = 20000
+    arrivals = np.cumsum(np.random.default_rng(3).exponential(1.0, n)).tolist()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for spec in (linear_sum(), permit_plf(num_classes=32), max_wait(Objective.SUM_BATCH)):
+            before = tracemalloc.get_traced_memory()[0]
+            table = DpTable(spec)
+            for t in arrivals:
+                table.push(t)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            assert kept <= 48 * n, (spec.kind, kept / n)
+            del table
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -7,12 +7,15 @@ within rtol 1e-12, and the critical starts and ``phases`` schedules built
 on them must be identical.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from acklab import DpTable, Instance, Objective, max_wait, permit_plf, simulate
 from acklab.adversary import TcpPermitAdapter, run_pp_adversary
 from acklab.algorithms import SumMonotonePhases
+from acklab.cost import plf_round_up
 import acklab.offline as offline
 from acklab.offline import PermitSuffixTable
 from permit_reference import ReplayPermitTable
@@ -137,3 +140,23 @@ def test_the_permit_game_folds_each_request_once():
     report = run_pp_adversary(TcpPermitAdapter(algorithm), 930)
     assert report.chained
     assert algorithm._table._permits.steps == 930
+
+
+@pytest.mark.parametrize("num_classes", [0, 1, 2, 32])
+def test_dp_and_suffix_table_keep_the_same_classes(num_classes):
+    # Spans of exactly 4**k, the next float above and past the cap: the DP
+    # and the suffix table keep classes 0..min(K, plf_round_up(span)), and
+    # no spare class above them.
+    arrivals = [0.0]
+    for k in range(num_classes + 3):
+        arrivals += [4.0**k, math.nextafter(4.0**k, math.inf)]
+    table = DpTable(spec_of(num_classes))
+    for t in arrivals:
+        table.push(t)
+        classes = min(num_classes, plf_round_up(t)) + 1
+        assert len(table._slopes) == len(table._class_min) == classes, t
+        table.critical_start()
+        # The suffix table folds lazily: bring it up to date where the
+        # search returned before asking it.
+        table._permits.fold(table._firsts, table.size)
+        assert table._permits._costs.size == classes, t
