@@ -41,7 +41,8 @@ cost one block at a time on floats wherever the DP stores a value, reads a
 single-ack cost or, under the sum-wait kinds, scans for the critical
 suffix.  The class kinds (``permit_plf``, and ``max_wait`` as class 0)
 search with the permit suffix table instead, which works on the gaps
-between neighbouring arrivals, at any span.
+between neighbouring arrivals, at any span, and test every start against
+it in one array pass.  No search keeps state for the next one.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ class DpTable:
       the step and the critical-suffix search are ``permit_plf``'s with
       class 0 alone (K = 0).
     * ``max_wait_pow`` costs the whole block column ``0..i`` with the array
-      kernel and takes its first minimum; :meth:`single` reads that column
-      and the critical-suffix scan costs rows as arrays too, since NumPy's
-      power and Python's can round the same block apart.
+      kernel and takes its first minimum; :meth:`single` and the
+      critical-suffix scan read that column, and the scan costs rows as
+      arrays too, since NumPy's power and Python's can round a block apart.
     """
 
     def __init__(self, spec: DelayModelSpec):
@@ -134,7 +135,6 @@ class DpTable:
         self.choice = array("q", [0])
         self._sums = array("d", [0.0])  # S[0..size]
         self._firsts = array("d")  # a[0..size-1]
-        self._certified = 0  # first start with a single-ack cost <= 2, as last found
         self._column: np.ndarray | None = None  # the last block column (max_wait_pow)
         self._permits = None
         self._cost = cost_kernel(spec)  # cost(m, total, first, t) of one block
@@ -214,7 +214,7 @@ class DpTable:
         mins, args, slopes = self._class_min, self._class_arg, self._slopes
         own = self.values[i]
         if x > self._covered:
-            top = _permit_classes(x, self._classes)
+            top, self._covered = _permit_classes(x, self._classes)
             values, firsts = np.frombuffer(self.values), np.frombuffer(self._firsts)
             for k in range(len(mins), top + 1):
                 slopes.append(2.0 ** -k)
@@ -222,7 +222,6 @@ class DpTable:
                 j = int(np.argmin(past))
                 mins.append(float(past[j]))
                 args.append(j)
-            self._covered = 4**top if top < self._classes else math.inf
         # Class k serves block j..i for (values[j] - a_j 2**-k) + 2**k + x 2**-k.
         cls = []
         for k, w in enumerate(slopes):
@@ -250,38 +249,21 @@ class DpTable:
         n, sums, firsts = self.size, self._sums, self._firsts
         return self._cost(float(n - p), sums[n] - sums[p], firsts[p], firsts[n - 1]) + 1.0
 
-    def _certified_start(self) -> int:
-        """First start whose single-ack cost is at most 2.
+    def _block_optima(self):
+        """Yield the first certified start, then ``(p, G[p])`` for the
+        starts ``p`` before it, right to left, where ``G[p]`` is the optimum
+        of packets ``p..n-1`` on their own, costing one block at a time on
+        Python floats.
 
-        Single-ack costs only grow as packets arrive, so the start only
-        moves right, and a pointer kept from the last call finds it in
-        amortised O(1).  An exact arrival tie can still let a float cost
-        fall, so a pointer that did not move steps back while the start
-        before it qualifies.  When no start qualifies (prefix sums so large
-        that even a lone packet's rounded cost passes 2), the answer is 0,
-        as the first minimum of an all-false test is.
-        """
-        c, single, n = self._certified, self.single, self.size
-        if c < n and single(c) > 2.0:
-            c += 1
-            while c < n and single(c) > 2.0:
-                c += 1
-        else:
-            while c > 0 and single(c - 1) <= 2.0:
-                c -= 1
-        self._certified = c
-        return c if c < n else 0
-
-    def _block_optima(self, certified: int):
-        """Yield ``(p, G[p])`` for the starts ``p`` before ``certified``,
-        right to left, where ``G[p]`` is the optimum of packets ``p..n-1``
-        on their own, costing one block at a time on Python floats.
-
-        ``suffix[k]`` is ``G[n - k]``: 0 for no packets, then the single-ack
-        costs of the certified starts, then each optimum found."""
+        The walk left from the last packet certifies each start whose
+        single-ack cost, its optimum, is at most 2.  ``suffix[k]`` is
+        ``G[n - k]``: 0 for no packets, each certified cost, each optimum."""
         n, cost, sums, firsts = self.size, self._cost, self._sums, self._firsts
-        suffix = [0.0]
-        suffix.extend(self.single(q) for q in range(n - 1, certified - 1, -1))
+        suffix, certified = [0.0], n
+        while certified and (g := self.single(certified - 1)) <= 2.0:
+            suffix.append(g)
+            certified -= 1
+        yield certified
         for p in range(certified - 1, -1, -1):
             # A first block p..q of m packets acknowledged at a_q, then
             # G[q + 1]; reversed(suffix) runs over G[p + 1..n].
@@ -295,12 +277,14 @@ class DpTable:
             suffix.append(g)
             yield p, g
 
-    def _row_optima(self, certified: int):
+    def _row_optima(self):
         """:meth:`_block_optima` for ``max_wait_pow``, costing each row of
-        blocks ``p..q`` as one array with the suffix optima in an array."""
-        n, arr = self.size, np.frombuffer(self._firsts)
+        blocks ``p..q`` and reading the certified starts from the column."""
+        n, arr, single = self.size, np.frombuffer(self._firsts), self._column + 1.0
+        certified = int(np.argmax(single <= 2.0))
+        yield certified
         G = np.zeros(n + 1)
-        G[certified:n] = self._column[certified:n] + 1.0
+        G[certified:n] = single[certified:]
         for p in range(certified - 1, -1, -1):
             row = self._blocks(0.0, 0.0, arr[p], arr[p:n])
             g = G[p] = float(np.min(row + G[p + 1 :])) + 1.0
@@ -311,37 +295,34 @@ class DpTable:
         so far: see :func:`longest_critical_suffix`.
 
         When one ack for everything is optimal, the whole prefix is the
-        critical suffix and no suffix search runs.  Otherwise the certified
-        start comes from :meth:`_certified_start`, and only when it is past
-        0 does a search run.  The class kinds (``permit_plf``, and
-        ``max_wait`` as class 0) read their suffix table and cost the single
-        acks before the certified start as one array.  The other models run
-        the pruned right-to-left scan over the suffix optima: the sum-wait
-        kinds cost each block ``p..q`` on Python floats and keep the optima
-        in a list, as long as the suffixes scanned, since their certified
-        start lies a few blocks back; ``max_wait_pow`` costs each row
-        ``p..n-1`` as one array, as its DP steps cost each column.
+        critical suffix and no suffix search runs.  The class kinds
+        (``permit_plf``, and ``max_wait`` as class 0) test every start's
+        single-ack cost against their suffix table in one array pass.  The
+        other models run the pruned right-to-left scan over the suffix
+        optima before their certified starts: the sum-wait kinds cost each
+        block ``p..q`` on Python floats and keep the optima in a list, as
+        long as the suffixes scanned; ``max_wait_pow`` costs each row
+        ``p..n-1`` as one array, as its DP steps cost each column.  No state
+        is kept between calls.
         """
         n = self.size
         opt = self.values[n]
         whole = self.single(0)
         if whole - opt <= tol_at(opt):
             return 0
-        certified = self._certified_start()
-        if certified == 0:
-            return 0
         if self._permits is not None:
-            G = self._permits.fold(self._firsts, n)[:certified]
-            firsts = np.frombuffer(self._firsts, count=certified)
+            G = self._permits.fold(self._firsts, n)
+            firsts = np.frombuffer(self._firsts)
             single = self._blocks(0.0, 0.0, firsts, self._firsts[n - 1]) + 1.0
-            hits = np.flatnonzero(single - G <= np.maximum(np.abs(G), 1.0) * TOL)
-            return int(hits[0]) if hits.size else certified
+            return int(np.argmax(single - G <= np.maximum(np.abs(G), 1.0) * TOL))
+        scan = self._block_optima() if self._column is None else self._row_optima()
+        best = next(scan)
+        if best in (0, n):  # n: not even a lone packet's rounded cost is <= 2
+            return 0
         # whole bounds every G[p], so this margin dominates the criticality
         # tolerance at every earlier start and pruning never changes the answer.
         margin = tol_at(whole)
-        optima = self._block_optima if self._column is None else self._row_optima
-        best = certified
-        for p, g in optima(certified):
+        for p, g in scan:
             slack = self.single(p) - g
             if slack <= tol_at(g):
                 best = p
@@ -368,15 +349,20 @@ def dp_optimal(
     return table.values[len(arr)], schedule
 
 
-def _permit_classes(span: float, num_classes: int) -> int:
-    """Highest permit class :meth:`DpTable._class_step` keeps for blocks up
-    to ``span``.
+def _permit_classes(span: float, num_classes: int) -> tuple[int, int | float]:
+    """Highest permit class kept for blocks up to ``span``, and the largest
+    span the classes kept serve in full.
 
     Class k costs ``2**k + x * 2**-k``; for ``x <= 4**k`` every higher class
-    costs more, so classes up to ``ceil(log4 span)`` suffice, capped at
-    ``num_classes``.  :class:`PermitSuffixTable` keeps the same classes.
+    costs more, so classes up to ``top = ceil(log4 span)`` suffice, capped
+    at ``num_classes``.  They serve every span up to ``4**top``, returned
+    as an exact integer (the float power overflows at ``top = 512``), or
+    up to inf once ``top`` reaches the cap.  :meth:`DpTable._class_step`
+    and :meth:`PermitSuffixTable.fold` add classes only when a span passes
+    that bound, and take the new top from here.
     """
-    return min(num_classes, plf_round_up(span))
+    top = min(num_classes, plf_round_up(span))
+    return top, 4**top if top < num_classes else math.inf
 
 
 class PermitSuffixTable:
@@ -428,6 +414,7 @@ class PermitSuffixTable:
         self._open = np.zeros((1, 16))
         self._best = np.zeros(16)
         self._shadow = np.full((0, 16), math.inf)  # S_j for j = top + 1, top + 2, ...
+        _, self._covered = _permit_classes(0.0, num_classes)  # class 0 kept
 
     def fold(self, arr: Sequence[float], n: int) -> np.ndarray:
         """Fold in ``arr[size:n]`` and return the suffix optima of ``arr[:n]``.
@@ -436,10 +423,11 @@ class PermitSuffixTable:
         """
         if n > self._best.size:
             self._grow(n)
-        top, span = self._costs.size - 1, float(arr[n - 1] - arr[0])
-        if top < self.num_classes and span > 4.0 ** top:
-            top = _permit_classes(span, self.num_classes)
+        span = float(arr[n - 1] - arr[0])
+        if span > self._covered:
+            top, self._covered = _permit_classes(span, self.num_classes)
             self._join(arr, top)
+        top = self._costs.size - 1
         open_, best, costs, slopes = self._open, self._best, self._costs, self._slopes
         # Only a gap wider than 2**(top + 1) can start a block of a class not kept.
         wide = 2.0 ** (top + 1) if top < self.num_classes else math.inf
@@ -515,19 +503,21 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
 
     A start whose single-ack cost is at most 2 is critical, since any split
     pays at least two acks.  The single-ack cost never increases with the
-    start, so every start from the first such one on is critical and only
-    earlier starts are searched.  The permit model, and ``max_wait`` as its
-    class 0 alone, search them with the suffix table and one vectorized
-    criticality pass.
+    start, so every start from the first such one on is critical.  The
+    permit model, and ``max_wait`` as its class 0 alone, skip these
+    certified starts and test every start against the suffix table in one
+    vectorized pass.
 
     The other models (``linear_sum``, ``capped_linear``, ``max_wait_pow``)
-    scan right to left and stop once a start ``p`` has a single-ack slack
-    over its optimum above 1: no earlier start ``p'`` is critical then, so
-    the stop never changes the answer.  Serving ``p'..p-1`` in one batch
-    gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and where the block delay is
-    superadditive the single-ack cost of ``p'`` exceeds that of ``p`` by at
-    least ``d(p'..p-1)``.  The capped delay ``min(linear, tau)`` leaves two
-    cases:
+    find their certified starts first (the sum-wait kinds walk left from
+    the last packet on floats, ``max_wait_pow`` reads its block column).
+    They scan the earlier starts right to left and stop once a start ``p``
+    has a single-ack slack over its optimum above 1: no earlier start
+    ``p'`` is critical then, so the stop never changes the answer.  Serving
+    ``p'..p-1`` in one batch gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and
+    where the block delay is superadditive the single-ack cost of ``p'``
+    exceeds that of ``p`` by at least ``d(p'..p-1)``.  The capped delay
+    ``min(linear, tau)`` leaves two cases:
 
     * an unsaturated ``p'`` (single-ack delay below ``tau``) has every block
       inside ``p'..n-1`` below the cap, where the model is ``linear_sum``;

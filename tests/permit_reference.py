@@ -40,7 +40,7 @@ class ReplayPermitTable:
         starts = self._best.size
         while starts < n:
             starts *= 2
-        if top < 0 or (top < self.num_classes and span > 4.0 ** top):
+        if top < 0 or (top < self.num_classes and span > 4**top):
             classes = min(self.num_classes, plf_round_up(span) + 1) + 1
             self.size = 0
             self._costs = np.exp2(np.arange(classes, dtype=float))[:, None]

@@ -216,11 +216,11 @@ class TestSumMonotonePhases:
         self, monkeypatch, spec, cluster_rate, burst_mean, intra_scale
     ):
         # Every call of a kernel bound from cost_kernel counts once, on a
-        # block or on an array of them: the DP step, the certified start,
-        # the critical-suffix search and the pending batch's aggregate.
-        # About 26 per arrival under linear_sum and 9 under max_wait, whose
-        # search costs its single acks as one array; work linear in the
-        # arrivals seen would be thousands.
+        # block or on an array of them: the DP step, the critical-suffix
+        # search and the pending batch's aggregate.  About 25 per arrival
+        # under linear_sum and 7 under max_wait, whose search costs its
+        # single acks as one array; work linear in the arrivals seen would
+        # be thousands.
         calls = 0
 
         def counting(spec, ops=FLOAT_OPS):

@@ -232,6 +232,20 @@ class TestRun:
         )
         assert code == 0
 
+    def test_phases_with_permit_classes_past_float_range(self, tmp_path, capsys):
+        # With K = 600 the first search keeps classes up to 512 for a span
+        # past 4**511, and the next one compares its span with 4**512, which
+        # a float power cannot hold.
+        path = write_instance(
+            tmp_path, [0.0, 5e307, 5.5e307], {"kind": "permit_plf", "K": 600}
+        )
+        code, out = run_cli(
+            capsys, "run", "--instance", path, "--alg", '{"alg":"phases"}',
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0
+        assert strict_loads(out)["acks"] == 3
+
     def test_infinite_cost_is_strict_json(self, tmp_path, capsys):
         # The first ack lands one float after 1.0, where the batch cost jumps
         # from 1 to +inf, so the run's delay and total are +inf.

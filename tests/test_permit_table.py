@@ -17,7 +17,7 @@ from acklab.adversary import TcpPermitAdapter, run_pp_adversary
 from acklab.algorithms import SumMonotonePhases
 from acklab.cost import plf_round_up
 import acklab.offline as offline
-from acklab.offline import PermitSuffixTable
+from acklab.offline import PermitSuffixTable, brute_force_optimal
 from permit_reference import ReplayPermitTable
 
 CLASSES = (0, 2, 32, 600)
@@ -116,6 +116,20 @@ def test_a_joining_class_reads_its_shadow_row():
         got, want = table.fold(arrivals, n), ref.fold(arrivals, n)
     assert got[0] == want[0] == 29.5
     assert ref.steps > table.steps == len(arrivals)
+
+
+def test_classes_past_the_float_power_range():
+    # Folded one packet at a time, the span 5e307 keeps classes up to 512,
+    # and the next fold compares the span 5.5e307 with 4**512, past the
+    # float range: it must be compared exactly, not as 4.0 ** 512.
+    arrivals = [0.0, 5e307, 5.5e307]
+    spec = permit_plf(num_classes=600)
+    table, ref = PermitSuffixTable(600), ReplayPermitTable(600)
+    for n in range(1, len(arrivals) + 1):
+        got = table.fold(arrivals, n).tolist()
+        assert got == [brute_force_optimal(arrivals[p:n], spec)[0] for p in range(n)], n
+        assert got == ref.fold(arrivals, n).tolist(), n
+    assert table._costs.size == 513
 
 
 @pytest.mark.parametrize("num_classes", [0, 1, 3, 32, 600])
