@@ -19,8 +19,8 @@ Two families of models are supported:
   every row of a matrix of delay vectors at once, as brute force and the
   submodularity tester need.  ``top_k`` and ``lp`` with p = inf are ordered
   norms (:func:`order_weights`) and share the ``ordered`` evaluator, and
-  ``lp`` with p = 1 shares ``sum_vector``'s.  Online, ``lp`` with p = inf also
-  shares the ``ordered`` aggregate; ``top_k`` keeps its own, whose affine
+  ``lp`` with p = 1 shares ``sum_vector``'s.  Online, both also share the
+  ``ordered`` aggregate, ``top_k`` with its own cost formula, whose affine
   pieces land nearer the exact crossing than the sorted merge does.
 
 Online, every model is kept as a running aggregate (:func:`aggregate`): a
@@ -28,9 +28,11 @@ batch model's pending batch as its size and arrival offsets, with the
 model's closed-form inverse as its crossing, and a vector model's growing
 delay vector as what its kind needs of it (``sum_vector``, ``lp`` with
 p = 1 and each half of ``concave_two_piece``: the ``linear_sum`` batch
-aggregate with a frozen part).  :func:`threshold_time` turns any
-aggregate's crossing into the first float time at which its cost reaches a
-target; it alone finds a target out of reach.
+aggregate with a frozen part).  The convex ones, ``lp`` with p > 1 and
+the ordered norms, share one crossing: Newton's method from above on the
+aggregate's own cost.  :func:`threshold_time` walks from any aggregate's
+crossing to the first float time at which its cost reaches a target, so
+the crossing only seeds the walk; it alone finds a target out of reach.
 
 The module also provides the JSON wire format (:func:`model_to_json`,
 :func:`dump_json`), the piecewise-linear permit cost curve :func:`plf_eval`
@@ -42,6 +44,7 @@ the lattice (continuous-submodularity) inequality.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import numbers
@@ -317,8 +320,12 @@ def plf_delay(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
     minimal at ``k = log4(x)``: class k wins for spans in
     ``[4**k / 2, 2 * 4**k]``.  So the minimum is attained at ``base`` or
     ``base + 1`` with ``base = floor(log4(max(x, 1)))`` clipped to
-    ``num_classes - 1``, and only those two classes are probed.
+    ``num_classes - 1``, and only those two classes are probed.  With
+    ``num_classes = 0``, class 0 alone, the delay is the span, as under
+    ``max_wait``.  A negative or fractional class count raises ValueError.
     """
+    if num_classes is not None and not (num_classes >= 0 and num_classes % 1 == 0):
+        raise ValueError(f"permit class count must be a whole number >= 0, got {num_classes!r}")
     if isinstance(x, np.ndarray):
         if x.size and float(x.min()) < 0.0:
             raise ValueError("span must be non-negative")
@@ -333,6 +340,8 @@ def plf_delay(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
         if num_classes is not None:
             base = min(base, num_classes - 1)
         w, minimum = 2.0 ** base, min
+    if num_classes == 0:
+        return x + 0.0
     ratio = x / w
     return minimum((w - 1.0) + ratio, (2.0 * w - 1.0) + 0.5 * ratio)
 
@@ -616,22 +625,6 @@ def _affine_crossing(slope: float, value0: float, goal: float) -> float:
     return -math.inf if value0 >= goal else math.inf
 
 
-def _newton_down(value_slope, s: float, lo: float) -> float:
-    """Newton's method from ``s``, at or right of the root of a convex,
-    increasing function, never going below ``lo``.  Each step lands on the
-    root of a tangent, which lies below the function, so the iterates fall
-    monotonically towards the root; on a piecewise-linear function each step
-    enters a new piece and the last one is exact."""
-    while True:
-        v, d = value_slope(s)
-        if v <= 0.0 or d <= 0.0:
-            return s
-        nxt = max(lo, s - v / d)
-        if nxt >= s:
-            return s
-        s = nxt
-
-
 class _BatchAggregate:
     """A batch model's pending batch: its size and the sum of its arrival
     offsets, the first arrival being at offset 0, which is all the model's
@@ -682,13 +675,39 @@ class _BatchAggregate:
         self.total = 0.0
 
 
-class _PowerAggregate:
+class _ConvexAggregate:
+    """The vector aggregates whose cost is convex and increasing in ``s``:
+    ``lp`` with p > 1 and the ordered norms.  The first pending packet's
+    delay is ``s``, so the cost is at least ``w1 s``, ``w1`` the weight on
+    the largest delay, and the crossing lies at or below ``goal / w1``.
+    Newton's method falls to it from there on the aggregate's own value and
+    slope (``_value_slope(s)``): each step lands on the root of a tangent,
+    which lies below the cost, so the iterates fall monotonically towards
+    the crossing, and on a piecewise-linear cost each step enters a new
+    piece and the last one is exact.  With ``w1 <= 0`` the cost never grows
+    and the crossing is +inf."""
+
+    w1 = 1.0
+
+    def crossing(self, goal: float) -> float:
+        if self.w1 <= 0.0:
+            return math.inf
+        s = goal / self.w1
+        while True:
+            value, slope = self._value_slope(s)
+            if value - goal <= 0.0 or slope <= 0.0:
+                return s
+            nxt = max(0.0, s - (value - goal) / slope)
+            if nxt >= s:
+                return s
+            s = nxt
+
+
+class _PowerAggregate(_ConvexAggregate):
     """``lp`` with any other p: the norm of the frozen delays and the pending
     offsets.  Every delay is divided by the largest one in play before it
     is raised to the p-th power, so no power overflows however large p is.
-    The pending sum of p-th powers is convex and increasing in ``s``, so its
-    crossing comes from Newton's method started above it; each step costs
-    O(pending)."""
+    Each cost, and each Newton step of the crossing, costs O(pending)."""
 
     def __init__(self, spec: DelayModelSpec):
         self.p = float(spec.p)
@@ -708,19 +727,13 @@ class _PowerAggregate:
         powers = (self.frozen / scale) ** p + sum((max(0.0, s - x) / scale) ** p for x in self.xs)
         return scale * powers ** (1.0 / p)
 
-    def crossing(self, goal: float) -> float:
-        # In units of goal: sum ((s - x) / goal)**p must reach need.
-        p, xs = self.p, self.xs
-        need = 1.0 - (self.frozen / goal) ** p
-        per = goal * (need / len(xs)) ** (1.0 / p)
-
-        def value_slope(s):
-            d = [max(0.0, s - x) / goal for x in xs]
-            return sum(v ** p for v in d) - need, p / goal * sum(v ** (p - 1.0) for v in d)
-
-        # Every offset is at least 0 and at most xs[-1], so the root lies in
-        # [per, xs[-1] + per] and below goal * need**(1/p).
-        return _newton_down(value_slope, min(goal * need ** (1.0 / p), xs[-1] + per), per)
+    def _value_slope(self, s: float) -> tuple[float, float]:
+        """The norm at ``s > 0`` and its slope there: the pending delays'
+        (p-1)-th powers summed, over the norm's."""
+        scale, p = max(self.frozen, s), self.p
+        d = [max(0.0, s - x) / scale for x in self.xs]
+        norm = ((self.frozen / scale) ** p + sum(v ** p for v in d)) ** (1.0 / p)
+        return scale * norm, sum(v ** (p - 1.0) for v in d) / norm ** (p - 1.0)
 
     def freeze(self, s: float) -> float:
         self.frozen = self.cost(s)
@@ -731,70 +744,47 @@ class _PowerAggregate:
         self.xs = []
 
 
-class _TopKAggregate:
-    """``top_k``: the k largest frozen delays and the first k pending
-    offsets.  The j largest pending delays are those of the first j pending
-    packets, so the cost is the maximum over j of ``j s - X_j + H_{k-j}``
-    (X: pending prefix sums, H: sums of the largest frozen delays) and its
-    crossing the minimum of the pieces' crossings."""
+class _OrderedAggregate(_ConvexAggregate):
+    """The ordered norms (:func:`order_weights`): ``ordered``, ``lp`` with
+    p = inf (the single weight 1) and ``top_k`` (k unit weights, which are
+    never built, so a huge k costs nothing).  It keeps the largest frozen
+    delays, one per weight, in decreasing order, with their prefix sums
+    ``top_sums``, and the first pending offsets, one per weight.
+
+    The cost is convex and piecewise linear in ``s``, its slope the weights
+    at the pending packets' places, so the Newton crossing is exact, one
+    cost a step.  Explicit weights cost one sorted merge of the frozen and
+    pending delays.  ``top_k`` costs the maximum over j of
+    ``j s - X_j + H_{k-j}`` (X: pending prefix sums, H: ``top_sums``), whose
+    rounding lands on the exact crossing more often than the merge's."""
 
     def __init__(self, spec: DelayModelSpec):
-        self.k = spec.k
+        self.w = None if spec.kind == "top_k" else order_weights(spec)
+        self.size = spec.k if self.w is None else len(self.w)
+        self.w1 = 1.0 if self.w is None else self.w[0]
+        self._value_slope = self._pieces if self.w is None else self._merge
         self.top: list[float] = []  # decreasing
         self.top_sums = [0.0]  # H_r for r = 0 .. len(top)
         self.xs: list[float] = []
 
     def add(self, x: float) -> None:
-        if len(self.xs) < self.k:
+        if len(self.xs) < self.size:
             self.xs.append(x)
 
-    def _pieces(self):
-        """``(j, X_j, H_{k-j})`` for j = 0 .. the pending count (at most k)."""
-        sums, last = self.top_sums, len(self.top_sums) - 1
-        total = 0.0
-        yield 0, total, sums[min(self.k, last)]
+    def _pieces(self, s: float) -> tuple[float, float]:
+        """``top_k``'s cost at ``s`` and its slope: the largest piece, over
+        j = 0 .. the pending count, and its j."""
+        sums, last, k = self.top_sums, len(self.top_sums) - 1, self.size
+        value, slope, total = sums[min(k, last)], 0, 0.0
         for j, x in enumerate(self.xs, 1):
             total += x
-            yield j, total, sums[min(self.k - j, last)]
-
-    def cost(self, s: float) -> float:
-        return max(j * s - total + frozen for j, total, frozen in self._pieces())
-
-    def crossing(self, goal: float) -> float:
-        return min((goal - frozen + total) / j for j, total, frozen in self._pieces() if j)
-
-    def freeze(self, s: float) -> float:
-        self.top = heapq.nlargest(self.k, [*self.top, *(max(0.0, s - x) for x in self.xs)])
-        self.top_sums = [0.0]
-        for v in self.top:
-            self.top_sums.append(self.top_sums[-1] + v)
-        self.clear()
-        return self.top_sums[-1]
-
-    def clear(self) -> None:
-        self.xs = []
-
-
-class _OrderedAggregate:
-    """``ordered`` and ``lp`` with p = inf (the single weight 1, see
-    :func:`order_weights`): the largest frozen delays, one per weight, in
-    decreasing order, and the first pending offsets, one per weight.  The
-    cost at ``s`` is one sorted merge of the two; it is convex and piecewise
-    linear in ``s`` with the weights at the pending packets' places as its
-    slope, so Newton's method from above reaches the crossing exactly, one
-    merge per step."""
-
-    def __init__(self, spec: DelayModelSpec):
-        self.w = order_weights(spec)
-        self.top: list[float] = []
-        self.xs: list[float] = []
-
-    def add(self, x: float) -> None:
-        if len(self.xs) < len(self.w):
-            self.xs.append(x)
+            piece = j * s - total + sums[min(k - j, last)]
+            if piece >= value:
+                value, slope = piece, j
+        return value, slope
 
     def _merge(self, s: float) -> tuple[float, float]:
-        """Cost at ``s`` and its slope there."""
+        """Explicit weights' cost at ``s`` and its slope."""
         top, xs = self.top, self.xs
         value = slope = 0.0
         q = i = 0
@@ -809,21 +799,11 @@ class _OrderedAggregate:
         return value, slope
 
     def cost(self, s: float) -> float:
-        return self._merge(s)[0]
-
-    def crossing(self, goal: float) -> float:
-        if self.w[0] <= 0.0:
-            return math.inf
-
-        def value_slope(s):
-            value, slope = self._merge(s)
-            return value - goal, slope
-
-        # The first pending packet's delay is s, so the cost is at least w[0] s.
-        return _newton_down(value_slope, goal / self.w[0], 0.0)
+        return self._value_slope(s)[0]
 
     def freeze(self, s: float) -> float:
-        self.top = heapq.nlargest(len(self.w), [*self.top, *(max(0.0, s - x) for x in self.xs)])
+        self.top = heapq.nlargest(self.size, [*self.top, *(max(0.0, s - x) for x in self.xs)])
+        self.top_sums = list(itertools.accumulate(self.top, initial=0.0))
         self.clear()
         return self.cost(0.0)
 
@@ -876,7 +856,7 @@ class _ConcaveAggregate:
 
 _AGGREGATES = {
     **dict.fromkeys(BATCH_KINDS, _BatchAggregate),
-    "top_k": _TopKAggregate,
+    "top_k": _OrderedAggregate,
     "ordered": _OrderedAggregate,
     "concave_two_piece": _ConcaveAggregate,
 }
@@ -907,6 +887,13 @@ def threshold_time(aggregate, origin: float, target: float, t_lo: float) -> floa
     than a tolerance above the cap, and when the crossing gives no finite
     time (``origin`` plus the crossing is +inf or NaN), from which no walk
     could end.
+
+    The crossing only seeds the walk.  Where the cost is monotone over the
+    floats the walk visits, the time does not depend on it, so an aggregate
+    may find its crossing another way without moving an ack as long as its
+    ``cost`` keeps every bit.  ``lp``'s cost with 1 < p < inf is not
+    monotone bit for bit: it can fall back below the goal one float past
+    it, and there the seed decides on which side of the dip the walk stops.
     """
     cost = aggregate.cost
     if cost(t_lo - origin) >= target:

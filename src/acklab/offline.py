@@ -18,11 +18,10 @@
   permit class for a prefix that grows one arrival at a time, brought up to
   date only when the table is asked; with class 0 alone, ``max_wait``'s.
   It folds each packet in once: a class that joins as the span grows takes
-  its row from its single blocks and a shadow row, not from a replay of the
-  prefix.  In the permit game under ``phases`` that is 930 fold steps for
-  930 requests where replays took 2152, and the game takes 0.18 s, 1.06 s
-  and 8.3 s of process time at 930, 4000 and 16000 requests, against 0.22,
-  1.25 and 15.7 s with replays (2-vCPU x86_64 guest, ``BENCH_22.json``).
+  its row from its single blocks and a shadow row.  In the permit game
+  under ``phases`` that is 930 fold steps for 930 requests, and the game
+  takes 0.18 s, 1.06 s and 8.3 s of process time at 930, 4000 and 16000
+  requests (2-vCPU x86_64 guest, ``BENCH_22.json``).
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions,
   in NumPy chunks of cut masks with one matrix row per partition; the
   independent oracle for every objective kind (and the only exact one for

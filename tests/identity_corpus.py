@@ -4,12 +4,12 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/identity_corpus.py
 
-In one process it calls :func:`acklab.cli.main` on 163 cases and prints one
+In one process it calls :func:`acklab.cli.main` on 327 cases and prints one
 line per case, ``<model json> <shape> <seed> <shift> <sha256>``, then a last
 line ``<cases> <digest>``.
 
-* 162 instances: the models ``max_wait``, ``max_wait_pow`` p = 2 and 3
-  (sum objective), ``linear_sum``, ``capped_linear`` tau = 1 and
+* 162 batch instances: the models ``max_wait``, ``max_wait_pow`` p = 2 and
+  3 (sum objective), ``linear_sum``, ``capped_linear`` tau = 1 and
   ``permit_plf`` K = 32; the timelines ``uniform`` (cumulative exponential
   gaps of mean 1), ``bursty`` (``gen_bursty(300, 1.0, 100.0, 0.001)``) and
   ``grid`` (uniform rounded to 1/64); n = 300, seeds 1-3, shifts 0, 1e6
@@ -19,6 +19,12 @@ line ``<cases> <digest>``.
   token) and the SHA-256 of every trace line.
 * One permit game: ``ack adversary --kind permit --n 930 --alg
   '{"alg":"phases"}'``, hashed over its exit code and report.
+* 162 vector instances: the models ``lp`` p = 1.5, 2 and inf, ``top_k``
+  k = 2 and 9 and a 12-weight ``ordered`` norm on the same timelines.
+  Each runs ``ack run --trace`` under ``vector_greedy`` and under
+  ``greedy_tau_vector``, hashed as above.
+* Two concave games: ``ack adversary --kind concave --n 400`` under
+  ``vector_greedy`` and under ``greedy_tau_vector``.
 
 The digest is the SHA-256 of the case lines joined by newlines.  Two trees
 that give the same digest on one machine gave the same offline optima,
@@ -42,10 +48,14 @@ import numpy as np
 from acklab import (
     Objective,
     capped_linear,
+    concave_two_piece,
     linear_sum,
+    lp_norm,
     max_wait,
     max_wait_pow,
+    ordered_norm,
     permit_plf,
+    top_k,
 )
 from acklab.cli import main
 from acklab.cost import model_to_json
@@ -65,6 +75,15 @@ MODELS = (
     capped_linear(1.0),
     permit_plf(num_classes=32),
 )
+VECTOR_MODELS = (
+    lp_norm(1.5),
+    lp_norm(2),
+    lp_norm(float("inf")),
+    top_k(2),
+    top_k(9),
+    ordered_norm((3.0, 2.5, 2.5, 2.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.1, 0.1, 0.0)),
+)
+VECTOR_POLICIES = ('{"alg":"vector_greedy"}', '{"alg":"greedy_tau_vector"}')
 
 
 def timeline(shape: str, seed: int) -> np.ndarray:
@@ -86,36 +105,61 @@ def call(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def instance_hash(model: dict, arrivals: list[float], workdir: Path) -> str:
+def instance_hash(spec, arrivals: list[float], workdir: Path) -> str:
+    """A batch instance's hash: its DP optimum and its run under phases.  A
+    vector instance's: its runs under the vector policies."""
     instance, trace = workdir / "instance.json", workdir / "trace.jsonl"
+    model = model_to_json(spec)
     instance.write_text(json.dumps({"arrivals": arrivals, "model": model}), encoding="utf-8")
     h = hashlib.sha256()
-    code, report = call(["solve", "--instance", str(instance), "--oracle", "dp"])
-    h.update(f"{code}\n{report}".encode())
-    code, report = call(
-        ["run", "--instance", str(instance), "--alg", PHASES, "--trace", str(trace)]
-    )
-    h.update(f"{code}\n{report.replace(json.dumps(str(trace)), json.dumps(TRACE_TOKEN))}".encode())
-    with open(trace, "rb") as fh:
-        for line in fh:
-            h.update(hashlib.sha256(line).hexdigest().encode())
+    if spec.objective is Objective.VECTOR:
+        policies = VECTOR_POLICIES
+    else:
+        code, report = call(["solve", "--instance", str(instance), "--oracle", "dp"])
+        h.update(f"{code}\n{report}".encode())
+        policies = (PHASES,)
+    for alg in policies:
+        code, report = call(
+            ["run", "--instance", str(instance), "--alg", alg, "--trace", str(trace)]
+        )
+        report = report.replace(json.dumps(str(trace)), json.dumps(TRACE_TOKEN))
+        h.update(f"{code}\n{report}".encode())
+        with open(trace, "rb") as fh:
+            for line in fh:
+                h.update(hashlib.sha256(line).hexdigest().encode())
     return h.hexdigest()
 
 
-def cases(workdir: Path):
-    for spec in MODELS:
-        model = model_to_json(spec)
-        text = json.dumps(model, separators=(",", ":"))
+def game_line(model, name: str, argv: list[str]) -> str:
+    code, report = call(["adversary", *argv])
+    digest = hashlib.sha256(f"{code}\n{report}".encode()).hexdigest()
+    return f"{json.dumps(model_to_json(model), separators=(',', ':'))} {name} - - {digest}"
+
+
+def instance_lines(models, workdir: Path):
+    for spec in models:
+        text = json.dumps(model_to_json(spec), separators=(",", ":"))
         for shape in ("uniform", "bursty", "grid"):
             for seed in SEEDS:
                 for shift in SHIFTS:
                     arrivals = (timeline(shape, seed) + shift).tolist()
-                    digest = instance_hash(model, arrivals, workdir)
+                    digest = instance_hash(spec, arrivals, workdir)
                     yield f"{text} {shape} {seed} {shift:g} {digest}"
-    code, report = call(["adversary", "--kind", "permit", "--n", "930", "--alg", PHASES])
-    digest = hashlib.sha256(f"{code}\n{report}".encode()).hexdigest()
-    model = json.dumps(model_to_json(permit_plf(num_classes=600)), separators=(",", ":"))
-    yield f"{model} adversary-930 - - {digest}"
+
+
+def cases(workdir: Path):
+    yield from instance_lines(MODELS, workdir)
+    yield game_line(
+        permit_plf(num_classes=600), "adversary-930",
+        ["--kind", "permit", "--n", "930", "--alg", PHASES],
+    )
+    yield from instance_lines(VECTOR_MODELS, workdir)
+    # The concave game's model, concave_two_piece with ell = ceil(sqrt(n)),
+    # eps = 1 / n**2 and dim n, at n = 400.
+    concave = concave_two_piece(20, 1.0 / 400**2, 400)
+    for alg in VECTOR_POLICIES:
+        name = f"concave-400-{json.loads(alg)['alg']}"
+        yield game_line(concave, name, ["--kind", "concave", "--n", "400", "--alg", alg])
 
 
 def run() -> int:

@@ -304,6 +304,22 @@ class TestPlf:
         rows = cost_kernel(spec, ARRAY_OPS)
         assert rows(3, 0.5, 0.0, np.array([below, 1.0])).tolist() == [below, 1.0]
 
+    def test_class_zero_alone_is_the_span(self):
+        # K = 0 keeps class 0 alone, whose delay 2**0 - 1 + x is the span:
+        # max_wait's batch delay.
+        xs = np.array([0.0, 0.25, 1.0, 3.0, 4.0 ** 5 + 0.1])
+        assert plf_delay(0.0, 0) == 0.0 and plf_eval(0.0, 0) == 1.0
+        assert [plf_delay(float(x), 0) for x in xs] == xs.tolist()
+        assert plf_delay(xs, 0).tolist() == xs.tolist()
+        assert plf_eval(xs, 0).tolist() == (xs + 1.0).tolist()
+
+    @pytest.mark.parametrize("classes", [-1, -0.5, 1.5, math.nan])
+    def test_bad_class_count_rejected(self, classes):
+        for x in (5.0, np.array([0.0, 5.0])):
+            for curve in (plf_delay, plf_eval):
+                with pytest.raises(ValueError, match="class count"):
+                    curve(x, classes)
+
     def test_empty_array(self):
         assert plf_eval(np.zeros(0)).size == 0
         with pytest.raises(ValueError):
