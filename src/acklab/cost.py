@@ -48,6 +48,8 @@ import itertools
 import json
 import math
 import numbers
+import struct
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -536,6 +538,23 @@ def order_weights(spec: DelayModelSpec, n: int | None = None) -> tuple[float, ..
     return None
 
 
+def _lp_divisor(top: float, p: float, n: int) -> float:
+    """What ``lp`` with 1 < p < inf divides ``n`` delays by, ``top`` the
+    largest, before it raises them to the p-th power: 1.0 inside the float
+    range, and ``top`` only when ``top > 0`` and ``p * max(e, 1 - e) >=
+    1000 - log2(n)``, ``e`` the exponent of ``math.frexp(top)``.
+
+    ``top`` lies in ``[2**(e-1), 2**e)``, so inside that bound every power
+    lies within 2**+-1000 and their sum in the float range, with the digits
+    of every power that matters.  Undivided delays make the cost monotone
+    in each of them.  Past the bound, dividing by ``top`` keeps its own
+    power at 1, where a fixed power of two could leave it past the range.
+    """
+    e = math.frexp(top)[1]
+    # max(e, 1 - e), written out: the builtin max costs more than the rest.
+    return top if top > 0.0 and p * (e if e > 0 else 1 - e) >= 1000.0 - math.log2(n) else 1.0
+
+
 def f_rows(spec: DelayModelSpec, delays: np.ndarray) -> np.ndarray:
     """Delay cost of each row of a matrix of per-packet delay vectors.
 
@@ -544,8 +563,9 @@ def f_rows(spec: DelayModelSpec, delays: np.ndarray) -> np.ndarray:
     row reductions, an ordered norm's weighted sum ``np.vecdot`` (the dot
     product of ``np.dot``, fused multiply-adds included), and ``lp``'s root
     is taken one row at a time in Python, because NumPy's vector ``power``
-    rounds differently in the last bit.  Its vector ``log2`` does too, so
-    rows whose scaling test lies near its bound repeat the test in Python.
+    rounds differently in the last bit.  ``lp`` scales each row by
+    :func:`_lp_divisor`'s rule, decided on ``np.frexp``'s exponent, which is
+    exact and equal to ``math.frexp``'s.
     """
     if spec.objective is not Objective.VECTOR:
         raise ValueError(f"{spec.kind!r} is a batch model; use bdelay")
@@ -572,18 +592,11 @@ def f_rows(spec: DelayModelSpec, delays: np.ndarray) -> np.ndarray:
     top = np.maximum.reduce(D, axis=1)
     if weights is not None:
         return weights[0] * top
-    # lp with 1 < p < inf.
+    # lp with 1 < p < inf: _lp_divisor's rule, row by row (the rows kept
+    # unscaled are divided by 1, which changes no bit).
     p, root = spec.p, 1.0 / spec.p
-    # The largest p-th power within 2**+-1000 keeps the sum of the powers
-    # inside the float range and the digits of every power that matters.
-    bound = 1000.0 - math.log2(n)
-    with np.errstate(over="ignore"):
-        exponent = np.abs(p * np.log2(top, out=np.zeros(rows), where=top > 0.0))
-    scaled = exponent >= bound
-    for r in np.flatnonzero(np.abs(exponent - bound) <= 1e-9 * bound):
-        scaled[r] = abs(p * math.log2(top[r])) >= bound
-    # Otherwise divide by the largest delay first, so no power overflows
-    # (the other rows are divided by 1, which changes no bit).
+    e = np.frexp(top)[1]
+    scaled = (top > 0.0) & (p * np.maximum(e, 1 - e) >= 1000.0 - math.log2(n))
     scale = np.where(scaled, top, 1.0)
     sums = np.add.reduce((D / scale[:, None]) ** p, axis=1)
     return scale * np.array([s ** root for s in sums.tolist()])
@@ -705,9 +718,12 @@ class _ConvexAggregate:
 
 class _PowerAggregate(_ConvexAggregate):
     """``lp`` with any other p: the norm of the frozen delays and the pending
-    offsets.  Every delay is divided by the largest one in play before it
-    is raised to the p-th power, so no power overflows however large p is.
-    Each cost, and each Newton step of the crossing, costs O(pending)."""
+    offsets.  The frozen norm and the pending delays are divided by
+    :func:`_lp_divisor` of the largest of them before they are raised to
+    the p-th power: by nothing inside the float range, so the cost is
+    monotone in ``s`` float by float, and by that largest one past it, so
+    no power overflows however large p is.  Each cost, and each Newton step
+    of the crossing, costs O(pending)."""
 
     def __init__(self, spec: DelayModelSpec):
         self.p = float(spec.p)
@@ -717,22 +733,24 @@ class _PowerAggregate(_ConvexAggregate):
     def add(self, x: float) -> None:
         self.xs.append(x)
 
-    def cost(self, s: float) -> float:
+    def _scale(self, s: float) -> float:
         # Policies evaluate the aggregate with packets pending, and the first
         # of them, at offset 0, has the largest pending delay s.
-        scale = max(self.frozen, s)
-        if scale <= 0.0:
-            return 0.0
-        p = self.p
+        return _lp_divisor(s if s > self.frozen else self.frozen, self.p, len(self.xs) + 1)
+
+    def cost(self, s: float) -> float:
+        scale, p = self._scale(s), self.p
         powers = (self.frozen / scale) ** p + sum((max(0.0, s - x) / scale) ** p for x in self.xs)
         return scale * powers ** (1.0 / p)
 
     def _value_slope(self, s: float) -> tuple[float, float]:
-        """The norm at ``s > 0`` and its slope there: the pending delays'
-        (p-1)-th powers summed, over the norm's."""
-        scale, p = max(self.frozen, s), self.p
+        """The norm at ``s`` and its slope there: the pending delays'
+        (p-1)-th powers summed, over the norm's; 0 where the norm is 0."""
+        scale, p = self._scale(s), self.p
         d = [max(0.0, s - x) / scale for x in self.xs]
         norm = ((self.frozen / scale) ** p + sum(v ** p for v in d)) ** (1.0 / p)
+        if norm == 0.0:
+            return 0.0, 0.0
         return scale * norm, sum(v ** (p - 1.0) for v in d) / norm ** (p - 1.0)
 
     def freeze(self, s: float) -> float:
@@ -871,29 +889,51 @@ def aggregate(spec: DelayModelSpec):
     return _AGGREGATES[spec.kind](spec)
 
 
+# Single float steps threshold_time takes from an aggregate's crossing before
+# it gallops: a seed usually lies this close to the answer.
+_NEAR_STEPS = 8
+_LARGEST = sys.float_info.max
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+_MAGNITUDE = (1 << 63) - 1
+
+
+def _rank(t: float) -> int:
+    """``t``'s place among the floats: ``_rank(nextafter(t, inf)) ==
+    _rank(t) + 1``, with both zeros at 0."""
+    bits = _BITS.unpack(_DOUBLE.pack(t))[0]
+    return bits if bits >= 0 else -(bits & _MAGNITUDE)
+
+
+def _at_rank(rank: int) -> float:
+    """The float of a ``_rank``."""
+    return _DOUBLE.unpack(_BITS.pack(rank if rank >= 0 else -rank | ~_MAGNITUDE))[0]
+
+
 def threshold_time(aggregate, origin: float, target: float, t_lo: float) -> float | None:
     """Earliest float time ``t >= t_lo`` at which an aggregate's cost
     reaches ``target``; None means the target is out of reach.
 
     ``origin`` is the time the aggregate's offsets are measured from.
     Returns ``t_lo`` when the cost there already reaches the target.
-    Otherwise the aggregate's crossing is moved one float at a time, down
-    while the cost one float earlier still reaches the goal and up while the
-    cost falls short of it, so the time is exact even where float spacing
-    exceeds the tolerance.  The goal is the target, or the cost's cap when
-    the target lies within tolerance above it.
+    Otherwise it starts from the aggregate's crossing and steps one float
+    at a time, down while the cost one float earlier still reaches the goal
+    and up while the cost falls short of it, for at most ``_NEAR_STEPS``
+    steps.  Past them it gallops over the floats, 1, 2, 4, ... apart, to a
+    float on the other side of the answer and bisects between the two.  So
+    the time is exact even where float spacing exceeds the tolerance, and
+    every walk ends.  The goal is the target, or the cost's cap when the
+    target lies within tolerance above it.
 
     This is the one place a target is found out of reach: when it lies more
-    than a tolerance above the cap, and when the crossing gives no finite
-    time (``origin`` plus the crossing is +inf or NaN), from which no walk
-    could end.
+    than a tolerance above the cap, when the crossing gives no finite time
+    (``origin`` plus the crossing is +inf or NaN), and when the cost at the
+    largest finite float still falls short of the goal.
 
-    The crossing only seeds the walk.  Where the cost is monotone over the
-    floats the walk visits, the time does not depend on it, so an aggregate
-    may find its crossing another way without moving an ack as long as its
-    ``cost`` keeps every bit.  ``lp``'s cost with 1 < p < inf is not
-    monotone bit for bit: it can fall back below the goal one float past
-    it, and there the seed decides on which side of the dip the walk stops.
+    The crossing only seeds the walk.  Every aggregate's float cost is
+    monotone, so the time does not depend on it, and an aggregate may find
+    its crossing another way without moving an ack as long as its ``cost``
+    keeps every bit.
     """
     cost = aggregate.cost
     if cost(t_lo - origin) >= target:
@@ -907,12 +947,53 @@ def threshold_time(aggregate, origin: float, target: float, t_lo: float) -> floa
     t = origin + aggregate.crossing(goal)
     if not t < math.inf:
         return None
-    t = max(t_lo, t)
+    t, steps = max(t_lo, t), _NEAR_STEPS
     while t > t_lo and cost(math.nextafter(t, -math.inf) - origin) >= goal:
-        t = math.nextafter(t, -math.inf)
+        t, steps = math.nextafter(t, -math.inf), steps - 1
+        if not steps:
+            return _gallop(cost, origin, goal, t, t_lo)
     while cost(t - origin) < goal:
-        t = math.nextafter(t, math.inf)
+        if t == _LARGEST:
+            return None
+        t, steps = math.nextafter(t, math.inf), steps - 1
+        if not steps:
+            return _gallop(cost, origin, goal, t, t_lo)
     return t
+
+
+def _gallop(
+    cost: Callable[[float], float], origin: float, goal: float, t: float, t_lo: float
+) -> float | None:
+    """:func:`threshold_time`'s far walk: the least float from ``t_lo`` up
+    to the largest finite one at which ``cost``, monotone, reaches
+    ``goal``, or None when there is none.  Gallops over float ranks from
+    ``t`` by 1, 2, 4, ..., down while the cost reaches the goal and up
+    while it falls short, then bisects."""
+
+    def reaches(rank: int) -> bool:
+        return cost(_at_rank(rank) - origin) >= goal
+
+    start, low = _rank(t), _rank(t_lo)
+    end, width = _rank(_LARGEST), 1
+    if reaches(start):
+        hi = start
+        while reaches(lo := max(low, hi - width)):
+            if lo == low:
+                return _at_rank(low)
+            hi, width = lo, 2 * width
+    else:
+        lo = start
+        while not reaches(hi := min(end, lo + width)):
+            if hi == end:
+                return None
+            lo, width = hi, 2 * width
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _at_rank(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,11 @@ def f_vector(spec: DelayModelSpec, delays: Sequence[float]) -> float:
     top = float(np.maximum.reduce(d))
     if weights is not None:
         return weights[0] * top
-    # lp with 1 < p < inf.
-    if top == 0.0:
-        return 0.0
-    # The largest p-th power within 2**+-1000 keeps the sum of the powers
-    # inside the float range and the digits of every power that matters.
-    if abs(spec.p * math.log2(top)) < 1000.0 - math.log2(d.size):
+    # lp with 1 < p < inf.  With top in [2**(e-1), 2**e), every p-th power
+    # within 2**+-1000 keeps the sum of the powers inside the float range
+    # and the digits of every power that matters.
+    e = math.frexp(top)[1]
+    if top == 0.0 or spec.p * max(e, 1 - e) < 1000.0 - math.log2(d.size):
         return float(np.add.reduce(d ** spec.p) ** (1.0 / spec.p))
     # Otherwise divide by the largest delay first, so no power overflows.
     return top * float(np.add.reduce((d / top) ** spec.p)) ** (1.0 / spec.p)

@@ -4,7 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/identity_corpus.py
 
-In one process it calls :func:`acklab.cli.main` on 327 cases and prints one
+In one process it calls :func:`acklab.cli.main` on 381 cases and prints one
 line per case, ``<model json> <shape> <seed> <shift> <sha256>``, then a last
 line ``<cases> <digest>``.
 
@@ -19,8 +19,9 @@ line ``<cases> <digest>``.
   token) and the SHA-256 of every trace line.
 * One permit game: ``ack adversary --kind permit --n 930 --alg
   '{"alg":"phases"}'``, hashed over its exit code and report.
-* 162 vector instances: the models ``lp`` p = 1.5, 2 and inf, ``top_k``
-  k = 2 and 9 and a 12-weight ``ordered`` norm on the same timelines.
+* 216 vector instances: the models ``lp`` p = 1.5, 2, 3, 7.5 and inf,
+  ``top_k`` k = 2 and 9 and a 12-weight ``ordered`` norm on the same
+  timelines.
   Each runs ``ack run --trace`` under ``vector_greedy`` and under
   ``greedy_tau_vector``, hashed as above.
 * Two concave games: ``ack adversary --kind concave --n 400`` under
@@ -78,6 +79,8 @@ MODELS = (
 VECTOR_MODELS = (
     lp_norm(1.5),
     lp_norm(2),
+    lp_norm(3),
+    lp_norm(7.5),
     lp_norm(float("inf")),
     top_k(2),
     top_k(9),

@@ -9,6 +9,8 @@ import pytest
 
 import acklab.offline as offline
 from acklab import (
+    GreedyBatchOblivious,
+    Instance,
     Objective,
     brute_force_optimal,
     capped_linear,
@@ -21,9 +23,11 @@ from acklab import (
     max_wait_pow,
     ordered_norm,
     permit_plf,
+    simulate,
     sum_vector,
     top_k,
 )
+from acklab import cost
 import brute_force_reference as reference
 
 SPECS = [
@@ -141,9 +145,8 @@ def test_f_vector_matches_reference(spec):
 
 @pytest.mark.parametrize("p", [2, 3.5, 400])
 def test_lp_scaling_test_near_its_bound(p):
-    # Largest delays whose p-th power sits at the edge of 2**+-1000, where
-    # NumPy's log2 may round differently from the scalar one: the scaling
-    # decision, and so every bit of the cost, follows the reference.
+    # Largest delays whose p-th power sits at the edge of 2**+-1000: the
+    # scaling decision, and so every bit of the cost, follows the reference.
     spec = lp_norm(p)
     for n in (1, 2, 5, 22):
         for sign in (1.0, -1.0):
@@ -154,18 +157,49 @@ def test_lp_scaling_test_near_its_bound(p):
                 assert f_vector(spec, d) == reference.f_vector(spec, d), (p, n, top)
 
 
-@pytest.mark.parametrize(
-    "top, p",
-    [(3.7733302391694336e17, 17.126626195446125), (7.244443920071378e17, 16.854978189500233)],
-)
-def test_lp_scaling_test_where_numpy_log2_differs(top, p):
-    # np.log2(top) and math.log2(top) differ in the last bit here, and p
-    # puts p * log2(top) on either side of the bound: the scalar decision
-    # takes the unscaled path, whose root differs from top in the last bit.
-    want = reference.f_vector(lp_norm(p), [top])
-    assert want != top
-    assert f_vector(lp_norm(p), [top]) == want
-    assert f_rows(lp_norm(p), np.array([[top], [0.0]])).tolist() == [want, 0.0]
+def rule_edges(p, n):
+    """Pairs (scaled, unscaled) of adjacent tops on either side of the lp
+    scaling bound p * max(e, 1 - e) >= 1000 - log2(n), e = frexp(top)[1]."""
+    bound = 1000.0 - math.log2(n)
+    high = 2.0 ** (math.ceil(bound / p) - 1)  # the least top of exponent ceil(bound / p)
+    low = 2.0 ** math.floor(1.0 - bound / p)  # the least top of exponent floor(1 - bound / p) + 1
+    return [(high, math.nextafter(high, 0.0)), (math.nextafter(low, 0.0), low)]
+
+
+# Tops where np.log2 and math.log2 differ in the last bit, and p puts
+# p * log2(top) on either side of the old bound.
+OLD_LOG2_TOPS = [(3.7733302391694336e17, 17.126626195446125), (7.244443920071378e17, 16.854978189500233)]
+
+
+@pytest.mark.parametrize("p", [2, 3.5, 17.126626195446125, 16.854978189500233, 400])
+def test_lp_scaling_rule_at_its_bound(p):
+    # The rule is decided on frexp's exponent, exact and the same in NumPy
+    # and Python: rows on either side of the bound cost as the reference.
+    spec = lp_norm(p)
+    for n in (1, 2, 5, 22):
+        tops = [top for pair in rule_edges(p, n) for top in pair]
+        for scaled, unscaled in rule_edges(p, n):
+            assert cost._lp_divisor(scaled, p, n) == scaled
+            assert cost._lp_divisor(unscaled, p, n) == 1.0
+        tops += [top for top, q in OLD_LOG2_TOPS if q == p]
+        D = np.array(tops)[:, None] * np.linspace(1.0, 0.0, n, endpoint=False)
+        want = [reference.f_vector(spec, row) for row in D]
+        assert f_rows(spec, D).tolist() == want, (p, n)
+        assert [f_vector(spec, row) for row in D] == want, (p, n)
+
+
+@pytest.mark.parametrize("p", [1100, 2000, 1e6])
+def test_lp_at_large_p(p):
+    # Divided by the largest delay, whose own power is then 1.  A power of
+    # two as divisor leaves it in [1, 2) or [0.5, 1), and its p-th power
+    # can leave the float range: 1.5**2000 overflows, 0.5**1100 underflows.
+    spec = lp_norm(p)
+    assert f_vector(spec, [1.5, 0.3]) == 1.5
+    assert f_vector(spec, [0.5, 0.25]) == 0.5
+    assert f_vector(spec, [0.0, 0.0]) == 0.0
+    arrivals = (0.0, 0.25, 1.0, 1.1)
+    schedule, _ = simulate(Instance(arrivals, spec), GreedyBatchOblivious(spec))
+    assert schedule.ack_times == (1.0, 3.1)
 
 
 @pytest.mark.parametrize("spec", VECTOR_SPECS, ids=lambda s: f"{s.kind}-{s.p}")

@@ -354,6 +354,28 @@ class TestRun:
         assert code == 0 and out.count("\n") == 1
         assert json.loads(out)["ack_times"] == [arrivals[-1]]
 
+    @pytest.mark.parametrize(
+        "arrivals, model, tau, ack_time, flushed",
+        [
+            # Newton's first step overflows and lands at 0, 5e307 below.
+            ([0, 1], {"kind": "top_k", "k": 2}, 1e308, 5e307, False),
+            # goal / w1 overflows; even the largest float falls short.
+            ([0], {"kind": "ordered", "w": [1e-300]}, 1e10, 0.0, True),
+            # The norm's slope at 0 divided by a zero norm.
+            ([0, 1, 2], {"kind": "lp", "p": 2}, 1.7e308, 9.814954576223639e307, False),
+        ],
+    )
+    def test_extreme_targets_end(self, tmp_path, capsys, arrivals, model, tau, ack_time, flushed):
+        path, trace = write_instance(tmp_path, arrivals, model), tmp_path / "t.jsonl"
+        code, out = run_cli(
+            capsys, "run", "--instance", path,
+            "--alg", json.dumps({"alg": "greedy_tau", "tau": tau}), "--trace", str(trace),
+        )
+        assert code == 0
+        assert strict_loads(out)["ack_times"] == [ack_time]
+        kinds = [json.loads(line)["kind"] for line in trace.read_text().splitlines()]
+        assert ("flush" in kinds) == flushed
+
     def run_lp_400(self, tmp_path, capsys, alg, arrivals):
         """``ack run`` on ``lp`` with p = 400; checks the printed delay
         against the cost the policy's aggregate freezes for the schedule."""
