@@ -187,8 +187,8 @@ def run_concave_adversary(
     driver = SimulationDriver(alg)
 
     prefix = [float(i) for i in range(1, ell + 1)]
-    for index, a in enumerate(prefix):
-        driver.deliver(a, index)
+    for a in prefix:
+        driver.deliver(a)
     driver.run_until(float(ell + 1))
     early_acks = len(driver.ack_times)
 
@@ -203,8 +203,8 @@ def run_concave_adversary(
         comparison = Schedule((*prefix, float(n)))
         tail = n - ell
         closed = (ell + 1) + eps * tail * (tail - 1) / 2.0
-    for index in range(ell, n):
-        driver.deliver(arrivals[index], index)
+    for a in arrivals[ell:]:
+        driver.deliver(a)
 
     instance = Instance(tuple(arrivals), spec)
     driver.finish(instance.effective_horizon)
@@ -252,7 +252,7 @@ class TcpPermitAdapter:
 
     def on_request(self, t: int) -> Permit:
         ft = float(t)
-        self.driver.deliver(ft, len(self.next_times))
+        self.driver.deliver(ft)
         nt = self.driver.algorithm.planned_ack_time()
         if nt is None:
             # The algorithm would hold the packet until a flush; treat the

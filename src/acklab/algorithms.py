@@ -62,7 +62,7 @@ class _ThresholdPolicy(OnlineAlgorithm):
     def _target(self) -> float:
         """Delay cost at which the pending packets are acknowledged."""
 
-    def observe_arrival(self, time: float, index: int) -> None:
+    def observe_arrival(self, time: float) -> None:
         now = float(time)
         if self._origin is None:
             self._origin = now
@@ -186,7 +186,7 @@ class SumMonotonePhases(_ThresholdPolicy):
         start = table.critical_start()
         return start, table.single(start)
 
-    def observe_arrival(self, time: float, index: int) -> None:
+    def observe_arrival(self, time: float) -> None:
         start, serve = self._critical_suffix(float(time))
 
         if self.service is None:
@@ -213,7 +213,7 @@ class SumMonotonePhases(_ThresholdPolicy):
                 serve_cost=serve,
                 suffix_start=start,
             )
-        super().observe_arrival(time, index)
+        super().observe_arrival(time)
 
     def commit_ack(self, time: float) -> None:
         super().commit_ack(time)

@@ -102,11 +102,16 @@ def _catalogue_row(kind) -> tuple[Objective, tuple[tuple[str, str], ...]]:
 
 
 def check_real(value, what: str, allow_inf: bool = False) -> float:
-    """Return ``value`` if it is a real number (not a bool), finite unless
-    ``allow_inf`` permits +inf; raise ValueError otherwise."""
+    """Return ``value`` if it is a real number (not a bool) that converts to
+    a float, finite unless ``allow_inf`` permits +inf; raise ValueError
+    otherwise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if math.isnan(value) or value == -math.inf or (value == math.inf and not allow_inf):
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{what} must be finite, got a number past the float range") from None
+    if math.isnan(x) or x == -math.inf or (x == math.inf and not allow_inf):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return value
 

@@ -1,9 +1,9 @@
 """Deterministic continuous-time simulation of online acknowledgment policies.
 
-The simulator owns event ordering (arrivals before acks at equal times), the
-pending packets and end-of-input flushing; algorithms own their trigger logic
-and expose it via the :class:`OnlineAlgorithm` contract: observe arrivals,
-plan the next ack, hear of each commit.  :class:`SimulationDriver` is the
+The simulator numbers the packets, keeps the run's one exact time order and
+flushes at the end of input; algorithms own their trigger logic and expose
+it via the :class:`OnlineAlgorithm` contract: observe arrivals, plan the
+next ack, hear of each commit.  :class:`SimulationDriver` is the
 incremental core so adaptive adversaries can interleave releases with the
 algorithm's reactions; :func:`simulate` replays a fixed instance through it.
 The driver keeps the one trace: arrivals, flushes, acks with the indices
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .cost import DelayModelSpec, dump_json
 from .model import Instance, Schedule
-from .tolerance import tol_at
 
 
 class EngineError(RuntimeError):
@@ -48,8 +47,8 @@ class OnlineAlgorithm(ABC):
 
     Implementations must be deterministic functions of the observation
     sequence, must never plan an ack in the past, and may only use arrivals
-    observed so far.  The driver keeps the pending packets; every ack serves
-    them all, and subclasses extend :meth:`commit_ack` through ``super()``.
+    observed so far.  The driver numbers the packets, and every ack serves
+    all pending ones; subclasses extend :meth:`commit_ack` through ``super()``.
     """
 
     spec: DelayModelSpec
@@ -60,8 +59,8 @@ class OnlineAlgorithm(ABC):
     # -- observation / commitment ------------------------------------------
 
     @abstractmethod
-    def observe_arrival(self, time: float, index: int) -> None:
-        """Called when packet ``index`` arrives at ``time``."""
+    def observe_arrival(self, time: float) -> None:
+        """Called when the next packet arrives at ``time``."""
 
     @abstractmethod
     def planned_ack_time(self) -> float | None:
@@ -81,17 +80,19 @@ class OnlineAlgorithm(ABC):
 class SimulationDriver:
     """Incremental event loop around one algorithm instance.
 
-    Callers deliver arrivals in time order; the driver commits the
-    algorithm's planned acks that fall strictly before each delivery, so an
-    arrival and an ack at the same instant process the arrival first.  Each
-    commit serves every pending index, and its ``ack`` trace event lists
-    them; the events the algorithm emits follow it, at its time.
+    Callers deliver arrivals in time order and the driver numbers them.  It
+    commits the planned acks strictly before each delivery, so an arrival
+    and an ack at the same instant process the arrival first, and raises
+    :class:`EngineError` on a plan before ``now`` or an arrival before
+    ``now`` or at a committed ack's time.  Each ``ack`` trace event lists
+    the indices it serves, ``pending``; the algorithm's events follow it.
     """
 
     def __init__(self, algorithm: OnlineAlgorithm):
         self.algorithm = algorithm
         self.now = 0.0
-        self.pending: list[int] = []
+        self.served = 0
+        self.delivered = 0
         self.ack_times: list[float] = []
         self.trace: list[TraceEvent] = []
         trace = self.trace
@@ -101,20 +102,22 @@ class SimulationDriver:
 
         algorithm.emit = record
 
+    @property
+    def pending(self) -> range:
+        return range(self.served, self.delivered)
+
     def _planned(self) -> float | None:
         t = self.algorithm.planned_ack_time()
-        if t is not None and t < self.now - tol_at(self.now):
-            raise EngineError(f"algorithm planned ack at {t!r} in the past of {self.now!r}")
+        if t is not None and not t >= self.now:
+            raise EngineError(f"algorithm planned ack at {t!r} before {self.now!r}")
         return t
 
     def _commit(self, t: float) -> None:
-        self.now = max(self.now, t)
         if not self.pending:
             raise EngineError(f"ack at {t!r} served no pending packet")
-        if self.ack_times and t <= self.ack_times[-1]:
-            raise EngineError(f"ack times not strictly increasing at {t!r}")
-        self.trace.append(TraceEvent(t, "ack", {"indices": self.pending}))
-        self.pending = []
+        self.now = t
+        self.trace.append(TraceEvent(t, "ack", {"indices": list(self.pending)}))
+        self.served = self.delivered
         self.algorithm.commit_ack(t)
         self.ack_times.append(t)
 
@@ -126,15 +129,15 @@ class SimulationDriver:
                 return
             self._commit(t)
 
-    def deliver(self, time: float, index: int) -> None:
-        """Advance to ``time`` and hand the arrival to the algorithm."""
-        if time < self.now - tol_at(self.now):
-            raise EngineError(f"arrival at {time!r} is in the past of {self.now!r}")
+    def deliver(self, time: float) -> None:
+        """Advance to ``time`` and hand the next packet to the algorithm."""
+        if not time >= self.now or (self.ack_times and time == self.ack_times[-1]):
+            raise EngineError(f"arrival at {time!r} is out of order at {self.now!r}")
         self.run_until(time)
-        self.now = max(self.now, time)
-        self.trace.append(TraceEvent(time, "arrival", {"index": index}))
-        self.pending.append(index)
-        self.algorithm.observe_arrival(time, index)
+        self.now = time
+        self.trace.append(TraceEvent(time, "arrival", {"index": self.delivered}))
+        self.delivered += 1
+        self.algorithm.observe_arrival(time)
 
     def finish(self, horizon: float) -> None:
         """Run remaining planned acks (possibly past the horizon), then flush.
@@ -157,7 +160,7 @@ def simulate(
     if algorithm.spec != instance.model:
         raise EngineError("algorithm was built for a different delay model")
     driver = SimulationDriver(algorithm)
-    for index, a in enumerate(instance.arrivals):
-        driver.deliver(a, index)
+    for a in instance.arrivals:
+        driver.deliver(a)
     driver.finish(instance.effective_horizon)
     return Schedule(tuple(driver.ack_times)), driver.trace

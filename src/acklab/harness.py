@@ -12,7 +12,7 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -66,7 +66,7 @@ def base_seed() -> int:
 def gen_uniform(n: int, rate: float, rng: np.random.Generator) -> tuple[float, ...]:
     """Arrivals as cumulative sums of exponential gaps with the given rate."""
     gaps = rng.exponential(scale=1.0 / rate, size=n)
-    return tuple(np.cumsum(gaps))
+    return tuple(np.cumsum(gaps).tolist())
 
 
 def gen_bursty(
@@ -188,40 +188,31 @@ def run_bench(config: dict) -> list[BenchRow]:
     rows: list[BenchRow] = []
     for gen_spec in generators:
         for model in models:
-            # The optimum depends on the instance alone, not on the algorithm.
+            # The instance and its optimum depend on (n, seed), not on the algorithm.
+            instances: dict[tuple[int, int], Instance] = {}
             optima: dict[tuple[int, int], tuple[float, str]] = {}
-            for alg_json in algorithms:
-                for n in sizes:
-                    for seed in seeds:
-                        instance = generate_instance(gen_spec, n, model, seed)
-                        alg = make_algorithm(alg_json, model)
-                        start = time.perf_counter()
-                        schedule, _ = simulate(instance, alg)
-                        alg_cost = evaluate_schedule(instance, schedule).total
-                        elapsed = (time.perf_counter() - start) * 1000.0
-                        if (n, seed) not in optima:
-                            cost, _, used = exact_optimum(instance.arrivals, instance.model, oracle)
-                            optima[n, seed] = cost, used
-                        opt_cost, used = optima[n, seed]
-                        ratio = alg_cost / opt_cost if opt_cost > 0 else math.inf
-                        instance_id = (
-                            f"{gen_spec.get('kind', 'uniform')}-{model.kind}"
-                            f"-{alg_json['alg']}-n{n}-s{seed}"
-                        )
-                        rows.append(
-                            BenchRow(
-                                instance_id,
-                                n,
-                                model.kind,
-                                json.dumps(alg_json, sort_keys=True),
-                                alg_cost,
-                                opt_cost,
-                                used,
-                                ratio,
-                                elapsed,
-                                seed,
-                            )
-                        )
+            for alg_json, n, seed in product(algorithms, sizes, seeds):
+                if (n, seed) not in instances:
+                    instances[n, seed] = generate_instance(gen_spec, n, model, seed)
+                instance = instances[n, seed]
+                alg = make_algorithm(alg_json, model)
+                start = time.perf_counter()
+                schedule, _ = simulate(instance, alg)
+                alg_cost = evaluate_schedule(instance, schedule).total
+                elapsed = (time.perf_counter() - start) * 1000.0
+                if (n, seed) not in optima:
+                    cost, _, used = exact_optimum(instance.arrivals, instance.model, oracle)
+                    optima[n, seed] = cost, used
+                opt_cost, used = optima[n, seed]
+                ratio = alg_cost / opt_cost if opt_cost > 0 else math.inf
+                instance_id = (
+                    f"{gen_spec.get('kind', 'uniform')}-{model.kind}"
+                    f"-{alg_json['alg']}-n{n}-s{seed}"
+                )
+                rows.append(BenchRow(
+                    instance_id, n, model.kind, json.dumps(alg_json, sort_keys=True),
+                    alg_cost, opt_cost, used, ratio, elapsed, seed,
+                ))
     return rows
 
 

@@ -276,7 +276,7 @@ class _ImmediateAcker(OnlineAlgorithm):
         super().__init__(spec)
         self._planned = None
 
-    def observe_arrival(self, time, index):
+    def observe_arrival(self, time):
         self._planned = time
 
     def planned_ack_time(self):

@@ -101,7 +101,7 @@ class TestGreedyTau:
         # bisection step past it.
         for t in range(1, 2000):
             alg = GreedyTau(permit_plf(), 1.0)
-            alg.observe_arrival(float(t), 0)
+            alg.observe_arrival(float(t))
             assert alg.planned_ack_time() == t + 1.0
 
 
@@ -362,10 +362,10 @@ class TestSumMonotonePhases:
             if alg.service != services[-1]:
                 services.append(alg.service)
 
-        for index, a in enumerate(PINNED_PHASE_ARRIVALS):
+        for a in PINNED_PHASE_ARRIVALS:
             driver.run_until(a)
             record()
-            driver.deliver(a, index)
+            driver.deliver(a)
             record()
         driver.finish(PINNED_PHASE_ARRIVALS[-1])
         record()
@@ -376,8 +376,8 @@ class TestSumMonotonePhases:
         # service, at every event; nothing stores a budget of its own.
         alg = SumMonotonePhases(linear_sum())
         driver = SimulationDriver(alg)
-        for index, a in enumerate(PINNED_PHASE_ARRIVALS):
-            driver.deliver(a, index)
+        for a in PINNED_PHASE_ARRIVALS:
+            driver.deliver(a)
             assert alg.budget == 2.0 * alg.serve_cost * (1 if alg.service == 0 else 2)
         driver.finish(PINNED_PHASE_ARRIVALS[-1])
         traced = [ev.detail for ev in driver.trace if "budget" in ev.detail]
@@ -499,8 +499,8 @@ def test_batch_acks_at_exact_crossings_at_large_offsets(policy, shift):
         commit(t)
 
     alg.commit_ack = recording_commit
-    for index, a in enumerate(arrivals):
-        driver.deliver(a, index)
+    for a in arrivals:
+        driver.deliver(a)
     driver.finish(arrivals[-1])
     batches = [ev.detail["indices"] for ev in driver.trace if ev.kind == "ack"]
     planned = [

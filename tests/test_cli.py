@@ -59,6 +59,9 @@ def strict_loads(text):
 
     return json.loads(text, parse_constant=reject)
 
+# A 401-digit JSON integer: a number, but not one a float can hold.
+BIG_INT = 10**400
+
 BAD_TAUS = ["null", "[1]", "true", '"inf"', '"1"', "NaN", "Infinity", "0", "-1"]
 
 
@@ -917,6 +920,38 @@ class TestErrorBoundary:
         err = self.run_error(capsys, argv)
         assert "can't decode byte 0xff" in err
         assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "arrivals, model, horizon, alg",
+        [
+            ([0, BIG_INT], {"kind": "linear_sum"}, None, "greedy_tau"),
+            ([0, 1], {"kind": "capped_linear", "tau": BIG_INT}, None, "greedy_tau"),
+            ([0, 1], {"kind": "linear_sum"}, BIG_INT, "greedy_tau"),
+            ([0, 1], {"kind": "permit_plf", "K": BIG_INT}, None, "greedy_tau"),
+            ([0, 1], {"kind": "ordered", "w": [BIG_INT, 1]}, None, "vector_greedy"),
+        ],
+    )
+    def test_instance_integer_past_float_range_exit_2(
+        self, tmp_path, capsys, arrivals, model, horizon, alg
+    ):
+        path = write_instance(tmp_path, arrivals, model, horizon=horizon)
+        for argv in (
+            ["solve", "--instance", path],
+            ["run", "--instance", path, "--alg", json.dumps({"alg": alg}),
+             "--trace", str(tmp_path / "t.jsonl")],
+        ):
+            assert "past the float range" in self.run_error(capsys, argv)
+
+    def test_parameter_integer_past_float_range_exit_2(self, tmp_path, capsys):
+        path = write_instance(tmp_path, [0, 1], {"kind": "linear_sum"})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(BENCH_CONFIG, generators=[{"rate": BIG_INT}])))
+        for argv in (
+            ["run", "--instance", path, "--alg", json.dumps({"alg": "greedy_tau", "tau": BIG_INT}),
+             "--trace", str(tmp_path / "t.jsonl")],
+            ["bench", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        ):
+            assert "past the float range" in self.run_error(capsys, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import acklab
 from acklab import (
     EngineError,
     GreedyTau,
     Instance,
+    Schedule,
     SumMonotonePhases,
+    batches_from_acks,
     capped_linear,
     evaluate_schedule,
     linear_sum,
@@ -125,9 +129,9 @@ class TestSimulate:
 
     def test_arrival_before_current_time_rejected(self):
         driver = SimulationDriver(GreedyTau(linear_sum(), 1.0))
-        driver.deliver(2.0, 0)
+        driver.deliver(2.0)
         with pytest.raises(EngineError):
-            driver.deliver(1.0, 1)
+            driver.deliver(1.0)
 
     def test_model_mismatch_rejected(self):
         inst = Instance((0,), capped_linear(1.0))
@@ -141,22 +145,22 @@ class TestPlannedAckTime:
 
     def test_greedy_single_packet(self):
         alg = GreedyTau(linear_sum(), 1.0)
-        alg.observe_arrival(5.0, 0)
+        alg.observe_arrival(5.0)
         assert alg.planned_ack_time() == pytest.approx(6.0, abs=1e-9)
 
     def test_phases_single_packet(self):
         alg = SumMonotonePhases(linear_sum())
-        alg.observe_arrival(0.0, 0)
+        alg.observe_arrival(0.0)
         assert alg.planned_ack_time() == pytest.approx(1.0, abs=1e-9)
 
     def test_phases_permit_model(self):
         alg = SumMonotonePhases(permit_plf())
-        alg.observe_arrival(1.0, 0)
+        alg.observe_arrival(1.0)
         assert alg.planned_ack_time() == pytest.approx(2.0, abs=1e-9)
 
     def test_reading_the_plan_changes_no_state(self):
         alg = GreedyTau(linear_sum(), 1.0)
-        alg.observe_arrival(0.0, 0)
+        alg.observe_arrival(0.0)
         before = copy.deepcopy(alg.__dict__)
         alg.planned_ack_time()
         # Aggregates define no __eq__, so theirs is compared by its fields.
@@ -166,7 +170,7 @@ class TestPlannedAckTime:
     def test_none_when_never_acked(self):
         spec = capped_linear(0.25)
         alg = SumMonotonePhases(spec)
-        alg.observe_arrival(0.0, 0)  # budget 2, cap 0.25: trigger unreachable
+        alg.observe_arrival(0.0)  # budget 2, cap 0.25: trigger unreachable
         assert alg.planned_ack_time() is None
 
     def test_plan_agrees_with_a_replay_on_spread_sequence(self):
@@ -177,7 +181,7 @@ class TestPlannedAckTime:
         arrivals, plans = [], []
         t = 0.7
         for j in range(8):
-            driver.deliver(t, j)
+            driver.deliver(t)
             arrivals.append(t)
             plan = alg.planned_ack_time()
             plans.append(plan)
@@ -190,7 +194,7 @@ class TestPlannedAckTime:
         assert not hasattr(acklab, "next_threshold")
         assert not hasattr(engine, "next_threshold")
         alg = GreedyTau(linear_sum(), 1.0)
-        alg.observe_arrival(0.0, 0)
+        alg.observe_arrival(0.0)
         assert not hasattr(alg, "last_arrival_index")
         adapter = TcpPermitAdapter(SumMonotonePhases(permit_plf()))
         adapter.on_request(1)
@@ -204,7 +208,7 @@ class _EagerAcker(OnlineAlgorithm):
         super().__init__(spec)
         self._planned = None
 
-    def observe_arrival(self, time, index):
+    def observe_arrival(self, time):
         self._planned = time
 
     def planned_ack_time(self):
@@ -220,7 +224,7 @@ class _FlushOnly(OnlineAlgorithm):
 
     last = None
 
-    def observe_arrival(self, time, index):
+    def observe_arrival(self, time):
         self.last = time
 
     def planned_ack_time(self):
@@ -247,25 +251,25 @@ class TestDriverOwnsThePendingPackets:
         assert trace[-1].detail == {"indices": [0, 1, 2]}
 
         driver = SimulationDriver(_FlushOnly(spec))
-        driver.deliver(0.0, 0)
-        driver.deliver(1.0, 1)
-        assert driver.pending == [0, 1] and acked_batches(driver) == []
+        driver.deliver(0.0)
+        driver.deliver(1.0)
+        assert list(driver.pending) == [0, 1] and acked_batches(driver) == []
         driver.finish(0.5)
         assert driver.ack_times == [1.0] and acked_batches(driver) == [[0, 1]]
-        assert driver.pending == []
+        assert list(driver.pending) == []
 
     def test_ack_with_nothing_pending_rejected(self):
         driver = SimulationDriver(_StalePlan(linear_sum()))
-        driver.deliver(1.0, 0)
+        driver.deliver(1.0)
         with pytest.raises(EngineError, match="served no pending packet"):
-            driver.deliver(2.0, 1)
+            driver.deliver(2.0)
         assert acked_batches(driver) == [[0]]
 
     def test_policies_keep_no_packet_list(self):
         for name in ("_pending", "_register_arrival", "has_pending", "_after_ack"):
             assert not hasattr(OnlineAlgorithm, name), name
         alg = SumMonotonePhases(linear_sum())
-        alg.observe_arrival(0.0, 0)
+        alg.observe_arrival(0.0)
         assert alg.commit_ack(1.0) is None
         assert not hasattr(alg, "_pending")
 
@@ -295,3 +299,78 @@ def test_arrivals_processed_before_equal_time_ack():
     assert sched.ack_times == (1.0,)
     assert [ev.kind for ev in trace] == ["arrival", "arrival", "arrival", "ack"]
     assert trace[-1].detail["indices"] == [0, 1, 2]
+
+
+class _Scripted(OnlineAlgorithm):
+    """Plans ``after_arrival(time)`` at each arrival and ``after_commit(time)``
+    at each commit (test stub)."""
+
+    def __init__(self, spec, after_arrival, after_commit=lambda time: None):
+        super().__init__(spec)
+        self._after_arrival, self._after_commit = after_arrival, after_commit
+        self._planned = None
+
+    def observe_arrival(self, time):
+        self._planned = self._after_arrival(time)
+
+    def planned_ack_time(self):
+        return self._planned
+
+    def commit_ack(self, time):
+        super().commit_ack(time)
+        self._planned = self._after_commit(time)
+
+
+class TestExactTimeOrder:
+    """The driver keeps one exact order, so every schedule it returns is one
+    that ``evaluate_schedule`` accepts and whose batches are the trace's."""
+
+    @pytest.mark.parametrize("arrivals", [(1.0,), (0.0, 1.0, 5.0)])
+    def test_plan_a_float_before_the_arrival_rejected(self, arrivals):
+        spec = linear_sum()
+        with pytest.raises(EngineError, match="before"):
+            simulate(Instance(arrivals, spec), _Scripted(spec, lambda time: time - 1e-12))
+
+    def test_arrival_at_a_committed_ack_rejected(self):
+        # Acks its first packet at once and later ones 1.0 after they arrive.
+        first = iter([True])
+        policy = _Scripted(linear_sum(), lambda time: time if next(first, False) else time + 1.0)
+        driver = SimulationDriver(policy)
+        driver.deliver(1.0)
+        driver.run_until(5.0)
+        assert driver.ack_times == [1.0] and driver.now == 1.0
+        with pytest.raises(EngineError, match="out of order"):
+            driver.deliver(1.0)
+        assert list(driver.pending) == [] and acked_batches(driver) == [[0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12),
+        st.data(),
+    )
+    def test_every_run_is_rejected_or_consistent(self, gaps, data):
+        arrivals = tuple(np.cumsum(gaps).tolist())
+        spec = linear_sum()
+
+        def choose(now):
+            return data.draw(st.one_of(
+                st.none(),
+                st.just(now),
+                st.sampled_from([0.25, 0.5, 1.0, 1.5]).map(lambda d: now + d),
+                st.just(math.nextafter(now, -math.inf)),
+            ))
+
+        # Adversaries release time up to, or past, the next arrival.
+        driver = SimulationDriver(_Scripted(spec, choose, choose))
+        try:
+            for a in arrivals:
+                driver.run_until(a + data.draw(st.sampled_from([0.0, 0.25, 1.0])))
+                driver.deliver(a)
+            driver.finish(arrivals[-1])
+        except EngineError:
+            return
+        evaluate_schedule(Instance(arrivals, spec), Schedule(tuple(driver.ack_times)))
+        batches = batches_from_acks(arrivals, driver.ack_times)
+        assert [list(b.indices) for b in batches] == acked_batches(driver)
+        arrived = [ev.detail["index"] for ev in driver.trace if ev.kind == "arrival"]
+        assert arrived == list(range(len(arrivals)))

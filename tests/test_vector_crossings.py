@@ -97,7 +97,7 @@ def test_planned_times_match_bisection_reference(spec, policy):
             frozen: list[float] = []
             events_seen = 0
             for index, a in enumerate(arrivals):
-                driver.deliver(a, index)
+                driver.deliver(a)
                 for ev in driver.trace[events_seen:]:
                     if oblivious and ev.kind == "ack":
                         frozen.extend(ev.time - arrivals[j] for j in ev.detail["indices"])
@@ -150,8 +150,8 @@ def planned_times(spec, factory, arrivals):
     """The policy's planned ack time after every arrival, and its acks."""
     driver = engine.SimulationDriver(factory(spec))
     planned = []
-    for index, a in enumerate(arrivals):
-        driver.deliver(a, index)
+    for a in arrivals:
+        driver.deliver(a)
         planned.append(driver.algorithm.planned_ack_time())
     driver.finish(arrivals[-1])
     return planned, driver.ack_times
@@ -202,8 +202,8 @@ def test_top_k_aggregate_builds_no_weights(policy, monkeypatch):
     arrivals = timelines(np.random.default_rng(3))["bursty"]
     alg = policies()[policy](top_k(10**15))
     driver = engine.SimulationDriver(alg)
-    for index, a in enumerate(arrivals):
-        driver.deliver(a, index)
+    for a in arrivals:
+        driver.deliver(a)
         held = [v for v in vars(alg._aggregate).values() if isinstance(v, (list, tuple))]
         assert all(len(v) <= len(arrivals) + 1 for v in held)
     driver.finish(arrivals[-1])
@@ -348,7 +348,7 @@ def test_no_bisection_left_in_the_library():
     for alg in (
         GreedyTau(linear_sum()), SumMonotonePhases(linear_sum()), GreedyBatchOblivious(lp_norm(2))
     ):
-        alg.observe_arrival(0.0, 0)
+        alg.observe_arrival(0.0)
         assert not hasattr(alg, "_plan") and not hasattr(alg, "_pending_sum"), alg
 
 
