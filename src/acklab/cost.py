@@ -325,32 +325,25 @@ def plf_delay(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
     exact, so each class's value is rounded once and a lone packet's delay
     reaches 1 at a span of exactly 1.  Class k's cost is convex in k and
     minimal at ``k = log4(x)``: class k wins for spans in
-    ``[4**k / 2, 2 * 4**k]``.  So the minimum is attained at ``base`` or
-    ``base + 1`` with ``base = floor(log4(max(x, 1)))`` clipped to
-    ``num_classes - 1``, and only those two classes are probed.  With
+    ``[4**k / 2, 2 * 4**k]``.  So only two classes are probed, by
+    :func:`_float_permit` and :func:`_array_permit`.  With
     ``num_classes = 0``, class 0 alone, the delay is the span, as under
-    ``max_wait``.  A negative or fractional class count raises ValueError.
+    ``max_wait``.  A negative, NaN or fractional class count raises
+    ValueError, and so does a negative span (a NaN one, too, for a float).
     """
     if num_classes is not None and not (num_classes >= 0 and num_classes % 1 == 0):
         raise ValueError(f"permit class count must be a whole number >= 0, got {num_classes!r}")
     if isinstance(x, np.ndarray):
         if x.size and float(x.min()) < 0.0:
             raise ValueError("span must be non-negative")
-        base = np.floor(0.5 * np.log2(np.maximum(x, 1.0)))
-        if num_classes is not None:
-            base = np.minimum(base, num_classes - 1.0)
-        w, minimum = np.exp2(base), np.minimum
+        price = _array_permit
     else:
-        if x < 0:
-            raise ValueError("span must be non-negative")
-        base = math.floor(0.5 * math.log2(max(x, 1.0)))
-        if num_classes is not None:
-            base = min(base, num_classes - 1)
-        w, minimum = 2.0 ** base, min
+        if not x >= 0:
+            raise ValueError(f"span must be non-negative, got {x!r}")
+        price = _float_permit
     if num_classes == 0:
         return x + 0.0
-    ratio = x / w
-    return minimum((w - 1.0) + ratio, (2.0 * w - 1.0) + 0.5 * ratio)
+    return price(x, math.inf if num_classes is None else num_classes - 1)
 
 
 def plf_eval(x, num_classes: int | None = DEFAULT_PERMIT_CLASSES):
@@ -364,18 +357,21 @@ def plf_round_up(x: float) -> int:
 
     That is also the smallest useful class: the class attaining the price
     curve covers ``x`` only when ``x`` lies in ``[4**a / 2, 4**a]``, and
-    there class ``a - 1`` does not cover ``x``.  ``4**k`` is compared with
-    ``x`` exactly, so integer spans past 2**53 round up correctly.  The
-    result also satisfies ``2**k <= 2 * plf_eval(x)`` (classes unbounded).
-    A NaN or infinite span has no such class and raises ValueError, as a
-    negative one does.
+    there class ``a - 1`` does not cover ``x``.  With ``e`` the binary
+    exponent of ``x`` (``2**(e-1) <= x < 2**e``: ``math.frexp`` for a float,
+    ``int.bit_length`` for an int, since a float cannot hold ``10**400``),
+    the class is ``e // 2``, or ``e // 2 + 1`` when ``4**(e // 2) < x``.
+    ``4**k`` is compared with ``x`` exactly, so integer spans past 2**53
+    round up correctly.  The result also satisfies ``2**k <= 2 *
+    plf_eval(x)`` (classes unbounded).  A NaN or infinite span has no such
+    class and raises ValueError, as a negative one does.
     """
     if not isinstance(x, int) and not math.isfinite(x):
         raise ValueError(f"span must be finite, got {x!r}")
     if x < 0:
         raise ValueError("span must be non-negative")
-    k = 0
-    while 4 ** k < x:
+    k = max(0, (x.bit_length() if isinstance(x, int) else math.frexp(x)[1]) // 2)
+    if 4 ** k < x:
         k += 1
     # The price curve is at least 1 and, by AM-GM, at least 2 sqrt(x), so
     # 4**k <= max(1, 16 x) gives 2**k <= 2 * plf_eval(x).  Compared exactly,
@@ -392,6 +388,8 @@ class CostOps(NamedTuple):
     maximum: Callable
     minimum: Callable
     power: Callable
+    wait: Callable  # wait(m, total, t): the sum-wait kinds' wait, clamped at 0
+    permit: Callable  # permit(x, top): plf_delay of spans x over classes 0..top + 1
 
 
 def _float_power(x: float, p) -> float:
@@ -408,8 +406,59 @@ def _array_power(x: np.ndarray, p) -> np.ndarray:
         return x ** p
 
 
-FLOAT_OPS = CostOps(max, min, _float_power)
-ARRAY_OPS = CostOps(np.maximum, np.minimum, _array_power)
+def _float_wait(m: int, total: float, t: float) -> float:
+    # m t - total, clamped at 0 as max(0.0, ...) clamps (NaN too).  Where
+    # m t overflows, the same two roundings are taken a power of two lower,
+    # which moves no bit, so the wait is finite wherever its value is and
+    # stays monotone in t.
+    wait = m * t - total
+    if wait == math.inf:
+        scale = 2.0 ** math.frexp(m)[1]
+        wait = (m * (t / scale) - total / scale) * scale
+    return wait if wait > 0.0 else 0.0
+
+
+def _array_wait(m, total, t) -> np.ndarray:
+    # No array caller prices a sum-wait batch whose m t overflows.
+    return np.maximum(0.0, m * t - total)
+
+
+def _float_permit(x: float, top: int | float) -> float:
+    """:func:`plf_delay` of a float span ``x`` over classes ``0..top + 1``,
+    a negative or NaN span taken as 0, as ``max(0.0, x)`` takes it.
+
+    One exact class rule: with ``e = math.frexp(x)[1]``, so that
+    ``2**(e-1) <= x < 2**e``, a span ``x >= 1`` probes classes ``b`` and
+    ``b + 1`` for ``b = min((e - 1) >> 1, top)``, and a span below 1
+    probes classes 0 and 1.  The exact winner, class ``k`` on spans
+    ``[4**k / 2, 2 * 4**k]``, is one of them, and each class's value is
+    rounded once, by a monotone rounding, so the smaller probe is the
+    rounded minimum over every class.
+    """
+    if x >= 1.0:
+        base = (math.frexp(x)[1] - 1) >> 1
+        w = 2.0 ** (base if base < top else top)
+    else:
+        if not x > 0.0:
+            x = 0.0
+        w = 1.0
+    ratio = x / w
+    low, high = (w - 1.0) + ratio, (2.0 * w - 1.0) + 0.5 * ratio
+    return low if low <= high else high
+
+
+def _array_permit(x: np.ndarray, top: int | float) -> np.ndarray:
+    # The same two probes, from base = floor(log2(x) / 2): rounding the
+    # log moves the base by at most one class, up to one whose probe pair
+    # still holds the winner.  NaN spans stay NaN.
+    x = np.maximum(0.0, x)
+    w = np.exp2(np.minimum(np.floor(0.5 * np.log2(np.maximum(x, 1.0))), top))
+    ratio = x / w
+    return np.minimum((w - 1.0) + ratio, (2.0 * w - 1.0) + 0.5 * ratio)
+
+
+FLOAT_OPS = CostOps(max, min, _float_power, _float_wait, _float_permit)
+ARRAY_OPS = CostOps(np.maximum, np.minimum, _array_power, _array_wait, _array_permit)
 
 
 # Each batch kind's delay cost of a batch of ``m >= 1`` packets whose
@@ -420,18 +469,18 @@ ARRAY_OPS = CostOps(np.maximum, np.minimum, _array_power)
 # clamped at 0.
 
 def _linear_sum_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
-    maximum = ops.maximum
+    wait = ops.wait
 
     def cost(m, total, first, t):
-        return maximum(0.0, m * t - total)
+        return wait(m, total, t)
     return cost
 
 
 def _capped_linear_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
-    maximum, minimum, tau = ops.maximum, ops.minimum, spec.tau
+    wait, minimum, tau = ops.wait, ops.minimum, spec.tau
 
     def cost(m, total, first, t):
-        return minimum(maximum(0.0, m * t - total), tau)
+        return minimum(wait(m, total, t), tau)
     return cost
 
 
@@ -452,10 +501,11 @@ def _max_wait_pow_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
 
 
 def _permit_plf_cost(spec: DelayModelSpec, ops: CostOps) -> Callable:
-    maximum, classes = ops.maximum, spec.num_classes
+    # The class count is checked once, here: the spec holds K >= 1.
+    price, top = ops.permit, spec.num_classes - 1
 
     def cost(m, total, first, t):
-        return plf_delay(maximum(0.0, t - first), classes)
+        return price(t - first, top)
     return cost
 
 
@@ -667,21 +717,20 @@ class _BatchAggregate:
     def crossing(self, goal: float) -> float:
         kind = self.spec.kind
         if kind in SUM_WAIT_KINDS:
-            return (goal - self.frozen + self.total) / self.m
+            s = (goal - self.frozen + self.total) / self.m
+            # The sum may leave the float range where the quotient does not.
+            return s if s < math.inf else (goal - self.frozen) / self.m + self.total / self.m
         if kind == "max_wait":
             return goal
         if kind == "max_wait_pow":
             return goal ** (1.0 / self.spec.p)
         # permit_plf: min_k 2**k + x * 2**-k >= level holds iff x >= 2**k (level - 2**k)
         # for every class k.  That bound is concave in 2**k with its peak at
-        # level / 2, so the classes next to log2(level / 2) attain the maximum.
+        # level / 2, and 2**(e-2) <= level / 2 < 2**(e-1) for e the exponent
+        # of level, so classes e - 2 and e - 1, kept within 0..K, attain it.
         level = goal + 1.0
-        base = math.floor(math.log2(level / 2.0))
-        span = 0.0
-        for cand in (base - 1, base, base + 1):
-            w = 2.0 ** min(max(cand, 0), self.spec.num_classes)
-            span = max(span, w * (level - w))
-        return span
+        w = 2.0 ** min(max(math.frexp(level)[1] - 2, 0), self.spec.num_classes - 1)
+        return max(w * (level - w), 2.0 * w * (level - 2.0 * w))
 
     def freeze(self, s: float) -> float:
         self.frozen = self.cost(s)
@@ -702,23 +751,37 @@ class _ConvexAggregate:
     slope (``_value_slope(s)``): each step lands on the root of a tangent,
     which lies below the cost, so the iterates fall monotonically towards
     the crossing, and on a piecewise-linear cost each step enters a new
-    piece and the last one is exact.  With ``w1 <= 0`` the cost never grows
-    and the crossing is +inf."""
+    piece and the last one is exact.  Where the cost at ``goal / w1`` leaves
+    the float range, Newton has no step: the start is halved until the cost
+    is back in range, and from below the goal one tangent step up lands at
+    or above the crossing, by convexity.  With ``w1 <= 0`` the cost never
+    grows and the crossing is +inf."""
 
     w1 = 1.0
 
     def crossing(self, goal: float) -> float:
         if self.w1 <= 0.0:
             return math.inf
-        s = goal / self.w1
+        s = min(goal / self.w1, _LARGEST)
+        value, slope = self._value_slope(s)
+        if value == math.inf:
+            while value == math.inf and s > 0.0:
+                s *= 0.5
+                value, slope = self._value_slope(s)
+            if value < goal and slope > 0.0:
+                below = s
+                s = min(s + (goal - value) / slope, _LARGEST)
+                value, slope = self._value_slope(s)
+                if value == math.inf:
+                    return below
         while True:
-            value, slope = self._value_slope(s)
             if value - goal <= 0.0 or slope <= 0.0:
                 return s
             nxt = max(0.0, s - (value - goal) / slope)
             if nxt >= s:
                 return s
             s = nxt
+            value, slope = self._value_slope(s)
 
 
 class _PowerAggregate(_ConvexAggregate):

@@ -4,7 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/identity_corpus.py
 
-In one process it calls :func:`acklab.cli.main` on 381 cases and prints one
+In one process it calls :func:`acklab.cli.main` on 463 cases and prints one
 line per case, ``<model json> <shape> <seed> <shift> <sha256>``, then a last
 line ``<cases> <digest>``.
 
@@ -26,6 +26,12 @@ line ``<cases> <digest>``.
   ``greedy_tau_vector``, hashed as above.
 * Two concave games: ``ack adversary --kind concave --n 400`` under
   ``vector_greedy`` and under ``greedy_tau_vector``.
+* 81 ``greedy_tau`` instances: ``permit_plf`` K = 1, 32 and 600 on the
+  batch timelines, each running ``ack run --alg
+  '{"alg":"greedy_tau","tau":1.0}' --trace``, hashed as above.  Their
+  shape reads ``greedy_tau:<timeline>``.
+* The permit game under ``greedy_tau``: ``ack adversary --kind permit --n
+  930 --alg '{"alg":"greedy_tau","tau":1.0}'``.
 
 The digest is the SHA-256 of the case lines joined by newlines.  Two trees
 that give the same digest on one machine gave the same offline optima,
@@ -66,6 +72,7 @@ N = 300
 SEEDS = (1, 2, 3)
 SHIFTS = (0.0, 1e6, 1e12)
 PHASES = '{"alg":"phases"}'
+GREEDY_TAU = '{"alg":"greedy_tau","tau":1.0}'
 TRACE_TOKEN = "<trace>"
 
 MODELS = (
@@ -87,6 +94,7 @@ VECTOR_MODELS = (
     ordered_norm((3.0, 2.5, 2.5, 2.0, 1.0, 1.0, 0.5, 0.5, 0.25, 0.1, 0.1, 0.0)),
 )
 VECTOR_POLICIES = ('{"alg":"vector_greedy"}', '{"alg":"greedy_tau_vector"}')
+GREEDY_TAU_MODELS = tuple(permit_plf(num_classes=k) for k in (1, 32, 600))
 
 
 def timeline(shape: str, seed: int) -> np.ndarray:
@@ -108,16 +116,17 @@ def call(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def instance_hash(spec, arrivals: list[float], workdir: Path) -> str:
+def instance_hash(spec, arrivals: list[float], workdir: Path, policies=None) -> str:
     """A batch instance's hash: its DP optimum and its run under phases.  A
-    vector instance's: its runs under the vector policies."""
+    vector instance's: its runs under the vector policies.  Given
+    ``policies``, the runs under them alone."""
     instance, trace = workdir / "instance.json", workdir / "trace.jsonl"
     model = model_to_json(spec)
     instance.write_text(json.dumps({"arrivals": arrivals, "model": model}), encoding="utf-8")
     h = hashlib.sha256()
-    if spec.objective is Objective.VECTOR:
+    if policies is None and spec.objective is Objective.VECTOR:
         policies = VECTOR_POLICIES
-    else:
+    elif policies is None:
         code, report = call(["solve", "--instance", str(instance), "--oracle", "dp"])
         h.update(f"{code}\n{report}".encode())
         policies = (PHASES,)
@@ -139,15 +148,19 @@ def game_line(model, name: str, argv: list[str]) -> str:
     return f"{json.dumps(model_to_json(model), separators=(',', ':'))} {name} - - {digest}"
 
 
-def instance_lines(models, workdir: Path):
+def instance_lines(models, workdir: Path, alg: str | None = None):
+    """The case lines of ``models`` on every timeline, seed and shift;
+    with ``alg``, of its runs alone, the shape prefixed by its name."""
+    prefix = "" if alg is None else f"{json.loads(alg)['alg']}:"
+    policies = None if alg is None else (alg,)
     for spec in models:
         text = json.dumps(model_to_json(spec), separators=(",", ":"))
         for shape in ("uniform", "bursty", "grid"):
             for seed in SEEDS:
                 for shift in SHIFTS:
                     arrivals = (timeline(shape, seed) + shift).tolist()
-                    digest = instance_hash(spec, arrivals, workdir)
-                    yield f"{text} {shape} {seed} {shift:g} {digest}"
+                    digest = instance_hash(spec, arrivals, workdir, policies)
+                    yield f"{text} {prefix}{shape} {seed} {shift:g} {digest}"
 
 
 def cases(workdir: Path):
@@ -163,6 +176,11 @@ def cases(workdir: Path):
     for alg in VECTOR_POLICIES:
         name = f"concave-400-{json.loads(alg)['alg']}"
         yield game_line(concave, name, ["--kind", "concave", "--n", "400", "--alg", alg])
+    yield from instance_lines(GREEDY_TAU_MODELS, workdir, GREEDY_TAU)
+    yield game_line(
+        permit_plf(num_classes=600), "adversary-930-greedy_tau",
+        ["--kind", "permit", "--n", "930", "--alg", GREEDY_TAU],
+    )
 
 
 def run() -> int:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from acklab import (
     simulate,
 )
 from acklab.engine import OnlineAlgorithm
+from plf_reference import loop_round_up
 
 
 class FixedClassStrategy:
@@ -82,7 +84,8 @@ class TestPlfRoundUp:
 
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_non_finite_rejected(self, x):
-        # inf would never leave the 4**k < x loop, and NaN would pass it as 0.
+        # frexp reads inf and NaN as exponent 0, which would round them
+        # up to class 1 and class 0.
         with pytest.raises(ValueError, match="finite"):
             plf_round_up(x)
 
@@ -98,6 +101,19 @@ class TestPlfRoundUp:
         assert plf_round_up(10**400) == 665
         assert plf_round_up(4**700) == 700
         assert plf_round_up(4**700 + 1) == 701
+
+    def test_matches_the_loop(self):
+        # Floats at and next to 4**k / 2, 4**k and 2 * 4**k, below 1 and
+        # up to the largest float; ints there and past the float range.
+        floats = [0.0, 5e-324, 0.25, 0.3, 0.999, 1e308, sys.float_info.max]
+        ints = [0, 1, 2, 10**400 - 1, 10**400, 10**400 + 1]
+        for k in range(512):
+            for x in (4.0 ** k / 2.0, 4.0 ** k, 2.0 * 4.0 ** k):
+                floats += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        for k in range(1, 800):
+            ints += [4**k - 1, 4**k, 4**k + 1, 2 * 4**k]
+        for x in floats + ints:
+            assert plf_round_up(x) == loop_round_up(x), x
 
     def test_matches_enumerated_classes_at_boundaries(self):
         # The attaining class, ties to the cheaper one, found over every class.

@@ -104,6 +104,25 @@ class TestGreedyTau:
             alg.observe_arrival(float(t))
             assert alg.planned_ack_time() == t + 1.0
 
+    def test_permit_plans_take_three_cost_evaluations(self):
+        # Each plan costs the batch at the arrival, one float below the
+        # crossing and at it: the crossing is exact up to a float almost
+        # everywhere, so 2000 plans take 6007 evaluations.  A seed that
+        # drifts off the crossing would show here as a walk.
+        n, spec = 2000, permit_plf(num_classes=32)
+        arrivals = np.cumsum(np.random.default_rng(1).exponential(1.0, n)).tolist()
+        alg = GreedyTau(spec, 1.0)
+        calls, cost = 0, alg._aggregate.cost
+
+        def counted(s):
+            nonlocal calls
+            calls += 1
+            return cost(s)
+
+        alg._aggregate.cost = counted
+        simulate(Instance(arrivals, spec), alg)
+        assert f"{calls / n:.2f}" == "3.00"
+
 
 class TestGreedyMaxMonotone:
     def test_two_packets(self):
@@ -209,8 +228,9 @@ class TestSumMonotonePhases:
             (linear_sum(), 0.25, 4.0, 0.01),
             # Dense bursts: a row scan would cost hundreds of rows per arrival.
             (max_wait(Objective.SUM_BATCH), 1.0, 100.0, 0.001),
+            (permit_plf(num_classes=32), 1.0, 100.0, 0.001),
         ],
-        ids=["linear_sum", "max_wait"],
+        ids=["linear_sum", "max_wait", "permit_plf"],
     )
     def test_block_costs_per_arrival_do_not_grow_with_n(
         self, monkeypatch, spec, cluster_rate, burst_mean, intra_scale
@@ -218,9 +238,9 @@ class TestSumMonotonePhases:
         # Every call of a kernel bound from cost_kernel counts once, on a
         # block or on an array of them: the DP step, the critical-suffix
         # search and the pending batch's aggregate.  About 25 per arrival
-        # under linear_sum and 7 under max_wait, whose search costs its
-        # single acks as one array; work linear in the arrivals seen would
-        # be thousands.
+        # under linear_sum and 7 under max_wait and permit_plf, whose
+        # search costs its single acks as one array; work linear in the
+        # arrivals seen would be thousands.
         calls = 0
 
         def counting(spec, ops=FLOAT_OPS):

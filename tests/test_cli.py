@@ -336,26 +336,30 @@ class TestRun:
         got = json.loads(out)
         assert got["delay"] == 48.0 and got["acks"] == 3
 
-    @pytest.mark.parametrize(
-        "arrivals, model, tau",
-        [
-            # The permit crossing overflows to +inf.
-            ([0, 1, 2], "permit_plf", 1e300),
-            # The linear crossing overflows; a walk down from +inf never ends.
-            ([0, 5e307], "linear_sum", 1.7e308),
-        ],
-    )
-    def test_target_past_the_float_range_flushes_at_the_horizon(
-        self, tmp_path, capsys, arrivals, model, tau
-    ):
-        path = write_instance(tmp_path, arrivals, {"kind": model})
+    def test_target_past_the_float_range_flushes_at_the_horizon(self, tmp_path, capsys):
+        # The permit crossing overflows to +inf.
+        path = write_instance(tmp_path, [0, 1, 2], {"kind": "permit_plf"})
         code, out = run_cli(
             capsys, "run", "--instance", path,
-            "--alg", json.dumps({"alg": "greedy_tau", "tau": tau}),
+            "--alg", json.dumps({"alg": "greedy_tau", "tau": 1e300}),
             "--trace", str(tmp_path / "t.jsonl"),
         )
         assert code == 0 and out.count("\n") == 1
-        assert json.loads(out)["ack_times"] == [arrivals[-1]]
+        assert json.loads(out)["ack_times"] == [2]
+
+    def test_linear_target_past_the_product_overflow_is_met(self, tmp_path, capsys):
+        # 2 t overflows from t = 2**1023 on, but the batch cost 2 t - 5e307
+        # meets tau = 1.7e308 at t = 1.1e308, inside the float range, and
+        # the report prices the batch there.
+        path = write_instance(tmp_path, [0, 5e307], {"kind": "linear_sum"})
+        code, out = run_cli(
+            capsys, "run", "--instance", path,
+            "--alg", json.dumps({"alg": "greedy_tau", "tau": 1.7e308}),
+            "--trace", str(tmp_path / "t.jsonl"),
+        )
+        assert code == 0
+        got = strict_loads(out)
+        assert got["ack_times"] == [1.1e308] and got["delay"] == 1.7e308
 
     @pytest.mark.parametrize(
         "arrivals, model, tau, ack_time, flushed",

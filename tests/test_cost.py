@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from acklab.cost import (
     threshold_time,
 )
 from bisection_reference import solve_threshold_time
+from plf_reference import log2_plf_delay
 
 ALL_BATCH = [linear_sum(), max_wait(), max_wait_pow(2), capped_linear(1.0), permit_plf()]
 ALL_VECTOR = [
@@ -174,17 +176,22 @@ class TestBatchThresholdTime:
         # A target within tolerance above the cap is met where the cap is.
         assert _threshold_time(capped_linear(1.0), [0.0, 0.5], 1.0 + 1e-12, 0.5) == 0.75
 
+    def test_permit_crossing_past_the_float_range_is_unreachable(self):
+        # The permit crossing w * (level - w) overflows to +inf.
+        assert _threshold_time(permit_plf(), [0.0, 1.0, 2.0], 1e300, 2.0) is None
+
     @pytest.mark.parametrize(
-        "spec, batch, target",
-        [
-            # (goal + total) / m overflows, and a walk down from +inf never ends.
-            (linear_sum(), [0.0, 5e307], 1.7e308),
-            # The permit crossing w * (level - w) overflows to +inf.
-            (permit_plf(), [0.0, 1.0, 2.0], 1e300),
-        ],
+        "spec", [linear_sum(), capped_linear(1.7e308)], ids=["linear_sum", "capped_linear"]
     )
-    def test_crossing_past_the_float_range_is_unreachable(self, spec, batch, target):
-        assert _threshold_time(spec, batch, target, batch[-1]) is None
+    def test_linear_target_past_the_product_overflow(self, spec):
+        # 2 t overflows from t = 2**1023 on, but the cost 2 t - 5e307 stays
+        # in range up to 1.1e308, where it meets the target: the crossing
+        # and the wait are taken where their sums fit.
+        assert _threshold_time(spec, [0.0, 5e307], 1.7e308, 5e307) == 1.1e308
+        kernel = cost_kernel(spec)
+        ts = [math.nextafter(2.0 ** 1023, 0.0), 2.0 ** 1023, math.nextafter(1.1e308, 0.0), 1.1e308]
+        costs = [kernel(2, 5e307, 0.0, t) for t in ts]
+        assert costs == sorted(costs) and costs[-2] < 1.7e308 == costs[-1]
 
     def test_already_met_returns_t_lo(self):
         assert _threshold_time(linear_sum(), [0.0, 3.0], 1.0, 3.0) == 3.0
@@ -303,6 +310,59 @@ class TestPlf:
         assert cost_kernel(spec)(1, 0.0, 0.0, below) == below
         rows = cost_kernel(spec, ARRAY_OPS)
         assert rows(3, 0.5, 0.0, np.array([below, 1.0])).tolist() == [below, 1.0]
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 32, 600])
+    def test_prices_match_the_log2_rule_bit_for_bit(self, classes):
+        # Each class wins on [4**k / 2, 2 * 4**k], so its ends and their
+        # float neighbours are where a class rule can miss the winner.
+        spans = [0.0, -0.0, math.nan, 0.5, 1e308, sys.float_info.max]
+        for k in range(512):
+            for x in (4.0 ** k / 2.0, 4.0 ** k, 2.0 * 4.0 ** k):
+                lo = hi = x
+                for _ in range(3):
+                    lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                    spans += [lo, hi]
+                spans.append(x)
+        xs = np.array(spans)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+        spec = permit_plf(num_classes=classes)
+        want = bits([log2_plf_delay(x, classes) for x in spans])
+        assert bits([cost_kernel(spec)(1, 0.0, 0.0, x) for x in spans]) == want
+        rows = cost_kernel(spec, ARRAY_OPS)(1, 0.0, 0.0, xs)
+        assert bits(rows) == bits(log2_plf_delay(xs, classes))
+        # plf_delay takes no NaN float span; its own prices are the same.
+        real = [x for x in spans if x == x]
+        assert bits([plf_delay(x, classes) for x in real]) == bits(
+            [log2_plf_delay(x, classes) for x in real]
+        )
+        assert bits(plf_delay(np.array(real), classes)) == bits(
+            log2_plf_delay(np.array(real), classes)
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            plf_delay(math.nan, classes)
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 32, 600])
+    def test_permit_crossing_is_the_best_class_bound(self, classes):
+        # The span at which the price reaches a goal is the largest class
+        # bound w * (goal + 1 - w), w = 2**k; the crossing probes two.
+        agg = aggregate(permit_plf(num_classes=classes))
+        agg.add(0.0)
+        goals = [0.0, 0.5, 1.0, 1e300, sys.float_info.max]
+        for j in range(0, 1024, 7):
+            level = 2.0 ** j
+            for x in (math.nextafter(level, 0.0), level, math.nextafter(level, math.inf)):
+                goals.append(x - 1.0)
+        for goal in goals:
+            level = goal + 1.0
+            want = max(2.0 ** k * (level - 2.0 ** k) for k in range(classes + 1))
+            assert agg.crossing(goal) == want, goal
+
+    def test_unbounded_classes_match_the_log2_rule(self):
+        xs = [0.0, 0.75, 3.0, 4.0 ** 40, 2.0 * 4.0 ** 300, 1e308]
+        assert [plf_delay(x, None) for x in xs] == [log2_plf_delay(x, None) for x in xs]
 
     def test_class_zero_alone_is_the_span(self):
         # K = 0 keeps class 0 alone, whose delay 2**0 - 1 + x is the span:

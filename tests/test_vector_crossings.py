@@ -578,3 +578,35 @@ def test_walk_from_any_seed_ends(case, seed):
         assert agg.cost(sys.float_info.max) < target
     else:
         assert agg.cost(want) >= target > agg.cost(math.nextafter(want, -math.inf))
+
+
+class CountedCrossing(CountedCost):
+    """An aggregate whose own crossing seeds the walk, counting the costs
+    the crossing takes as well as the walk's."""
+
+    def crossing(self, goal):
+        inner = self.agg._value_slope
+
+        def counted(s):
+            self.calls += 1
+            return inner(s)
+
+        self.agg._value_slope = counted
+        try:
+            return self.agg.crossing(goal)
+        finally:
+            self.agg._value_slope = inner
+
+
+@pytest.mark.parametrize("case", ["lp-2-far", "top_k-2-far", "ordered-out-of-reach"])
+def test_crossing_past_the_float_range_seeds_a_short_walk(case):
+    # The cost at goal / w1 leaves the float range (or goal / w1 does).
+    # The crossing halves back into it and climbs the tangent, so the
+    # walk starts next to the answer: a seed at 0 took about 135 costs.
+    spec, pending, target, want = WALK_CASES[case]
+    agg = cost.aggregate(spec)
+    for x in pending:
+        agg.add(x)
+    counted = CountedCrossing(agg, None)
+    assert cost.threshold_time(counted, 0.0, target, pending[-1]) == want
+    assert counted.calls <= 8
