@@ -82,9 +82,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"cannot write the trace: {exc}") from exc
     with fh:
-        schedule, trace = simulate(instance, algorithm)
-        for event in trace:
-            fh.write(event.to_json_line() + "\n")
+        schedule = simulate(
+            instance, algorithm, lambda event: fh.write(event.to_json_line() + "\n")
+        )
     out = evaluate_schedule(instance, schedule).to_json()
     out["ack_times"] = list(schedule.ack_times)
     out["trace"] = trace_path
@@ -97,7 +97,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if args.kind == "greedy_tau":
         instance = adv.gen_greedy_tau_hard(args.n, args.tau, args.eps)
         algorithm = make_algorithm(alg_json, instance.model)
-        schedule, _ = simulate(instance, algorithm)
+        schedule = simulate(instance, algorithm)
         alg_cost = evaluate_schedule(instance, schedule).total
         opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
         report = {

@@ -260,20 +260,36 @@ def _inf_as_string(obj):
     return obj
 
 
-# The strict encoder of every call with no options, trace lines included:
-# json.dumps would build a new one for each.
-_ENCODER = json.JSONEncoder(allow_nan=False)
+def _strict_encode() -> Callable[[object], str]:
+    """The strict encoder of every call with no options, trace lines
+    included, built once.  ``JSONEncoder.encode`` builds a new C encoder on
+    each call, a third of a trace line's cost; this binds one with the same
+    settings, less the circular-reference check, which no output here
+    needs.  Without the C encoder, it is ``JSONEncoder.encode``."""
+    encoder = json.JSONEncoder(allow_nan=False)
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    chunks = make(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+_ENCODE = _strict_encode()
 
 
 def dump_json(obj, **kwargs) -> str:
     """Strict JSON text of ``obj``: +inf is written as the string ``"inf"``,
     as ``lp`` writes its p, and any other non-finite float raises
     ValueError.  ``kwargs`` go to :class:`json.JSONEncoder`."""
-    encoder = json.JSONEncoder(allow_nan=False, **kwargs) if kwargs else _ENCODER
+    encode = json.JSONEncoder(allow_nan=False, **kwargs).encode if kwargs else _ENCODE
     try:
-        return encoder.encode(obj)
+        return encode(obj)
     except ValueError:
-        return encoder.encode(_inf_as_string(obj))
+        return encode(_inf_as_string(obj))
 
 
 def model_to_json(spec: DelayModelSpec) -> dict:
@@ -419,8 +435,15 @@ def _float_wait(m: int, total: float, t: float) -> float:
 
 
 def _array_wait(m, total, t) -> np.ndarray:
-    # No array caller prices a sum-wait batch whose m t overflows.
-    return np.maximum(0.0, m * t - total)
+    # The float kernel's rule, entry by entry: a wait that overflows is
+    # taken again a power of two lower, and the clamp sends NaN to 0.
+    with np.errstate(over="ignore"):
+        wait = m * t - total
+        over = wait == np.inf
+        if over.any():
+            scale = np.exp2(np.frexp(np.asarray(m, dtype=float))[1])
+            wait = np.where(over, (m * (t / scale) - total / scale) * scale, wait)
+    return np.where(wait > 0.0, wait, 0.0)
 
 
 def _float_permit(x: float, top: int | float) -> float:

@@ -6,11 +6,15 @@ it via the :class:`OnlineAlgorithm` contract: observe arrivals, plan the
 next ack, hear of each commit.  :class:`SimulationDriver` is the
 incremental core so adaptive adversaries can interleave releases with the
 algorithm's reactions; :func:`simulate` replays a fixed instance through it.
-The driver keeps the one trace: arrivals, flushes, acks with the indices
-they serve, and the policy's own events, which the policy reports through
-the :meth:`OnlineAlgorithm.emit` callback the driver hands it, stamped with
-the time of the arrival or ack they follow.  The callback holds the trace,
-not the driver, so a finished run is freed without the cycle collector.
+The driver keeps only the ack times.  Given a sink, a callable that takes
+one :class:`TraceEvent` (``events.append``, or a function that writes a
+line), it writes the trace to it as it goes: arrivals, flushes, acks with
+the indices they serve, and the policy's own events, which the policy
+reports through the :meth:`OnlineAlgorithm.emit` callback the driver hands
+it, stamped with the time of the arrival or ack they follow.  The callback
+holds the sink, not the driver, so a finished run is freed without the
+cycle collector.  With no sink the driver builds no event and leaves
+``emit`` the class's no-op.
 The engine solves no threshold equations and looks no further ahead than
 the policy: each policy plans its own ack time at the exact crossing of its
 cost, and :meth:`OnlineAlgorithm.planned_ack_time` is the only look-ahead.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 from .cost import DelayModelSpec, dump_json
 from .model import Instance, Schedule
@@ -72,9 +77,33 @@ class OnlineAlgorithm(ABC):
     # -- tracing -------------------------------------------------------------
 
     def emit(self, kind: str, **detail) -> None:
-        """Report a policy event.  A :class:`SimulationDriver` replaces this
-        with a callback that records it after the arrival or ack it follows,
-        at that time; unattached, the event is dropped."""
+        """Report a policy event.  A :class:`SimulationDriver` with a sink
+        replaces this with a callback that writes it after the arrival or
+        ack it follows, at that time; with no sink, the event is dropped."""
+
+
+Sink = Callable[[TraceEvent], None]
+
+
+class _Stamp:
+    """A sink and the time of the last event the driver wrote to it.
+
+    Called as a policy's ``emit``, it writes the policy's event at that
+    time.  It holds no reference to the driver.
+    """
+
+    __slots__ = ("sink", "time")
+
+    def __init__(self, sink: Sink):
+        self.sink = sink
+        self.time = 0.0
+
+    def write(self, time: float, kind: str, detail: dict) -> None:
+        self.time = time
+        self.sink(TraceEvent(time, kind, detail))
+
+    def __call__(self, kind: str, **detail) -> None:
+        self.sink(TraceEvent(self.time, kind, detail))
 
 
 class SimulationDriver:
@@ -84,23 +113,20 @@ class SimulationDriver:
     commits the planned acks strictly before each delivery, so an arrival
     and an ack at the same instant process the arrival first, and raises
     :class:`EngineError` on a plan before ``now`` or an arrival before
-    ``now`` or at a committed ack's time.  Each ``ack`` trace event lists
-    the indices it serves, ``pending``; the algorithm's events follow it.
+    ``now`` or at a committed ack's time.  Given a ``sink``, it writes each
+    event to it as it handles it; each ``ack`` event lists the indices it
+    serves, ``pending``, and the algorithm's events follow it.
     """
 
-    def __init__(self, algorithm: OnlineAlgorithm):
+    def __init__(self, algorithm: OnlineAlgorithm, sink: Sink | None = None):
         self.algorithm = algorithm
         self.now = 0.0
         self.served = 0
         self.delivered = 0
         self.ack_times: list[float] = []
-        self.trace: list[TraceEvent] = []
-        trace = self.trace
-
-        def record(kind: str, **detail) -> None:  # holds no reference to the driver
-            trace.append(TraceEvent(trace[-1].time, kind, detail))
-
-        algorithm.emit = record
+        self._stamp = None
+        if sink is not None:
+            self._stamp = algorithm.emit = _Stamp(sink)
 
     @property
     def pending(self) -> range:
@@ -113,10 +139,11 @@ class SimulationDriver:
         return t
 
     def _commit(self, t: float) -> None:
-        if not self.pending:
+        if self.served == self.delivered:
             raise EngineError(f"ack at {t!r} served no pending packet")
         self.now = t
-        self.trace.append(TraceEvent(t, "ack", {"indices": list(self.pending)}))
+        if self._stamp is not None:
+            self._stamp.write(t, "ack", {"indices": list(self.pending)})
         self.served = self.delivered
         self.algorithm.commit_ack(t)
         self.ack_times.append(t)
@@ -135,7 +162,8 @@ class SimulationDriver:
             raise EngineError(f"arrival at {time!r} is out of order at {self.now!r}")
         self.run_until(time)
         self.now = time
-        self.trace.append(TraceEvent(time, "arrival", {"index": self.delivered}))
+        if self._stamp is not None:
+            self._stamp.write(time, "arrival", {"index": self.delivered})
         self.delivered += 1
         self.algorithm.observe_arrival(time)
 
@@ -149,18 +177,20 @@ class SimulationDriver:
         self.run_until(math.inf)
         if self.pending:
             t = max(horizon, self.now)
-            self.trace.append(TraceEvent(t, "flush", {}))
+            if self._stamp is not None:
+                self._stamp.write(t, "flush", {})
             self._commit(t)
 
 
 def simulate(
-    instance: Instance, algorithm: OnlineAlgorithm
-) -> tuple[Schedule, list[TraceEvent]]:
-    """Run the algorithm over the instance; returns its schedule and trace."""
+    instance: Instance, algorithm: OnlineAlgorithm, sink: Sink | None = None
+) -> Schedule:
+    """Run the algorithm over the instance and return its schedule; the
+    trace goes to ``sink`` as it is made, or nowhere."""
     if algorithm.spec != instance.model:
         raise EngineError("algorithm was built for a different delay model")
-    driver = SimulationDriver(algorithm)
+    driver = SimulationDriver(algorithm, sink)
     for a in instance.arrivals:
         driver.deliver(a)
     driver.finish(instance.effective_horizon)
-    return Schedule(tuple(driver.ack_times)), driver.trace
+    return Schedule(tuple(driver.ack_times))

@@ -197,7 +197,7 @@ def run_bench(config: dict) -> list[BenchRow]:
                 instance = instances[n, seed]
                 alg = make_algorithm(alg_json, model)
                 start = time.perf_counter()
-                schedule, _ = simulate(instance, alg)
+                schedule = simulate(instance, alg)
                 alg_cost = evaluate_schedule(instance, schedule).total
                 elapsed = (time.perf_counter() - start) * 1000.0
                 if (n, seed) not in optima:
@@ -345,7 +345,7 @@ def _check_roundup(seed: int) -> PropertyReport:
 def _check_greedy_hard_family(seed: int) -> PropertyReport:
     instance = adv.gen_greedy_tau_hard(25, 1.0, 1e-3)
     alg = make_algorithm({"alg": "greedy_tau", "tau": 1.0}, instance.model)
-    schedule, _ = simulate(instance, alg)
+    schedule = simulate(instance, alg)
     alg_cost = evaluate_schedule(instance, schedule).total
     opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
     ratio = alg_cost / opt_cost
@@ -377,7 +377,8 @@ def _check_determinism(seed: int) -> PropertyReport:
     outs = []
     for _ in range(2):
         alg = SumMonotonePhases(spec)
-        schedule, trace = simulate(instance, alg)
+        trace = []
+        schedule = simulate(instance, alg, trace.append)
         outs.append(
             json.dumps(list(schedule.ack_times))
             + "".join(ev.to_json_line() for ev in trace)

@@ -4,7 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/identity_corpus.py
 
-In one process it calls :func:`acklab.cli.main` on 463 cases and prints one
+In one process it calls :func:`acklab.cli.main` on 465 cases and prints one
 line per case, ``<model json> <shape> <seed> <shift> <sha256>``, then a last
 line ``<cases> <digest>``.
 
@@ -32,6 +32,16 @@ line ``<cases> <digest>``.
   shape reads ``greedy_tau:<timeline>``.
 * The permit game under ``greedy_tau``: ``ack adversary --kind permit --n
   930 --alg '{"alg":"greedy_tau","tau":1.0}'``.
+* One ``ack bench`` sweep: ``linear_sum``, ``capped_linear`` tau = 1 and
+  ``permit_plf`` K = 32 under ``greedy_tau`` tau = 1 and 0.5 and under
+  ``phases``, on uniform timelines, n = 300, seeds 1-3, DP oracle.  Its
+  hash covers the exit code, the report (the output directory replaced by
+  a fixed token) and the rows of ``bench.csv`` without the ``runtime_ms``
+  column, the one column that changes between runs.
+* The greedy lower-bound game: ``ack adversary --kind greedy_tau --n
+  2000``, under its default policy ``greedy_tau`` tau = 1.
+
+The first 463 lines are those of the script before the last two cases.
 
 The digest is the SHA-256 of the case lines joined by newlines.  Two trees
 that give the same digest on one machine gave the same offline optima,
@@ -43,6 +53,7 @@ once every case has run and exited 0.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -55,6 +66,7 @@ import numpy as np
 from acklab import (
     Objective,
     capped_linear,
+    gen_greedy_tau_hard,
     concave_two_piece,
     linear_sum,
     lp_norm,
@@ -74,6 +86,7 @@ SHIFTS = (0.0, 1e6, 1e12)
 PHASES = '{"alg":"phases"}'
 GREEDY_TAU = '{"alg":"greedy_tau","tau":1.0}'
 TRACE_TOKEN = "<trace>"
+OUT_TOKEN = "<out>"
 
 MODELS = (
     max_wait(Objective.SUM_BATCH),
@@ -95,6 +108,8 @@ VECTOR_MODELS = (
 )
 VECTOR_POLICIES = ('{"alg":"vector_greedy"}', '{"alg":"greedy_tau_vector"}')
 GREEDY_TAU_MODELS = tuple(permit_plf(num_classes=k) for k in (1, 32, 600))
+BENCH_MODELS = (linear_sum(), capped_linear(1.0), permit_plf(num_classes=32))
+BENCH_POLICIES = (GREEDY_TAU, '{"alg":"greedy_tau","tau":0.5}', PHASES)
 
 
 def timeline(shape: str, seed: int) -> np.ndarray:
@@ -148,6 +163,29 @@ def game_line(model, name: str, argv: list[str]) -> str:
     return f"{json.dumps(model_to_json(model), separators=(',', ':'))} {name} - - {digest}"
 
 
+def bench_line(workdir: Path) -> str:
+    """The case line of one ``ack bench`` sweep, hashed without its
+    timings."""
+    config, out = workdir / "bench.json", workdir / "bench"
+    config.write_text(json.dumps({
+        "generators": [{"kind": "uniform", "rate": 1.0}],
+        "models": [model_to_json(spec) for spec in BENCH_MODELS],
+        "algorithms": [json.loads(alg) for alg in BENCH_POLICIES],
+        "n": [N],
+        "seeds": list(SEEDS),
+        "oracle": "dp",
+    }), encoding="utf-8")
+    code, report = call(["bench", "--config", str(config), "--out", str(out)])
+    report = report.replace(json.dumps(str(out)), json.dumps(OUT_TOKEN))
+    with open(out / "bench.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    timing = rows[0].index("runtime_ms")
+    rows = [row[:timing] + row[timing + 1:] for row in rows]
+    digest = hashlib.sha256(f"{code}\n{report}\n{json.dumps(rows)}".encode()).hexdigest()
+    models = json.dumps([model_to_json(spec) for spec in BENCH_MODELS], separators=(",", ":"))
+    return f"{models} bench-{N} - - {digest}"
+
+
 def instance_lines(models, workdir: Path, alg: str | None = None):
     """The case lines of ``models`` on every timeline, seed and shift;
     with ``alg``, of its runs alone, the shape prefixed by its name."""
@@ -180,6 +218,11 @@ def cases(workdir: Path):
     yield game_line(
         permit_plf(num_classes=600), "adversary-930-greedy_tau",
         ["--kind", "permit", "--n", "930", "--alg", GREEDY_TAU],
+    )
+    yield bench_line(workdir)
+    yield game_line(
+        gen_greedy_tau_hard(2000, 1.0, 1e-3).model, "adversary-greedy_tau-2000",
+        ["--kind", "greedy_tau", "--n", "2000"],
     )
 
 

@@ -59,7 +59,7 @@ def random_arrivals(rng, n, style):
 
 
 def online_cost(instance, algorithm):
-    schedule, _ = simulate(instance, algorithm)
+    schedule = simulate(instance, algorithm)
     return evaluate_schedule(instance, schedule).total, schedule
 
 
@@ -242,7 +242,7 @@ def test_c08_parking_permit_pipeline():
     # recorded look-ahead time
     arrivals = tuple(float(t) for t in rep.request_times)
     instance = Instance(arrivals, spec)
-    schedule, _ = simulate(instance, SumMonotonePhases(spec))
+    schedule = simulate(instance, SumMonotonePhases(spec))
     batches = batches_from_acks(arrivals, schedule.ack_times)
     assert all(b.size == 1 for b in batches)
     for got, want in zip(schedule.ack_times, adapter.next_times):

@@ -62,7 +62,8 @@ class TestHardFamily:
 
     def test_ratio_equals_n(self):
         inst = gen_greedy_tau_hard(20, 1.0, 1e-3)
-        sched, trace = simulate(inst, GreedyTau(inst.model, 1.0))
+        trace = []
+        sched = simulate(inst, GreedyTau(inst.model, 1.0), trace.append)
         assert not any(ev.kind == "flush" for ev in trace)
         alg_cost = evaluate_schedule(inst, sched).total
         opt_cost, _ = dp_optimal(inst.arrivals, inst.model)
@@ -281,7 +282,7 @@ class TestTcpToPermit:
         adapter = TcpPermitAdapter(make())
         rep = run_pp_adversary(adapter, 10)
         arrivals = tuple(float(t) for t in rep.request_times)
-        sched, _ = simulate(Instance(arrivals, PIPELINE_SPEC), make())
+        sched = simulate(Instance(arrivals, PIPELINE_SPEC), make())
         assert len(sched.ack_times) == len(arrivals)
         for got, want in zip(sched.ack_times, adapter.next_times):
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, want))

@@ -54,7 +54,8 @@ def chained_timelines(rng):
 
 
 def run(instance, algorithm):
-    schedule, trace = simulate(instance, algorithm)
+    trace = []
+    schedule = simulate(instance, algorithm, trace.append)
     return schedule, trace, evaluate_schedule(instance, schedule)
 
 
@@ -341,7 +342,8 @@ class TestSumMonotonePhases:
         # budget update, buffers 1-3, the end of the phase (no event), a new
         # budget service, a promotion and the buffer after it.
         arrivals = PINNED_PHASE_ARRIVALS
-        _, trace = simulate(Instance(arrivals, linear_sum()), SumMonotonePhases(linear_sum()))
+        trace = []
+        simulate(Instance(arrivals, linear_sum()), SumMonotonePhases(linear_sum()), trace.append)
         events = [(ev.time, ev.kind, ev.detail) for ev in trace if ev.kind != "arrival"]
 
         def buffer(index, budget, serve_cost):
@@ -395,12 +397,13 @@ class TestSumMonotonePhases:
         # Twice the serve cost in a budget service, four times in a buffer
         # service, at every event; nothing stores a budget of its own.
         alg = SumMonotonePhases(linear_sum())
-        driver = SimulationDriver(alg)
+        trace = []
+        driver = SimulationDriver(alg, trace.append)
         for a in PINNED_PHASE_ARRIVALS:
             driver.deliver(a)
             assert alg.budget == 2.0 * alg.serve_cost * (1 if alg.service == 0 else 2)
         driver.finish(PINNED_PHASE_ARRIVALS[-1])
-        traced = [ev.detail for ev in driver.trace if "budget" in ev.detail]
+        traced = [ev.detail for ev in trace if "budget" in ev.detail]
         assert len(traced) > 5
         for detail in traced:
             factor = 4.0 if detail.get("service") == "buffer" else 2.0
@@ -416,7 +419,7 @@ class TestSumMonotonePhases:
     @pytest.mark.parametrize("t", [0.0, 0.25, 3.0, 1e6])
     def test_lone_permit_packet_acked_one_after_it(self, name, objective, t):
         spec = permit_plf(objective=objective)
-        sched, _ = simulate(Instance((t,), spec), make_algorithm({"alg": name}, spec))
+        sched = simulate(Instance((t,), spec), make_algorithm({"alg": name}, spec))
         assert sched.ack_times == (t + 1.0,)
 
     def test_requires_sum_objective(self):
@@ -510,7 +513,8 @@ def test_batch_acks_at_exact_crossings_at_large_offsets(policy, shift):
     grid = np.round(np.cumsum(rng.exponential(1.0, 300)) * 64) / 64
     alg = GRID_POLICIES[policy]()
     arrivals = tuple(shift + grid)
-    driver = SimulationDriver(alg)
+    trace = []
+    driver = SimulationDriver(alg, trace.append)
     commits = []
     commit = alg.commit_ack
 
@@ -522,7 +526,7 @@ def test_batch_acks_at_exact_crossings_at_large_offsets(policy, shift):
     for a in arrivals:
         driver.deliver(a)
     driver.finish(arrivals[-1])
-    batches = [ev.detail["indices"] for ev in driver.trace if ev.kind == "ack"]
+    batches = [ev.detail["indices"] for ev in trace if ev.kind == "ack"]
     planned = [
         (t, target, [arrivals[j] for j in batch])
         for (t, target, flag), batch in zip(commits, batches)

@@ -198,7 +198,7 @@ def test_lp_at_large_p(p):
     assert f_vector(spec, [0.5, 0.25]) == 0.5
     assert f_vector(spec, [0.0, 0.0]) == 0.0
     arrivals = (0.0, 0.25, 1.0, 1.1)
-    schedule, _ = simulate(Instance(arrivals, spec), GreedyBatchOblivious(spec))
+    schedule = simulate(Instance(arrivals, spec), GreedyBatchOblivious(spec))
     assert schedule.ack_times == (1.0, 3.1)
 
 

@@ -227,6 +227,31 @@ class TestRun:
             a["time"] <= b["time"] for a, b in zip(events, events[1:])
         )
 
+    def test_trace_is_written_event_by_event(self, tmp_path, capsys, monkeypatch):
+        # The run hands the driver a sink that writes each event's line as
+        # the driver makes it, to the default path when no --trace is given.
+        from acklab import cli, engine
+
+        events = []
+
+        def simulate(instance, algorithm, sink=None):
+            assert sink is not None
+
+            def both(event):
+                events.append(event)
+                sink(event)
+
+            return engine.simulate(instance, algorithm, both)
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        path = write_instance(tmp_path, [0, 0.1, 0.15, 2.0, 2.05, 5.0], {"kind": "linear_sum"})
+        code, out = run_cli(capsys, "run", "--instance", path, "--alg", '{"alg":"phases"}')
+        assert code == 0
+        trace = json.loads(out)["trace"]
+        assert trace == path + ".trace.jsonl"
+        assert len(events) > 12 and {ev.kind for ev in events} > {"arrival", "ack"}
+        assert Path(trace).read_text() == "".join(ev.to_json_line() + "\n" for ev in events)
+
     def test_phases_with_power_past_float_range(self, tmp_path, capsys):
         path = write_instance(tmp_path, OVERFLOW_ARRIVALS, SATURATED_MODEL)
         code, _ = run_cli(

@@ -134,6 +134,32 @@ class TestBatchCost:
         want = [cost(float(a), float(b), 1.5, float(c)) for a, b, c in zip(m, total, t)]
         np.testing.assert_allclose(row, want, rtol=rtol, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "spec", [linear_sum(), capped_linear(1.7e308)], ids=["linear_sum", "capped_linear"]
+    )
+    def test_arrays_match_scalars_across_the_product_overflow(self, spec):
+        # m t passes the float range above max / m; both kernels then take
+        # the wait m t - total a power of two lower, so they agree bit for
+        # bit on each side, and a wait back in range stays finite.
+        rows, cost = cost_kernel(spec, ARRAY_OPS), cost_kernel(spec)
+        top = sys.float_info.max
+        finite_past_the_edge = 0
+        for m in (2, 3, 5):
+            edge = top / m
+            ts = [edge]
+            for _ in range(16):
+                ts = [math.nextafter(ts[0], 0.0), *ts, math.nextafter(ts[-1], math.inf)]
+            ts += [edge * f for f in (1.001, 1.5, 2.0)] + [1.1e308, top]
+            for total in (0.0, 5e307, 0.5 * top, top):
+                got = rows(m, total, 0.0, np.array(ts))
+                want = [cost(m, total, 0.0, t) for t in ts]
+                assert got.tolist() == want, (m, total)
+                finite_past_the_edge += sum(
+                    math.isfinite(w) for t, w in zip(ts, want) if m * t == math.inf
+                )
+        assert finite_past_the_edge > 0
+        assert rows(2, 5e307, 0.0, np.array([1.1e308])).tolist() == [1.7e308]
+
     def test_scalars_stay_python_floats(self):
         for spec in ALL_BATCH:
             assert type(cost_kernel(spec)(2, 1.0, 0.0, 3.0)) is float
@@ -463,10 +489,28 @@ class TestDumpJson:
         assert dump_json(obj, **kwargs) == json.dumps(wire, **kwargs)
         assert dump_json(wire, **kwargs) == json.dumps(wire, **kwargs)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            "caf\u00e9 \"quoted\"\n",
+            [1, -2**80, 0.1, -0.0, 1e308, 5e-324, True, False, None],
+            (1.5, "a", [()], {}),
+            {"k\u00fc": {"nested": [{"x": [1, [2, [3]]]}]}, "": "", "b": None},
+            {1: "int key", 2.5: "float key", None: "null key", True: "bool key"},
+        ],
+    )
+    def test_one_shot_encoder_writes_what_json_dumps_writes(self, obj):
+        # Without options dump_json runs one encoder built once; a value
+        # shared twice is no cycle.
+        shared = [1.0, "x"]
+        for value in (obj, [obj, obj], {"a": shared, "b": shared}):
+            assert dump_json(value) == json.dumps(value, allow_nan=False)
+
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_rejects_other_non_finite_floats(self, value):
         with pytest.raises(ValueError):
             dump_json({"x": [value]})
+        assert dump_json({"x": [1.0]}) == '{"x": [1.0]}'
 
 
 class TestSpecValidation:

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,19 +15,29 @@ from acklab import (
     EngineError,
     GreedyTau,
     Instance,
+    Objective,
     Schedule,
     SumMonotonePhases,
     batches_from_acks,
     capped_linear,
     evaluate_schedule,
     linear_sum,
+    lp_norm,
+    make_algorithm,
+    max_wait,
+    max_wait_pow,
+    ordered_norm,
     permit_plf,
     simulate,
+    sum_vector,
+    top_k,
 )
 from acklab import engine
 from acklab.adversary import TcpPermitAdapter
+from acklab.algorithms import ALGORITHM_NAMES
 from acklab.cost import cost_kernel
 from acklab.engine import OnlineAlgorithm, SimulationDriver
+from acklab.harness import gen_bursty
 from bisection_reference import solve_threshold_time
 
 
@@ -75,7 +86,8 @@ class TestSolveThresholdTime:
 class TestSimulate:
     def test_single_packet_greedy(self):
         inst = Instance((0,), linear_sum())
-        sched, trace = simulate(inst, GreedyTau(linear_sum(), 1.0))
+        trace = []
+        sched = simulate(inst, GreedyTau(linear_sum(), 1.0), trace.append)
         assert len(sched.ack_times) == 1
         assert sched.ack_times[0] == pytest.approx(1.0, abs=1e-9)
         kinds = [ev.kind for ev in trace]
@@ -83,12 +95,13 @@ class TestSimulate:
 
     def test_empty_instance(self):
         inst = Instance((), linear_sum())
-        sched, trace = simulate(inst, GreedyTau(linear_sum(), 1.0))
+        trace = []
+        sched = simulate(inst, GreedyTau(linear_sum(), 1.0), trace.append)
         assert sched.ack_times == () and trace == []
 
     def test_greedy_three_packets(self):
         inst = Instance((0, 0.5, 3), linear_sum())
-        sched, _ = simulate(inst, GreedyTau(linear_sum(), 1.0))
+        sched = simulate(inst, GreedyTau(linear_sum(), 1.0))
         assert sched.ack_times[0] == pytest.approx(0.75, abs=1e-9)
         assert sched.ack_times[1] == pytest.approx(4.0, abs=1e-9)
         assert evaluate_schedule(inst, sched).total == pytest.approx(4.0, abs=1e-6)
@@ -99,7 +112,8 @@ class TestSimulate:
         inst = Instance(arrivals, linear_sum())
         dumps = []
         for _ in range(2):
-            sched, trace = simulate(inst, SumMonotonePhases(linear_sum()))
+            trace = []
+            sched = simulate(inst, SumMonotonePhases(linear_sum()), trace.append)
             dumps.append(
                 json.dumps(list(sched.ack_times))
                 + "\n".join(ev.to_json_line() for ev in trace)
@@ -110,11 +124,13 @@ class TestSimulate:
         rng = np.random.default_rng(2)
         arrivals = tuple(np.cumsum(rng.exponential(1.0, 20)))
         full_inst = Instance(arrivals, linear_sum())
-        _, full_trace = simulate(full_inst, GreedyTau(linear_sum(), 1.0))
+        full_trace = []
+        simulate(full_inst, GreedyTau(linear_sum(), 1.0), full_trace.append)
         for j in (5, 10, 15):
             cut = arrivals[j]  # a_{j+1} in 0-based terms
             trunc = Instance(arrivals[:j], linear_sum())
-            _, trace = simulate(trunc, GreedyTau(linear_sum(), 1.0))
+            trace = []
+            simulate(trunc, GreedyTau(linear_sum(), 1.0), trace.append)
             want = [ev.to_json_line() for ev in full_trace if ev.time < cut]
             got = [ev.to_json_line() for ev in trace if ev.time < cut]
             assert got == want
@@ -123,7 +139,8 @@ class TestSimulate:
         # capped model: the budget is unreachable, the driver must flush
         spec = capped_linear(0.25)
         inst = Instance((0.0, 1.0), spec, horizon=5.0)
-        sched, trace = simulate(inst, SumMonotonePhases(spec))
+        trace = []
+        sched = simulate(inst, SumMonotonePhases(spec), trace.append)
         assert any(ev.kind == "flush" for ev in trace)
         assert sched.ack_times[-1] == 5.0
 
@@ -187,7 +204,7 @@ class TestPlannedAckTime:
             plans.append(plan)
             t = plan + 0.3 + 0.1 * j
         fresh = GreedyTau(spec, 1.0)
-        sched, _ = simulate(Instance(tuple(arrivals), spec), fresh)
+        sched = simulate(Instance(tuple(arrivals), spec), fresh)
         assert sched.ack_times == tuple(plans)
 
     def test_second_look_ahead_is_gone(self):
@@ -199,6 +216,118 @@ class TestPlannedAckTime:
         adapter = TcpPermitAdapter(SumMonotonePhases(permit_plf()))
         adapter.on_request(1)
         assert not hasattr(adapter, "requests")
+
+
+def _accepts(name, spec):
+    try:
+        make_algorithm({"alg": name}, spec)
+    except ValueError:
+        return False
+    return True
+
+
+SINK_MODELS = (
+    linear_sum(),
+    capped_linear(1.0),
+    max_wait(Objective.SUM_BATCH),
+    max_wait(Objective.MAX_BATCH),
+    max_wait_pow(2, Objective.SUM_BATCH),
+    max_wait_pow(2, Objective.MAX_BATCH),
+    permit_plf(num_classes=32),
+    permit_plf(num_classes=32, objective=Objective.MAX_BATCH),
+    lp_norm(2.0),
+    lp_norm(math.inf),
+    top_k(3),
+    ordered_norm((3.0, 2.0, 1.0, 0.5)),
+    sum_vector(),
+)
+SINK_CASES = [
+    (name, spec) for name in ALGORITHM_NAMES for spec in SINK_MODELS if _accepts(name, spec)
+]
+
+
+# Arrivals that take phases through a budget update and its buffer services.
+PHASE_ARRIVALS = (0.0, 0.1, 0.15, 2.0, 2.05, 2.1, 5.0, 9.0, 9.5, 14.0)
+
+
+class TestSink:
+    """The trace goes to a sink if one is given; without one the driver
+    builds no event and the run is the same."""
+
+    def test_every_policy_takes_some_model(self):
+        assert {name for name, _ in SINK_CASES} == set(ALGORITHM_NAMES)
+
+    @pytest.mark.parametrize(
+        "name, spec", SINK_CASES, ids=[f"{n}-{s.kind}-{s.objective.name}" for n, s in SINK_CASES]
+    )
+    def test_sink_changes_no_ack(self, name, spec):
+        arrivals = gen_bursty(200, 1.0, 4.0, 0.01, np.random.default_rng(5))
+        instance = Instance(tuple(arrivals), spec)
+        trace = []
+        traced = simulate(instance, make_algorithm({"alg": name}, spec), trace.append)
+        plain = simulate(instance, make_algorithm({"alg": name}, spec))
+        assert plain.ack_times == traced.ack_times
+        batches = batches_from_acks(instance.arrivals, plain.ack_times)
+        assert acked_batches(trace) == [list(b.indices) for b in batches]
+
+    def test_driver_with_no_sink_leaves_emit_the_class_no_op(self):
+        policy = SumMonotonePhases(linear_sum())
+        driver = SimulationDriver(policy)
+        for a in PHASE_ARRIVALS:
+            driver.deliver(a)
+        driver.finish(PHASE_ARRIVALS[-1])
+        assert "emit" not in vars(policy)
+        assert policy.emit.__func__ is OnlineAlgorithm.emit
+
+        traced, trace = SumMonotonePhases(linear_sum()), []
+        driver = SimulationDriver(traced, trace.append)
+        for a in PHASE_ARRIVALS:
+            driver.deliver(a)
+        driver.finish(PHASE_ARRIVALS[-1])
+        assert "emit" in vars(traced)
+        assert {"service_start", "budget_update"} <= {ev.kind for ev in trace}
+
+    def test_policy_events_are_stamped_with_the_event_they_follow(self):
+        trace = []
+        simulate(Instance(PHASE_ARRIVALS, linear_sum()), SumMonotonePhases(linear_sum()),
+                 trace.append)
+        driven = ("arrival", "ack", "flush")
+        assert trace[0].kind == "arrival"
+        last = trace[0]
+        for ev in trace[1:]:
+            if ev.kind in driven:
+                last = ev
+            else:
+                assert ev.time == last.time, (ev, last)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda spec: GreedyTau(spec, 1.0), SumMonotonePhases],
+        ids=["greedy_tau", "phases"],
+    )
+    def test_run_with_no_sink_keeps_no_trace(self, make):
+        # At its peak a run holds the policy's state and the ack times: 28
+        # and 49 bytes a packet.  A kept trace costs about 580 under
+        # greedy_tau and 630 under phases.
+        n = 20000
+        spec = linear_sum()
+        instance = Instance(
+            tuple(np.cumsum(np.random.default_rng(3).exponential(1.0, n)).tolist()), spec
+        )
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            policy = make(spec)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            schedule = simulate(instance, policy)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert schedule.ack_times
+        assert peak <= 128 * n, peak / n
 
 
 class _EagerAcker(OnlineAlgorithm):
@@ -238,32 +367,37 @@ class _StalePlan(_FlushOnly):
         return self.last
 
 
-def acked_batches(driver):
-    return [ev.detail["indices"] for ev in driver.trace if ev.kind == "ack"]
+def acked_batches(trace):
+    return [ev.detail["indices"] for ev in trace if ev.kind == "ack"]
 
 
 class TestDriverOwnsThePendingPackets:
     def test_policy_with_only_the_required_methods(self):
         spec = linear_sum()
-        sched, trace = simulate(Instance((0.0, 1.0, 2.5), spec, horizon=4.0), _FlushOnly(spec))
+        trace = []
+        sched = simulate(
+            Instance((0.0, 1.0, 2.5), spec, horizon=4.0), _FlushOnly(spec), trace.append
+        )
         assert sched.ack_times == (4.0,)
         assert [ev.kind for ev in trace][-2:] == ["flush", "ack"]
         assert trace[-1].detail == {"indices": [0, 1, 2]}
 
-        driver = SimulationDriver(_FlushOnly(spec))
+        trace = []
+        driver = SimulationDriver(_FlushOnly(spec), trace.append)
         driver.deliver(0.0)
         driver.deliver(1.0)
-        assert list(driver.pending) == [0, 1] and acked_batches(driver) == []
+        assert list(driver.pending) == [0, 1] and acked_batches(trace) == []
         driver.finish(0.5)
-        assert driver.ack_times == [1.0] and acked_batches(driver) == [[0, 1]]
+        assert driver.ack_times == [1.0] and acked_batches(trace) == [[0, 1]]
         assert list(driver.pending) == []
 
     def test_ack_with_nothing_pending_rejected(self):
-        driver = SimulationDriver(_StalePlan(linear_sum()))
+        trace = []
+        driver = SimulationDriver(_StalePlan(linear_sum()), trace.append)
         driver.deliver(1.0)
         with pytest.raises(EngineError, match="served no pending packet"):
             driver.deliver(2.0)
-        assert acked_batches(driver) == [[0]]
+        assert acked_batches(trace) == [[0]]
 
     def test_policies_keep_no_packet_list(self):
         for name in ("_pending", "_register_arrival", "has_pending", "_after_ack"):
@@ -274,17 +408,19 @@ class TestDriverOwnsThePendingPackets:
         assert not hasattr(alg, "_pending")
 
 
+@pytest.mark.parametrize("traced", [True, False], ids=["sink", "no-sink"])
 @pytest.mark.parametrize("spec", [linear_sum(), permit_plf()], ids=lambda s: s.kind)
-def test_finished_run_is_freed_without_the_cycle_collector(spec):
+def test_finished_run_is_freed_without_the_cycle_collector(spec, traced):
     # Neither the driver's trace callback nor the prefix DP's step may tie
     # the policy or its table into a reference cycle.
     arrivals = tuple(np.cumsum(np.random.default_rng(0).exponential(1.0, 50)).tolist())
+    trace = []
     gc.disable()
     try:
         policy = SumMonotonePhases(spec)
         refs = weakref.ref(policy), weakref.ref(policy._table)
-        result = simulate(Instance(arrivals, spec), policy)
-        assert result[1]
+        result = simulate(Instance(arrivals, spec), policy, trace.append if traced else None)
+        assert result.ack_times and bool(trace) == traced
         del policy, result
         assert [ref() for ref in refs] == [None, None]
     finally:
@@ -294,7 +430,8 @@ def test_finished_run_is_freed_without_the_cycle_collector(spec):
 def test_arrivals_processed_before_equal_time_ack():
     spec = linear_sum()
     inst = Instance((1.0, 1.0, 1.0), spec)
-    sched, trace = simulate(inst, _EagerAcker(spec))
+    trace = []
+    sched = simulate(inst, _EagerAcker(spec), trace.append)
     # all three tied arrivals join the single ack at t=1
     assert sched.ack_times == (1.0,)
     assert [ev.kind for ev in trace] == ["arrival", "arrival", "arrival", "ack"]
@@ -335,13 +472,14 @@ class TestExactTimeOrder:
         # Acks its first packet at once and later ones 1.0 after they arrive.
         first = iter([True])
         policy = _Scripted(linear_sum(), lambda time: time if next(first, False) else time + 1.0)
-        driver = SimulationDriver(policy)
+        trace = []
+        driver = SimulationDriver(policy, trace.append)
         driver.deliver(1.0)
         driver.run_until(5.0)
         assert driver.ack_times == [1.0] and driver.now == 1.0
         with pytest.raises(EngineError, match="out of order"):
             driver.deliver(1.0)
-        assert list(driver.pending) == [] and acked_batches(driver) == [[0]]
+        assert list(driver.pending) == [] and acked_batches(trace) == [[0]]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -361,7 +499,8 @@ class TestExactTimeOrder:
             ))
 
         # Adversaries release time up to, or past, the next arrival.
-        driver = SimulationDriver(_Scripted(spec, choose, choose))
+        trace = []
+        driver = SimulationDriver(_Scripted(spec, choose, choose), trace.append)
         try:
             for a in arrivals:
                 driver.run_until(a + data.draw(st.sampled_from([0.0, 0.25, 1.0])))
@@ -371,6 +510,6 @@ class TestExactTimeOrder:
             return
         evaluate_schedule(Instance(arrivals, spec), Schedule(tuple(driver.ack_times)))
         batches = batches_from_acks(arrivals, driver.ack_times)
-        assert [list(b.indices) for b in batches] == acked_batches(driver)
-        arrived = [ev.detail["index"] for ev in driver.trace if ev.kind == "arrival"]
+        assert [list(b.indices) for b in batches] == acked_batches(trace)
+        arrived = [ev.detail["index"] for ev in trace if ev.kind == "arrival"]
         assert arrived == list(range(len(arrivals)))

@@ -266,7 +266,7 @@ class TestCriticalSuffix:
             for _ in range(20):
                 arrivals = np.cumsum(rng.exponential(1.0, int(rng.integers(2, 80))))
                 searched += longest_critical_suffix(arrivals, spec) > 0
-            sched, _ = simulate(Instance(tuple(arrivals), spec), SumMonotonePhases(spec))
+            sched = simulate(Instance(tuple(arrivals), spec), SumMonotonePhases(spec))
             assert sched.k > 0
         assert searched > 0
 

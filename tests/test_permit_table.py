@@ -95,7 +95,7 @@ def test_critical_starts_and_phases_match_the_replaying_fold(
             table.push(t)
             if i in asks:
                 starts.append(table.critical_start())
-        schedule, _ = simulate(Instance(tuple(arrivals), spec), SumMonotonePhases(spec))
+        schedule = simulate(Instance(tuple(arrivals), spec), SumMonotonePhases(spec))
         return starts, schedule.ack_times
 
     got = run()

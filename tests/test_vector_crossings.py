@@ -93,17 +93,18 @@ def test_planned_times_match_bisection_reference(spec, policy):
         for shift in (0.0, 1e6, 1e9):
             arrivals = tuple(shift + a for a in base)
             alg = factory(spec)
-            driver = engine.SimulationDriver(alg)
+            trace: list[engine.TraceEvent] = []
+            driver = engine.SimulationDriver(alg, trace.append)
             frozen: list[float] = []
             events_seen = 0
             for index, a in enumerate(arrivals):
                 driver.deliver(a)
-                for ev in driver.trace[events_seen:]:
+                for ev in trace[events_seen:]:
                     if oblivious and ev.kind == "ack":
                         frozen.extend(ev.time - arrivals[j] for j in ev.detail["indices"])
                         want = f_vector(spec, frozen)
                         assert abs(alg.baseline - want) <= tol_at(want), (family, shift)
-                events_seen = len(driver.trace)
+                events_seen = len(trace)
 
                 pending = [arrivals[j] for j in driver.pending]
                 head = frozen if oblivious else []
@@ -227,7 +228,7 @@ def test_vector_greedy_ack_reaches_its_exact_target():
     weights = (2.0, 1.0)
     spec = ordered_norm(weights)
     arrivals = tuple(1e6 + a for a in timelines(np.random.default_rng(9))["tied"])
-    schedule, _ = simulate(Instance(arrivals, spec), GreedyBatchOblivious(spec))
+    schedule = simulate(Instance(arrivals, spec), GreedyBatchOblivious(spec))
     assert schedule.ack_times[2] == 1000003.5000000001
     frozen: list[Fraction] = []
     for batch in batches_from_acks(arrivals, schedule.ack_times)[:3]:
@@ -251,7 +252,8 @@ def concave_game_branch2(n, factory):
     ell = math.isqrt(n - 1) + 1
     spec = concave_two_piece(ell, 1.0 / n ** 2, n)
     instance = Instance(tuple(float(i) for i in range(1, n + 1)), spec)
-    schedule, trace = simulate(instance, factory(spec))
+    trace: list[engine.TraceEvent] = []
+    schedule = simulate(instance, factory(spec), trace.append)
     return instance, schedule, trace
 
 
