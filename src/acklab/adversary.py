@@ -1,7 +1,8 @@
 """Lower-bound machinery.
 
 * :func:`gen_greedy_tau_hard` — the arrival family on which fixed-threshold
-  greedy pays a factor-n more than the offline optimum.
+  greedy pays a factor-n more than the offline optimum, and
+  :func:`run_greedy_tau_adversary`, which plays a policy on it.
 * :func:`run_concave_adversary` — the adaptive two-branch adversary for
   concave vector costs.
 * The permit reduction: :class:`TcpPermitAdapter` (which rounds each wait
@@ -28,8 +29,9 @@ from .cost import (
     plf_eval,
     plf_round_up,
 )
-from .engine import OnlineAlgorithm, SimulationDriver
+from .engine import OnlineAlgorithm, SimulationDriver, simulate
 from .model import Instance, Schedule, evaluate_schedule
+from .offline import dp_optimal
 
 
 class ProtocolViolation(RuntimeError):
@@ -133,6 +135,18 @@ def gen_greedy_tau_hard(n: int, tau: float, eps: float) -> Instance:
         raise ValueError("eps must satisfy 0 < eps < tau")
     arrivals = tuple(i * (tau + eps) for i in range(1, n + 1))
     return Instance(arrivals, capped_linear(tau))
+
+
+def run_greedy_tau_adversary(
+    algorithm_factory: Callable[[DelayModelSpec], OnlineAlgorithm], n: int, tau: float, eps: float
+) -> tuple[float, float]:
+    """Play a policy on :func:`gen_greedy_tau_hard`'s instance and return its
+    cost and the instance's optimum, the prefix DP's.  The family's
+    parameters are checked before the policy is built."""
+    instance = gen_greedy_tau_hard(n, tau, eps)
+    schedule = simulate(instance, algorithm_factory(instance.model))
+    alg_cost = evaluate_schedule(instance, schedule).total
+    return alg_cost, dp_optimal(instance.arrivals, instance.model)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,7 @@ class SumMonotonePhases(_ThresholdPolicy):
             self.service = 0
             self.suffix_start, self.serve_cost = start, serve
             self.emit(
+                time,
                 "service_start",
                 service="budget",
                 budget=self.budget,
@@ -203,11 +204,12 @@ class SumMonotonePhases(_ThresholdPolicy):
             if start <= self.suffix_start:
                 old = self.budget
                 self.suffix_start, self.serve_cost = start, serve
-                self.emit("budget_update", old=old, new=self.budget, serve_cost=serve)
+                self.emit(time, "budget_update", old=old, new=self.budget, serve_cost=serve)
         elif serve >= 2.0 * self.serve_cost - tol_at(2.0 * self.serve_cost):
             self.suffix_start, self.serve_cost = start, serve
             self.service = 0
             self.emit(
+                time,
                 "promotion",
                 budget=self.budget,
                 serve_cost=serve,
@@ -222,6 +224,7 @@ class SumMonotonePhases(_ThresholdPolicy):
             return
         self.service += 1
         self.emit(
+            time,
             "service_start",
             service="buffer",
             index=self.service,

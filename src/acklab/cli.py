@@ -31,7 +31,7 @@ from .harness import (
     verify_suite,
 )
 from .model import evaluate_schedule, instance_from_json
-from .offline import ORACLES, BruteForceInfeasibleError, dp_optimal, exact_optimum
+from .offline import ORACLES, BruteForceInfeasibleError, exact_optimum
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -95,11 +95,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_adversary(args: argparse.Namespace) -> int:
     alg_json = _parse_inline_json(args.alg)
     if args.kind == "greedy_tau":
-        instance = adv.gen_greedy_tau_hard(args.n, args.tau, args.eps)
-        algorithm = make_algorithm(alg_json, instance.model)
-        schedule = simulate(instance, algorithm)
-        alg_cost = evaluate_schedule(instance, schedule).total
-        opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
+        alg_cost, opt_cost = adv.run_greedy_tau_adversary(
+            lambda spec: make_algorithm(alg_json, spec), args.n, args.tau, args.eps
+        )
         report = {
             "kind": "greedy_tau",
             "n": args.n,

@@ -471,11 +471,10 @@ def _float_permit(x: float, top: int | float) -> float:
 
 
 def _array_permit(x: np.ndarray, top: int | float) -> np.ndarray:
-    # The same two probes, from base = floor(log2(x) / 2): rounding the
-    # log moves the base by at most one class, up to one whose probe pair
-    # still holds the winner.  NaN spans stay NaN.
+    # The float kernel's class rule, entry by entry: a span below 1 has
+    # e <= 0, so base 0.  NaN spans stay NaN.
     x = np.maximum(0.0, x)
-    w = np.exp2(np.minimum(np.floor(0.5 * np.log2(np.maximum(x, 1.0))), top))
+    w = np.exp2(np.minimum(np.maximum((np.frexp(x)[1] - 1) >> 1, 0), top))
     ratio = x / w
     return np.minimum((w - 1.0) + ratio, (2.0 * w - 1.0) + 0.5 * ratio)
 
@@ -570,8 +569,7 @@ def bdelay_kernel(spec: DelayModelSpec) -> Callable[[Sequence[float], float], fl
     def delay(batch_arrivals: Sequence[float], t: float) -> float:
         if len(batch_arrivals) == 0:
             return 0.0
-        last = max(batch_arrivals)
-        if not t >= last - tol_at(last):
+        if not t >= max(batch_arrivals):
             raise ValueError(f"ack time {t!r} does not follow every arrival in the batch")
         first = min(batch_arrivals)
         total = math.fsum(a - first for a in batch_arrivals)
@@ -664,12 +662,10 @@ def f_rows(spec: DelayModelSpec, delays: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros(rows)
     weights = order_weights(spec, n)
-    if weights is not None and len(weights) > 1:
+    if weights is not None:
         largest = np.sort(D, axis=1)[:, : -len(weights) - 1 : -1]
         return np.vecdot(np.ascontiguousarray(largest), weights)
     top = np.maximum.reduce(D, axis=1)
-    if weights is not None:
-        return weights[0] * top
     # lp with 1 < p < inf: _lp_divisor's rule, row by row (the rows kept
     # unscaled are divided by 1, which changes no bit).
     p, root = spec.p, 1.0 / spec.p

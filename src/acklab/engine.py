@@ -9,12 +9,11 @@ algorithm's reactions; :func:`simulate` replays a fixed instance through it.
 The driver keeps only the ack times.  Given a sink, a callable that takes
 one :class:`TraceEvent` (``events.append``, or a function that writes a
 line), it writes the trace to it as it goes: arrivals, flushes, acks with
-the indices they serve, and the policy's own events, which the policy
-reports through the :meth:`OnlineAlgorithm.emit` callback the driver hands
-it, stamped with the time of the arrival or ack they follow.  The callback
-holds the sink, not the driver, so a finished run is freed without the
-cycle collector.  With no sink the driver builds no event and leaves
-``emit`` the class's no-op.
+the indices they serve, and the policy's own events.  A policy reports
+those through :meth:`OnlineAlgorithm.emit`, passing the time of the arrival
+or ack it is handling; the driver replaces ``emit`` with a callback that
+holds only the sink, so a finished run is freed without the cycle
+collector.  With no sink ``emit`` stays the class's no-op.
 The engine solves no threshold equations and looks no further ahead than
 the policy: each policy plans its own ack time at the exact crossing of its
 cost, and :meth:`OnlineAlgorithm.planned_ack_time` is the only look-ahead.
@@ -76,34 +75,13 @@ class OnlineAlgorithm(ABC):
 
     # -- tracing -------------------------------------------------------------
 
-    def emit(self, kind: str, **detail) -> None:
-        """Report a policy event.  A :class:`SimulationDriver` with a sink
-        replaces this with a callback that writes it after the arrival or
-        ack it follows, at that time; with no sink, the event is dropped."""
+    def emit(self, time: float, kind: str, **detail) -> None:
+        """Report a policy event at ``time``, the arrival or ack being
+        handled.  A :class:`SimulationDriver` with a sink replaces this with
+        a callback that writes it; with no sink, the event is dropped."""
 
 
 Sink = Callable[[TraceEvent], None]
-
-
-class _Stamp:
-    """A sink and the time of the last event the driver wrote to it.
-
-    Called as a policy's ``emit``, it writes the policy's event at that
-    time.  It holds no reference to the driver.
-    """
-
-    __slots__ = ("sink", "time")
-
-    def __init__(self, sink: Sink):
-        self.sink = sink
-        self.time = 0.0
-
-    def write(self, time: float, kind: str, detail: dict) -> None:
-        self.time = time
-        self.sink(TraceEvent(time, kind, detail))
-
-    def __call__(self, kind: str, **detail) -> None:
-        self.sink(TraceEvent(self.time, kind, detail))
 
 
 class SimulationDriver:
@@ -124,9 +102,10 @@ class SimulationDriver:
         self.served = 0
         self.delivered = 0
         self.ack_times: list[float] = []
-        self._stamp = None
+        self._sink = sink
         if sink is not None:
-            self._stamp = algorithm.emit = _Stamp(sink)
+            # Holds the sink alone, not the driver.
+            algorithm.emit = lambda time, kind, **detail: sink(TraceEvent(time, kind, detail))
 
     @property
     def pending(self) -> range:
@@ -142,8 +121,8 @@ class SimulationDriver:
         if self.served == self.delivered:
             raise EngineError(f"ack at {t!r} served no pending packet")
         self.now = t
-        if self._stamp is not None:
-            self._stamp.write(t, "ack", {"indices": list(self.pending)})
+        if self._sink is not None:
+            self._sink(TraceEvent(t, "ack", {"indices": list(self.pending)}))
         self.served = self.delivered
         self.algorithm.commit_ack(t)
         self.ack_times.append(t)
@@ -162,8 +141,8 @@ class SimulationDriver:
             raise EngineError(f"arrival at {time!r} is out of order at {self.now!r}")
         self.run_until(time)
         self.now = time
-        if self._stamp is not None:
-            self._stamp.write(time, "arrival", {"index": self.delivered})
+        if self._sink is not None:
+            self._sink(TraceEvent(time, "arrival", {"index": self.delivered}))
         self.delivered += 1
         self.algorithm.observe_arrival(time)
 
@@ -177,8 +156,8 @@ class SimulationDriver:
         self.run_until(math.inf)
         if self.pending:
             t = max(horizon, self.now)
-            if self._stamp is not None:
-                self._stamp.write(t, "flush", {})
+            if self._sink is not None:
+                self._sink(TraceEvent(t, "flush", {}))
             self._commit(t)
 
 

@@ -343,11 +343,8 @@ def _check_roundup(seed: int) -> PropertyReport:
 
 
 def _check_greedy_hard_family(seed: int) -> PropertyReport:
-    instance = adv.gen_greedy_tau_hard(25, 1.0, 1e-3)
-    alg = make_algorithm({"alg": "greedy_tau", "tau": 1.0}, instance.model)
-    schedule = simulate(instance, alg)
-    alg_cost = evaluate_schedule(instance, schedule).total
-    opt_cost, _ = dp_optimal(instance.arrivals, instance.model)
+    greedy = partial(make_algorithm, {"alg": "greedy_tau", "tau": 1.0})
+    alg_cost, opt_cost = adv.run_greedy_tau_adversary(greedy, 25, 1.0, 1e-3)
     ratio = alg_cost / opt_cost
     return _report(abs(ratio - 25.0) <= 1e-6, f"ratio={ratio}")
 

@@ -19,9 +19,8 @@
   date only when the table is asked; with class 0 alone, ``max_wait``'s.
   It folds each packet in once: a class that joins as the span grows takes
   its row from its single blocks and a shadow row.  In the permit game
-  under ``phases`` that is 930 fold steps for 930 requests, and the game
-  takes 0.15 s, 0.61 s and 6.5 s of process time at 930, 4000 and 16000
-  requests (2-vCPU x86_64 guest, ``BENCH_28.json``).
+  under ``phases`` that is 930 fold steps for 930 requests;
+  ``BENCH_28.json`` records the game's process time.
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions,
   in NumPy chunks of cut masks with one matrix row per partition; the
   independent oracle for every objective kind (and the only exact one for
@@ -150,9 +149,8 @@ class DpTable:
             self._lines: deque[tuple[float, int]] = deque()  # (values[j] + S[j], start j)
         elif spec.kind in ("permit_plf", "max_wait"):
             # max_wait's batch delay is its span: permit class 0 alone.
-            self._classes = spec.num_classes if spec.kind == "permit_plf" else 0
             self._step = DpTable._class_step
-            self._permits = PermitSuffixTable(self._classes)
+            self._permits = PermitSuffixTable(spec.num_classes if spec.kind == "permit_plf" else 0)
             self._slopes: list[float] = []  # 2**-k per class k kept
             self._class_min: list[float] = []  # min_j values[j] - a_j * 2**-k
             self._class_arg: list[int] = []  # its first minimising start
@@ -213,7 +211,7 @@ class DpTable:
         mins, args, slopes = self._class_min, self._class_arg, self._slopes
         own = self.values[i]
         if x > self._covered:
-            top, self._covered = _permit_classes(x, self._classes)
+            top, self._covered = _permit_classes(x, self._permits.num_classes)
             values, firsts = np.frombuffer(self.values), np.frombuffer(self._firsts)
             for k in range(len(mins), top + 1):
                 slopes.append(2.0 ** -k)

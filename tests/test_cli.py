@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -251,6 +253,32 @@ class TestRun:
         assert trace == path + ".trace.jsonl"
         assert len(events) > 12 and {ev.kind for ev in events} > {"arrival", "ack"}
         assert Path(trace).read_text() == "".join(ev.to_json_line() + "\n" for ev in events)
+
+    def test_run_memory_per_packet(self, tmp_path, capsys):
+        # The whole command's tracemalloc peak under greedy_tau on
+        # linear_sum reads 143 bytes a packet.  It is reached while
+        # evaluate_schedule's Batch list (73 a packet) is alive beside the
+        # loaded instance (32) and the ack times (18).  The bound is that
+        # reading plus 25 %.
+        n = 20000
+        arrivals = np.cumsum(np.random.default_rng(1).exponential(1.0, n)).tolist()
+        path = write_instance(tmp_path, arrivals, {"kind": "linear_sum"})
+        argv = ["run", "--instance", path, "--alg", '{"alg":"greedy_tau","tau":1.0}',
+                "--trace", str(tmp_path / "t.jsonl")]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["acks"] > n // 4
+        assert peak <= 179 * n, peak / n
 
     def test_phases_with_power_past_float_range(self, tmp_path, capsys):
         path = write_instance(tmp_path, OVERFLOW_ARRIVALS, SATURATED_MODEL)

@@ -75,6 +75,16 @@ class TestBdelay:
         with pytest.raises(ValueError):
             bdelay(linear_sum(), [5], 4)
 
+    @pytest.mark.parametrize("spec", ALL_BATCH)
+    @pytest.mark.parametrize("last", [1.0, 3.5, 1e6, 1e12])
+    def test_ack_one_float_before_the_last_arrival_rejected(self, spec, last):
+        # The driver's rule, compared exactly: no tolerance below the last
+        # arrival, however far from zero it lies.
+        batch = [0.0, last / 2.0, last]
+        with pytest.raises(ValueError, match="does not follow"):
+            bdelay(spec, batch, math.nextafter(last, 0.0))
+        assert bdelay(spec, batch, last) >= 0.0
+
     @pytest.mark.parametrize(
         "batch, t", [([0.0, 1.0], math.nan), ([0.0, math.nan], 1.0), ([math.nan, 0.0], 1.0)]
     )
@@ -314,14 +324,31 @@ class TestPlf:
 
     @pytest.mark.parametrize("classes", [1, 3, 32, 600, None])
     def test_array_equals_scalar_at_class_boundaries(self, classes):
-        # Spans 4**k and 2 * 4**k (where two classes tie) and their float
-        # neighbours, where a rounded log could pick the wrong classes.
-        points = []
-        for k in range(0, 40):
-            for x in (4.0 ** k, 2.0 * 4.0 ** k):
-                points += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-        xs = np.array([0.0, 0.5] + points)
-        assert plf_eval(xs, classes).tolist() == [plf_eval(float(x), classes) for x in xs]
+        # Spans 4**k and 2 * 4**k (where two classes tie) and every power of
+        # two from the least subnormal to the largest (where the binary
+        # exponent, and with it the class base, steps), each with the three
+        # floats either side: the array and float class rules must price
+        # them bit for bit.
+        centres = [4.0 ** k for k in range(40)] + [2.0 * 4.0 ** k for k in range(40)]
+        centres += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+        points = [0.0, 0.5]
+        for x in centres:
+            lo = hi = x
+            for _ in range(3):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                points += [lo, hi]
+            points.append(x)
+        xs = np.array(points)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+        assert bits(plf_delay(xs, classes)) == bits([plf_delay(x, classes) for x in points])
+        assert bits(plf_eval(xs, classes)) == bits([plf_eval(x, classes) for x in points])
+        if classes is not None:
+            spec = permit_plf(num_classes=classes)
+            rows, price = cost_kernel(spec, ARRAY_OPS), cost_kernel(spec)
+            assert bits(rows(1, 0.0, 0.0, xs)) == bits([price(1, 0.0, 0.0, x) for x in points])
 
     def test_delay_rounds_once_per_class(self):
         # The price curve less 1, rounded once: 1 + (1 - 2**-53) rounds up

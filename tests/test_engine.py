@@ -300,6 +300,23 @@ class TestSink:
             else:
                 assert ev.time == last.time, (ev, last)
 
+    def test_policy_event_is_written_at_the_time_the_policy_passes(self):
+        # The driver keeps no clock for the policy's events: emit writes
+        # each at the time it is given.
+        assert not hasattr(engine, "_Stamp")
+        trace = []
+        simulate(Instance((1.0, 2.0), linear_sum()), _Reporting(linear_sum()), trace.append)
+        assert [(ev.time, ev.kind, ev.detail) for ev in trace] == [
+            (1.0, "arrival", {"index": 0}),
+            (1.25, "seen", {"at": 1.0}),
+            (1.5, "ack", {"indices": [0]}),
+            (1.75, "acked", {}),
+            (2.0, "arrival", {"index": 1}),
+            (2.25, "seen", {"at": 2.0}),
+            (2.5, "ack", {"indices": [1]}),
+            (2.75, "acked", {}),
+        ]
+
     @pytest.mark.parametrize(
         "make",
         [lambda spec: GreedyTau(spec, 1.0), SumMonotonePhases],
@@ -346,6 +363,27 @@ class _EagerAcker(OnlineAlgorithm):
     def commit_ack(self, time):
         super().commit_ack(time)
         self._planned = None
+
+
+class _Reporting(OnlineAlgorithm):
+    """Acks each packet half a unit after it arrives and reports its own
+    events a quarter unit after the arrival or ack it handles (test stub)."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self._planned = None
+
+    def observe_arrival(self, time):
+        self._planned = time + 0.5
+        self.emit(time + 0.25, "seen", at=time)
+
+    def planned_ack_time(self):
+        return self._planned
+
+    def commit_ack(self, time):
+        super().commit_ack(time)
+        self._planned = None
+        self.emit(time + 0.25, "acked")
 
 
 class _FlushOnly(OnlineAlgorithm):
