@@ -36,7 +36,6 @@ from .model import (
     evaluate_schedule,
     instance_from_json,
     instance_to_json,
-    validate_schedule,
 )
 from .offline import (
     BruteForceInfeasibleError,

@@ -374,4 +374,4 @@ def permits_to_tcp_schedule(
             )
         acks.append(t)
         i = bisect_right(times, t, lo=i)
-    return Schedule(tuple(float(t) for t in acks))
+    return Schedule(acks)

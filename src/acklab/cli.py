@@ -67,7 +67,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.oracle} oracle rejected: {exc}") from exc
     breakdown = evaluate_schedule(instance, schedule)
     out = breakdown.to_json()
-    out["ack_times"] = list(schedule.ack_times)
+    out["ack_times"] = schedule.ack_times
     out["oracle"] = used
     print(dump_json(out))
     return EXIT_OK
@@ -86,7 +86,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             instance, algorithm, lambda event: fh.write(event.to_json_line() + "\n")
         )
     out = evaluate_schedule(instance, schedule).to_json()
-    out["ack_times"] = list(schedule.ack_times)
+    out["ack_times"] = schedule.ack_times
     out["trace"] = trace_path
     print(dump_json(out))
     return EXIT_OK

@@ -172,4 +172,4 @@ def simulate(
     for a in instance.arrivals:
         driver.deliver(a)
     driver.finish(instance.effective_horizon)
-    return Schedule(tuple(driver.ack_times))
+    return Schedule(driver.ack_times)

@@ -5,16 +5,18 @@ Conventions used throughout the package:
 * packet indices are 0-based and refer to positions in the arrival sequence;
 * a batch is the contiguous index range ``(t_prev, t]`` induced by consecutive
   acknowledgment times, with an arrival exactly at an ack time joining that
-  ack's batch (arrivals are processed before acks at equal times);
+  ack's batch (arrivals are processed before acks at equal times); ``_walk``
+  is the one place that applies this rule;
 * all types are immutable values after construction.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cost import (
     DelayModelSpec,
@@ -25,8 +27,6 @@ from .cost import (
     model_from_json,
     model_to_json,
 )
-
-DelayVector = tuple[float, ...]
 
 
 class InvalidScheduleError(ValueError):
@@ -86,7 +86,7 @@ class Instance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Strictly increasing acknowledgment times."""
+    """Strictly increasing acknowledgment times, none of them NaN."""
 
     ack_times: tuple[float, ...]
 
@@ -95,6 +95,8 @@ class Schedule:
         ts = self.ack_times
         if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
             raise ValueError("ack times must be strictly increasing")
+        if any(math.isnan(t) for t in ts):
+            raise ValueError("ack times must not be NaN")
 
     @property
     def k(self) -> int:
@@ -136,65 +138,58 @@ class CostBreakdown:
         }
 
 
+def _walk(
+    arrivals: Sequence[float], ack_times: Sequence[float]
+) -> Iterator[tuple[int, int, float]]:
+    """Yield ``(start, stop, t)`` for each ack time ``t`` in order: the ack
+    serves ``arrivals[start:stop]``, an arrival at ``t`` included, and an
+    ack that serves no packet has ``stop == start``.  The ack times must be
+    a :class:`Schedule`'s; raises InvalidScheduleError when the last ack
+    precedes the last arrival."""
+    if len(arrivals) and (not ack_times or ack_times[-1] < arrivals[-1]):
+        raise InvalidScheduleError("last ack precedes the last arrival")
+    start = 0
+    for t in ack_times:
+        stop = bisect_right(arrivals, t, start)
+        yield start, stop, t
+        start = stop
+
+
 def batches_from_acks(
     arrivals: Sequence[float], ack_times: Sequence[float]
 ) -> list[Batch]:
     """Partition packet indices into the batches induced by the ack times.
 
     Acks that cover no packet are dropped from the result.  Rejects
-    non-increasing ack times and schedules that leave the last packet
-    uncovered.
+    non-increasing ack times (ValueError) and schedules that leave the last
+    packet uncovered (InvalidScheduleError).
     """
-    arr = list(arrivals)
-    acks = list(ack_times)
-    if any(acks[i] >= acks[i + 1] for i in range(len(acks) - 1)):
-        raise ValueError("ack times must be strictly increasing")
-    if arr and (not acks or acks[-1] < arr[-1]):
-        raise InvalidScheduleError("last ack precedes the last arrival")
-    batches: list[Batch] = []
-    start = 0
-    for t in acks:
-        stop = bisect_right(arr, t)
-        if stop > start:
-            batches.append(Batch(start, stop, float(t)))
-            start = stop
-    return batches
-
-
-def validate_schedule(instance: Instance, schedule: Schedule) -> list[Batch]:
-    """Check the schedule serves the instance; return its batches.
-
-    Every ack must serve at least one packet (an idle ack only adds cost, so
-    it is treated as a schedule bug rather than silently dropped).
-    """
-    acks = schedule.ack_times
-    batches = batches_from_acks(instance.arrivals, acks)
-    for i, t in enumerate(acks):
-        if i == len(batches) or batches[i].ack_time != t:
-            raise InvalidScheduleError(f"ack at {t!r} serves no pending packet")
-    return batches
-
-
-def _delays(arrivals: Sequence[float], batches: list[Batch]) -> DelayVector:
-    """Per-packet waiting times under the batches, in packet order."""
-    return tuple(max(0.0, b.ack_time - arrivals[j]) for b in batches for j in b.indices)
+    return [Batch(*b) for b in _walk(arrivals, Schedule(ack_times).ack_times) if b[1] > b[0]]
 
 
 def evaluate_schedule(instance: Instance, schedule: Schedule) -> CostBreakdown:
-    """Total cost of the schedule under the instance's objective."""
-    batches = validate_schedule(instance, schedule)
+    """Total cost of the schedule under the instance's objective, in one
+    walk that keeps a cost a batch (a delay a packet for vector models).
+    InvalidScheduleError if an ack is idle or a packet is left unacked."""
     spec = instance.model
-    k = len(batches)
-    if spec.objective is Objective.VECTOR:
-        delay = f_vector(spec, _delays(instance.arrivals, batches))
-    else:
-        delay_of = bdelay_kernel(spec)
-        per_batch = [delay_of(instance.arrivals[b.start : b.stop], b.ack_time) for b in batches]
-        if spec.objective is Objective.SUM_BATCH:
-            delay = float(sum(per_batch))
+    arrivals = instance.arrivals
+    vector = spec.objective is Objective.VECTOR
+    delay_of = None if vector else bdelay_kernel(spec)
+    costs = array("d")
+    for start, stop, t in _walk(arrivals, schedule.ack_times):
+        if stop == start:
+            raise InvalidScheduleError(f"ack at {t!r} serves no pending packet")
+        if vector:
+            costs.extend(max(0.0, t - a) for a in arrivals[start:stop])
         else:
-            delay = max(per_batch) if per_batch else 0.0
-    return CostBreakdown(k, float(delay), k + float(delay), spec.objective)
+            costs.append(delay_of(arrivals[start:stop], t))
+    if vector:
+        delay = f_vector(spec, costs)
+    elif spec.objective is Objective.SUM_BATCH:
+        delay = float(sum(costs))
+    else:
+        delay = max(costs, default=0.0)
+    return CostBreakdown(schedule.k, delay, schedule.k + delay, spec.objective)
 
 
 # ---------------------------------------------------------------------------

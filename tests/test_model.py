@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ import acklab.cost
 from acklab import (
     Instance,
     InvalidScheduleError,
+    Objective,
     Schedule,
     batches_from_acks,
+    bdelay,
     evaluate_schedule,
+    f_vector,
     instance_from_json,
     instance_to_json,
     linear_sum,
@@ -20,8 +25,9 @@ from acklab import (
     max_wait,
     permit_plf,
     sum_vector,
-    validate_schedule,
+    top_k,
 )
+from acklab.harness import _BATCH_MODELS, _VECTOR_MODELS
 
 
 def delay_vector_of(arrivals, schedule):
@@ -85,9 +91,19 @@ class TestEvaluateSchedule:
         assert out.total == out.ack_count + out.delay_cost
 
     def test_idle_ack_rejected(self):
-        inst = Instance((0, 3), linear_sum())
-        with pytest.raises(InvalidScheduleError):
-            validate_schedule(inst, Schedule((1, 2, 3)))
+        for spec in (linear_sum(), lp_norm(2)):
+            inst = Instance((0, 3), spec)
+            with pytest.raises(InvalidScheduleError, match="ack at 2.0 serves no pending packet"):
+                evaluate_schedule(inst, Schedule((1, 2, 3)))
+            with pytest.raises(InvalidScheduleError, match="ack at 1.0 serves no pending packet"):
+                evaluate_schedule(Instance((), spec), Schedule((1,)))
+
+    @pytest.mark.parametrize("spec", [linear_sum(), lp_norm(2)], ids=["batch", "vector"])
+    @pytest.mark.parametrize("acks", [(1,), (1, 4.5), ()])
+    def test_uncovered_packet_rejected(self, spec, acks):
+        inst = Instance((0, 5), spec)
+        with pytest.raises(InvalidScheduleError, match="last ack precedes the last arrival"):
+            evaluate_schedule(inst, Schedule(acks))
 
     def test_binds_one_kernel_per_schedule(self, monkeypatch):
         # bdelay binds its model's cost kernel on every call; a schedule
@@ -146,6 +162,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Schedule((1, 1))
 
+    @pytest.mark.parametrize("acks", [(math.nan,), (1.0, math.nan), (math.nan, 1.0)])
+    def test_schedule_rejects_nan(self, acks):
+        # A NaN ack would serve every pending packet at a vector cost of 0.
+        with pytest.raises(ValueError, match="NaN"):
+            Schedule(acks)
+        with pytest.raises(ValueError):
+            batches_from_acks([0.0, 0.5], acks)
+
 
 arrival_lists = st.lists(
     st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=12
@@ -189,6 +213,71 @@ def test_earlier_ack_never_increases_delays(arrivals):
     d_late = delay_vector_of(arrivals, late)
     d_early = delay_vector_of(arrivals, early)
     assert all(e <= l for e, l in zip(d_early, d_late))
+
+
+def served_acks(arrivals, ack_times):
+    """The ack times that serve at least one packet, found by a linear scan."""
+    served, i = [], 0
+    for t in sorted(set(ack_times)):
+        j = i
+        while j < len(arrivals) and arrivals[j] <= t:
+            j += 1
+        if j > i:
+            served.append(t)
+            i = j
+    return served
+
+
+@given(
+    arrival_lists,
+    st.lists(st.floats(min_value=0, max_value=110, allow_nan=False), max_size=12),
+    st.floats(min_value=0, max_value=10, allow_nan=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_schedule_equals_its_batches(arrivals, ack_times, slack):
+    # One walk charges exactly what the batch list and the delay vector
+    # charge: the same floats added in the same order, compared with ==.
+    schedule = Schedule(served_acks(arrivals, [*ack_times, arrivals[-1] + slack]))
+    batches = batches_from_acks(arrivals, schedule.ack_times)
+    assert len(batches) == schedule.k
+    for kind in _BATCH_MODELS:
+        for objective, combine in ((Objective.SUM_BATCH, sum), (Objective.MAX_BATCH, max)):
+            spec = dataclasses.replace(kind, objective=objective)
+            out = evaluate_schedule(Instance(arrivals, spec), schedule)
+            want = combine(bdelay(spec, arrivals[b.start : b.stop], b.ack_time) for b in batches)
+            assert (out.ack_count, out.delay_cost) == (schedule.k, float(want)), spec
+            assert out.total == out.ack_count + out.delay_cost
+    for spec in _VECTOR_MODELS:
+        out = evaluate_schedule(Instance(arrivals, spec), schedule)
+        assert out.delay_cost == f_vector(spec, delay_vector_of(arrivals, schedule)), spec
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [*((spec, 8) for spec in _BATCH_MODELS), (lp_norm(2), 32), (top_k(3), 32)],
+    ids=lambda v: getattr(v, "kind", str(v)),
+)
+def test_evaluate_schedule_memory_per_packet(spec, bound):
+    # Charging keeps one float per batch (batch kinds) or per packet (vector
+    # kinds, with f_vector's arrays), never a batch object.  The bounds are
+    # bytes a packet of the tracemalloc peak with one ack per two packets.
+    n = 20000
+    arrivals = tuple(0.5 * i for i in range(n))
+    instance = Instance(arrivals, spec)
+    schedule = Schedule(arrivals[1::2])
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = evaluate_schedule(instance, schedule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert out.ack_count == n // 2
+    assert peak <= bound * n, peak / n
 
 
 def test_instance_json_roundtrip():
