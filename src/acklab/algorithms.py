@@ -154,10 +154,11 @@ class SumMonotonePhases(_ThresholdPolicy):
     The policy pushes every arrival into one offline prefix DP
     (:class:`DpTable`), asks it for the longest critical suffix and reads
     that suffix's serve cost with :meth:`DpTable.single`.  Only
-    ``max_wait_pow`` builds block columns and rows on the way; ``max_wait``
-    is served as permit class 0, by ``permit_plf``'s class minima and
-    suffix table.  ``service`` is None between phases, 0 in a budget
-    service and 1-3 in a buffer service.
+    ``max_wait_pow`` builds block columns and rows on the way.  Under
+    ``permit_plf``, and ``max_wait`` as its class 0, the critical suffix
+    starts at the DP's last-batch start, so an arrival costs amortised
+    O(classes) however long the prefix.  ``service`` is None between
+    phases, 0 in a budget service and 1-3 in a buffer service.
     """
 
     def __init__(self, spec: DelayModelSpec):

@@ -14,13 +14,6 @@
   arrival.
 * :func:`longest_critical_suffix` — push a fixed arrival list into a fresh
   :class:`DpTable` and ask it for its longest critical suffix.
-* :class:`PermitSuffixTable` — the permit model's suffix optima kept per
-  permit class for a prefix that grows one arrival at a time, brought up to
-  date only when the table is asked; with class 0 alone, ``max_wait``'s.
-  It folds each packet in once: a class that joins as the span grows takes
-  its row from its single blocks and a shadow row.  In the permit game
-  under ``phases`` that is 930 fold steps for 930 requests;
-  ``BENCH_28.json`` records the game's process time.
 * :func:`brute_force_optimal` — enumeration over all contiguous partitions,
   in NumPy chunks of cut masks with one matrix row per partition; the
   independent oracle for every objective kind (and the only exact one for
@@ -38,9 +31,10 @@ start, which on dense arrivals run to hundreds of blocks.  The other kinds
 cost one block at a time on floats wherever the DP stores a value, reads a
 single-ack cost or, under the sum-wait kinds, scans for the critical
 suffix.  The class kinds (``permit_plf``, and ``max_wait`` as class 0)
-search with the permit suffix table instead, which works on the gaps
-between neighbouring arrivals, at any span, and test every start against
-it in one array pass.  No search keeps state for the next one.
+cost a span alone, concave and non-decreasing in it, and for such a cost
+the longest critical suffix starts at the DP's own last-batch start, so
+their search reads it off the table in O(1).  No search keeps state for
+the next one.
 """
 
 from __future__ import annotations
@@ -65,10 +59,11 @@ from .cost import (
     plf_round_up,
 )
 from .model import Schedule, check_arrivals
-from .tolerance import TOL, tol_at
+from .tolerance import tol_at
 
 
 _MASK_CHUNK = 1 << 14  # cut masks per NumPy chunk in brute_force_optimal
+_UNIT_ROUNDOFF = 2.0**-53  # the largest relative error of one float rounding
 
 
 class BruteForceInfeasibleError(ValueError):
@@ -84,11 +79,11 @@ class DpTable:
     :meth:`push` appends to: ``values`` and the arrival offsets ``a`` (minus
     the first arrival) and prefix sums ``S`` as ``array("d")``, ``choice``
     as ``array("q")``.  The loops read them as Python floats and ints; the
-    NumPy passes (the class join, the column step, the row scan and the
-    permit criticality pass) take zero-copy ``np.frombuffer`` views.  An
-    ``array`` that exports a buffer cannot grow and raises BufferError, so
-    no view may outlive the call that makes it: the row scan's generator
-    holds one until :meth:`critical_start` returns.
+    NumPy passes (the class join, the column step and the row scan) take
+    zero-copy ``np.frombuffer`` views.  An ``array`` that exports a buffer
+    cannot grow and raises BufferError, so no view may outlive the call that
+    makes it: the row scan's generator holds one until
+    :meth:`critical_start` returns.
 
     A step chooses the new arrival's last-batch start ``j`` and stores
     ``values[j] + cost(block j..i) + 1``, where ``cost`` is the model's
@@ -110,7 +105,8 @@ class DpTable:
       ``0..min(K, plf_round_up(span))``.  A class that joins as the
       span grows is filled once from the past starts.  Starts whose class
       value lies within :func:`tol_at` of the best are decided by the
-      stored formula.
+      stored formula, ties by the smaller start.  The critical-suffix
+      search reads its answer off ``choice`` (:meth:`critical_start`).
     * ``max_wait``: a block's delay is its span, permit class 0's cost, so
       the step and the critical-suffix search are ``permit_plf``'s with
       class 0 alone (K = 0).
@@ -134,12 +130,8 @@ class DpTable:
         self._sums = array("d", [0.0])  # S[0..size]
         self._firsts = array("d")  # a[0..size-1]
         self._column: np.ndarray | None = None  # the last block column (max_wait_pow)
-        self._permits = None
+        self._num_classes: int | None = None  # K of the class kinds, else None
         self._cost = cost_kernel(spec)  # cost(m, total, first, t) of one block
-        # The same, of a block array.  It serves only kinds whose cost reads
-        # the first arrival and the ack time alone (max_wait_pow, the class
-        # kinds' single acks), so callers pass 0.0 for size and arrival sum.
-        self._blocks = cost_kernel(spec, ARRAY_OPS)
         # A plain function, called with the table: a bound method stored on
         # the table would tie it into a reference cycle.
         if spec.kind in SUM_WAIT_KINDS:
@@ -150,13 +142,17 @@ class DpTable:
         elif spec.kind in ("permit_plf", "max_wait"):
             # max_wait's batch delay is its span: permit class 0 alone.
             self._step = DpTable._class_step
-            self._permits = PermitSuffixTable(spec.num_classes if spec.kind == "permit_plf" else 0)
+            self._num_classes = spec.num_classes if spec.kind == "permit_plf" else 0
             self._slopes: list[float] = []  # 2**-k per class k kept
             self._class_min: list[float] = []  # min_j values[j] - a_j * 2**-k
             self._class_arg: list[int] = []  # its first minimising start
             self._covered = -1  # largest span the classes kept serve in full
         else:
             self._step = DpTable._column_step
+            # The block kernel of an array.  max_wait_pow's cost reads the
+            # first arrival and the ack time alone, so callers pass 0.0 for
+            # size and arrival sum.
+            self._blocks = cost_kernel(spec, ARRAY_OPS)
 
     def push(self, time: float) -> None:
         """Add an arrival no earlier than the last one and fill its DP entry."""
@@ -211,7 +207,7 @@ class DpTable:
         mins, args, slopes = self._class_min, self._class_arg, self._slopes
         own = self.values[i]
         if x > self._covered:
-            top, self._covered = _permit_classes(x, self._permits.num_classes)
+            top, self._covered = _permit_classes(x, self._num_classes)
             values, firsts = np.frombuffer(self.values), np.frombuffer(self._firsts)
             for k in range(len(mins), top + 1):
                 slopes.append(2.0 ** -k)
@@ -292,34 +288,58 @@ class DpTable:
         so far: see :func:`longest_critical_suffix`.
 
         When one ack for everything is optimal, the whole prefix is the
-        critical suffix and no suffix search runs.  The class kinds
-        (``permit_plf``, and ``max_wait`` as class 0) test every start's
-        single-ack cost against their suffix table in one array pass.  The
-        other models run the pruned right-to-left scan over the suffix
+        critical suffix and no suffix search runs.  Otherwise the class
+        kinds (``permit_plf``, and ``max_wait`` as class 0) return
+        ``choice[n]``, the last-batch start of the prefix optimum, in O(1)
+        and with no NumPy work: their batch cost is a concave,
+        non-decreasing function of the batch's span alone, and for such a
+        cost the first minimising last-batch start is the longest critical
+        suffix's (:func:`longest_critical_suffix` gives the proof).
+
+        The other models run the pruned right-to-left scan over the suffix
         optima before their certified starts: the sum-wait kinds cost each
         block ``p..q`` on Python floats and keep the optima in a list, as
         long as the suffixes scanned; ``max_wait_pow`` costs each row
         ``p..n-1`` as one array, as its DP steps cost each column.  No state
         is kept between calls.
+
+        The scan stops at a start whose slack, its single-ack cost minus
+        its optimum, passes ``1 + margin``.  In exact arithmetic every
+        earlier start then has slack above ``margin``, and a start ``p`` is
+        critical at slack ``tol_at(G[p])`` or less, where ``G[p] <= G[0] =
+        opt`` since serving fewer packets never costs more; so ``margin =
+        tol_at(opt)`` covers every start.  Under the sum-wait kinds the
+        floats add their rounding to that argument, which holds as written
+        in exact arithmetic on the stored offsets and prefix sums.  With
+        ``u = 2**-53`` and ``x`` the last offset, so that every block of
+        ``m`` packets sums terms of at most ``m·x``, against that exact
+        arithmetic the single-ack costs of ``p' < p`` are off by at most
+        ``u(2nx + 2·whole)`` each, the block ``p'..p-1`` that bounds
+        ``G[p']`` by ``u(2nx + whole)``, its two sums by ``2u·opt`` and
+        each slack's subtraction by ``u·whole``.  So the float slack of ``p'`` is
+        at least that of ``p`` minus ``1 + E`` with ``E = 8u(nx + whole +
+        opt)``, where the constant 8 (against the 6, 7 and 2 counted) also
+        covers the second-order terms and the float ``G[p']`` passing
+        ``opt``, which moves its tolerance by ``TOL`` times that, for
+        ``n < 10**9``.  The sum-wait scan stops at ``1 + tol_at(opt) +
+        E``.  ``max_wait_pow``, whose NumPy power has no such bound here,
+        keeps ``tol_at(whole)``, which bounds every ``tol_at(G[p])`` too.
         """
         n = self.size
         opt = self.values[n]
         whole = self.single(0)
         if whole - opt <= tol_at(opt):
             return 0
-        if self._permits is not None:
-            G = self._permits.fold(self._firsts, n)
-            firsts = np.frombuffer(self._firsts)
-            single = self._blocks(0.0, 0.0, firsts, self._firsts[n - 1]) + 1.0
-            # Every suffix optimum pays at least one ack, so tol_at(G) is G * TOL.
-            return int(np.argmax(single - G <= G * TOL))
-        scan = self._block_optima() if self._column is None else self._row_optima()
+        if self._num_classes is not None:
+            return self.choice[n]
+        if self._column is None:
+            scan = self._block_optima()
+            margin = tol_at(opt) + 8.0 * _UNIT_ROUNDOFF * (n * self._firsts[n - 1] + whole + opt)
+        else:
+            scan, margin = self._row_optima(), tol_at(whole)
         best = next(scan)
         if best in (0, n):  # n: not even a lone packet's rounded cost is <= 2
             return 0
-        # whole bounds every G[p], so this margin dominates the criticality
-        # tolerance at every earlier start and pruning never changes the answer.
-        margin = tol_at(whole)
         for p, g in scan:
             slack = self.single(p) - g
             if slack <= tol_at(g):
@@ -356,139 +376,11 @@ def _permit_classes(span: float, num_classes: int) -> tuple[int, int | float]:
     at ``num_classes``.  They serve every span up to ``4**top``, returned
     as an exact integer (the float power overflows at ``top = 512``), or
     up to inf once ``top`` reaches the cap.  :meth:`DpTable._class_step`
-    and :meth:`PermitSuffixTable.fold` add classes only when a span passes
-    that bound, and take the new top from here.
+    adds classes only when a span passes that bound, and takes the new top
+    from here.
     """
     top = min(num_classes, plf_round_up(span))
     return top, 4**top if top < num_classes else math.inf
-
-
-class PermitSuffixTable:
-    """Suffix optima of a growing permit-model arrival prefix, kept per class.
-
-    The serve cost of a block is ``min_k (2**k + span * 2**-k)``, a minimum
-    of affine functions of the span, so the suffix DP splits per class.
-    With ``i`` the last packet folded in, ``open[k, p]`` is the cheapest cost
-    of serving packets ``p..i`` when the last block is served by class k,
-    and ``best[p] = min_k open[k, p]`` is the suffix optimum ``G[p]``.
-    Packet ``i + 1``, a gap ``g`` later, either extends that block or starts
-    a new one, one vectorized min-plus step over all starts:
-    ``open[k, p] = min(open[k, p] + g * 2**-k, best[p] + 2**k)`` and
-    ``open[k, i + 1] = 2**k``.  It works on gaps, never on absolute times,
-    so it serves every span.
-
-    The table is lazy: :meth:`DpTable.critical_start` folds in the packets
-    that arrived since it last asked, so arrivals that never ask cost nothing.
-    No class above ``top = ceil(log4 span)`` serves a block more cheaply
-    (class k wins only for spans in ``[4**k / 2, 2 * 4**k]``), so the table
-    keeps classes ``0..min(K, top)`` and folds each packet in once.  With
-    K = 0 it keeps class 0 alone, ``max_wait``'s block cost ``1 + span``.
-
-    A class j that joins as the span grows gets its row without a replay.
-    With ``a_q`` packet q's offset from the first packet, that row is
-    ``open[j, p] = 2**j + a_i 2**-j + min_q phi_j(q)`` over the starts
-    ``p <= q <= i`` of its last block, where ``phi_j(q) = G_{q-1}[p] - a_q
-    2**-j`` and ``G_{q-1}`` is the suffix optima of the prefix before
-    ``q`` (0 at ``q = p``).  While ``j > top``, a start ``q`` a gap ``g <=
-    2**j`` after packet ``q - 1`` never beats every earlier start: if the
-    optimum of ``p..q-1`` ends with a class-k block (``k <= top < j``) from
-    ``r``, then ``phi_j(q) - phi_j(r) >= 2**k - g 2**-j >= 0``.  So the
-    minimum is the single block from ``p`` or a start after a gap wider
-    than ``2**j``, and a shadow row ``S_j[p]``, the least ``phi_j(q)`` over
-    such starts, holds the second: it is made on the first gap wider than
-    ``2**j`` and lowered on each one after.  The rows already kept are
-    never recomputed.  A gap never passes the span, at most ``4**top``, so
-    at most ``top`` shadow rows exist.  Columns (starts) grow by doubling.
-    A class is a row of ``open``, so the minimum over classes runs across
-    whole rows.
-    """
-
-    def __init__(self, num_classes: int):
-        self.num_classes = num_classes
-        self.size = 0  # packets folded in
-        self.steps = 0  # min-plus steps taken: one per packet folded in
-        self._costs = np.ones((1, 1))  # 2**k of each class kept, as a column
-        self._slopes = np.ones((1, 1))  # 2**-k
-        self._open = np.zeros((1, 16))
-        self._best = np.zeros(16)
-        self._shadow = np.full((0, 16), math.inf)  # S_j for j = top + 1, top + 2, ...
-        _, self._covered = _permit_classes(0.0, num_classes)  # class 0 kept
-
-    def fold(self, arr: Sequence[float], n: int) -> np.ndarray:
-        """Fold in ``arr[size:n]`` and return the suffix optima of ``arr[:n]``.
-
-        ``arr[:size]`` must be the packets already folded in.
-        """
-        if n > self._best.size:
-            self._grow(n)
-        span = float(arr[n - 1] - arr[0])
-        if span > self._covered:
-            top, self._covered = _permit_classes(span, self.num_classes)
-            self._join(arr, top)
-        top = self._costs.size - 1
-        open_, best, costs, slopes = self._open, self._best, self._costs, self._slopes
-        # Only a gap wider than 2**(top + 1) can start a block of a class not kept.
-        wide = 2.0 ** (top + 1) if top < self.num_classes else math.inf
-        for i in range(self.size, n):
-            if i:
-                gap = arr[i] - arr[i - 1]
-                if gap > wide:
-                    self._shade(gap, arr[i] - arr[0], i)
-                head = open_[:, :i]
-                renew = best[:i] + costs
-                head += gap * slopes
-                np.minimum(head, renew, out=head)
-            open_[:, i : i + 1] = costs
-            np.minimum.reduce(open_[:, : i + 1], axis=0, out=best[: i + 1])
-        self.steps += n - self.size
-        self.size = n
-        return best[:n]
-
-    def _grow(self, n: int) -> None:
-        starts = self._best.size
-        while starts < n:
-            starts *= 2
-        grow = starts - self._best.size
-        self._open = np.concatenate((self._open, np.zeros((self._costs.size, grow))), axis=1)
-        self._best = np.concatenate((self._best, np.zeros(grow)))
-        self._shadow = np.concatenate(
-            (self._shadow, np.full((self._shadow.shape[0], grow), math.inf)), axis=1
-        )
-
-    def _shade(self, gap: float, x: float, i: int) -> None:
-        """Lower the shadow rows of the classes j not kept with ``2**j <
-        gap`` by the blocks that start at packet ``i``, at offset ``x``."""
-        m, e = math.frexp(gap)  # gap = m * 2**e with 0.5 <= m < 1
-        hi = min(self.num_classes, e - 2 if m == 0.5 else e - 1)
-        top = self._costs.size - 1
-        rows, shadow = hi - top, self._shadow
-        if rows > shadow.shape[0]:
-            more = np.full((rows - shadow.shape[0], shadow.shape[1]), math.inf)
-            shadow = self._shadow = np.concatenate((shadow, more))
-        slopes = np.exp2(-np.arange(top + 1.0, hi + 1.0))[:, None]
-        head = shadow[:rows, :i]
-        np.minimum(head, self._best[:i] - x * slopes, out=head)
-
-    def _join(self, arr: Sequence[float], top: int) -> None:
-        """Add the rows of classes ``len(costs)..top`` as of the last packet
-        folded in: each the single block from every start, or the class's
-        shadow entry where that is less."""
-        kept, i = self._costs.size, self.size
-        costs = np.exp2(np.arange(kept, top + 1.0))[:, None]
-        slopes = 1.0 / costs
-        rows = np.zeros((costs.size, self._best.size))
-        if i:
-            last = arr[i - 1]
-            head = rows[:, :i]
-            np.multiply(last - np.asarray(arr[:i], dtype=float), slopes, out=head)
-            shade = self._shadow[: costs.size, :i]
-            lift = (last - arr[0]) * slopes[: shade.shape[0]] + shade
-            np.minimum(head[: shade.shape[0]], lift, out=head[: shade.shape[0]])
-            head += costs
-        self._open = np.concatenate((self._open, rows))
-        self._costs = np.exp2(np.arange(top + 1.0))[:, None]
-        self._slopes = 1.0 / self._costs
-        self._shadow = self._shadow[costs.size :]
 
 
 def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> int:
@@ -501,17 +393,47 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
 
     A start whose single-ack cost is at most 2 is critical, since any split
     pays at least two acks.  The single-ack cost never increases with the
-    start, so every start from the first such one on is critical.  The
-    permit model, and ``max_wait`` as its class 0 alone, skip these
-    certified starts and test every start against the suffix table in one
-    vectorized pass.
+    start, so every start from the first such one on is critical.
+
+    The class kinds (``permit_plf``, and ``max_wait`` as its class 0) price
+    a batch by its span alone, with a concave price: a minimum of affine
+    functions of the span, ``1 + span`` for ``max_wait``.  For such a cost
+    the answer is ``b = choice[n]``, the first minimiser of ``V[j] +
+    single[j]`` over the last-batch starts ``j`` of the prefix DP, where
+    ``V`` is the DP's values, ``single[j] = price(a_{n-1} - a_j) + 1`` and
+    ``G[p]`` is the optimum of packets ``p..n-1`` on their own (exact
+    arithmetic):
+
+    * ``b`` is critical: ``V[n] = V[b] + single[b]``, and serving ``0..b-1``
+      and ``b..n-1`` optimally on their own gives ``V[n] <= V[b] + G[b]``,
+      so ``single[b] <= G[b]``.
+    * No start ``p < b`` is critical.  Say one were, and lay the optimum
+      that ``choice`` gives as blocks ``[b_j, e_j]``; ``p`` lies in one with
+      ``e_j < n - 1``.  Cutting ``p..n-1`` after ``e_j`` gives ``G[p] <=
+      price(a_{e_j} - a_p) + 1 + T`` with ``T = V[n] - V[e_j + 1]``, the
+      cost of the blocks after ``e_j``.  The price is concave, so
+      ``single[q] - price(a_{e_j} - a_q)`` is smallest at ``q = b_j`` over
+      the starts ``q`` of the block, and with ``single[p] <= G[p]``,
+      ``single[b_j] <= price(a_{e_j} - a_{b_j}) + G[p] - price(a_{e_j} -
+      a_p) <= V[e_j + 1] - V[b_j] + T = V[n] - V[b_j]``.
+      So ``b_j <= p < b`` is a minimiser too, against ``b`` being the
+      first one.
+
+    So the search reads ``choice[n]`` off the table in O(1).  The stop rule
+    below would not do for these kinds: a long dense run can make one ack
+    optimal for a suffix whose tail alone prefers a split, so a large slack
+    at ``p`` says nothing of earlier starts.  For ``[0.0] + [1e6 + i for i
+    in range(201)] + [1e6 + 216, 1e6 + 232]`` the longest critical suffix
+    starts at 1, which is ``choice[n]``, yet start 202's single-ack cost
+    exceeds its optimum by 6, so the stop rule would answer 203.
 
     The other models (``linear_sum``, ``capped_linear``, ``max_wait_pow``)
     find their certified starts first (the sum-wait kinds walk left from
     the last packet on floats, ``max_wait_pow`` reads its block column).
     They scan the earlier starts right to left and stop once a start ``p``
     has a single-ack slack over its optimum above 1: no earlier start
-    ``p'`` is critical then, so the stop never changes the answer.  Serving
+    ``p'`` is critical then, so the stop never changes the answer
+    (:meth:`DpTable.critical_start` gives the float margin).  Serving
     ``p'..p-1`` in one batch gives ``G[p'] <= d(p'..p-1) + 1 + G[p]``, and
     where the block delay is superadditive the single-ack cost of ``p'``
     exceeds that of ``p`` by at least ``d(p'..p-1)``.  The capped delay
@@ -522,14 +444,6 @@ def longest_critical_suffix(arrivals: Sequence[float], spec: DelayModelSpec) -> 
     * a saturated ``p'`` costs ``tau + 1`` alone, as start 0 does, and
       ``G[p'] <= G[0]`` since serving fewer packets never costs more, so its
       slack is at least start 0's: it is not critical, or no scan would run.
-
-    The permit search has no such stop.  The permit curve is concave in the
-    span, so a long dense run can make one ack optimal for a suffix whose
-    tail alone prefers a split, and a large slack at ``p`` says nothing of
-    earlier starts.  For ``[0.0] + [1e6 + i for i in range(201)] + [1e6 +
-    216, 1e6 + 232]`` the longest critical suffix starts at 1, yet start
-    202's single-ack cost exceeds its optimum by 6, so the stop rule above
-    would answer 203.
 
     The search is :meth:`DpTable.critical_start`, asked once after the whole
     list is pushed; the phase algorithm asks its own table after every

@@ -10,13 +10,15 @@ blocks ``p..q`` per start and an array of all ``n + 1`` suffix optima, as
 the library still does under ``max_wait_pow``, the only kind it costs on
 block columns and rows.  The library chooses each start from a monotone
 hull or per-class running minima, reads single-ack costs one at a time
-and, under the sum-wait kinds, scans with its float block kernel; under
-``max_wait``, permit class 0 alone, it searches with the permit class
-table, where this kernel scans rows.  The tests check its values,
-back-pointers, critical starts and serve costs against this kernel, bit
-for bit.  :func:`suffix_opt` asks a fresh table for its suffix optima: one
-row scan per start, or the permit model's class table that replays its
-prefix (:class:`permit_reference.ReplayPermitTable`).
+and, under the sum-wait kinds, scans with its float block kernel.  Under
+``permit_plf``, and ``max_wait`` as permit class 0 alone, its search reads
+the DP's last-batch start, where this kernel tests every start against
+the permit model's class table, or scans rows for ``max_wait``.  The
+tests check its values, back-pointers, critical starts and serve costs
+against this kernel, bit for bit.  :func:`suffix_opt` asks a fresh table
+for its suffix optima: one row scan per start, or the permit model's
+class table that replays its prefix
+(:class:`permit_reference.ReplayPermitTable`).
 """
 
 from __future__ import annotations

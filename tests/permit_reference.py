@@ -1,13 +1,15 @@
 """Reference permit suffix table that replays its prefix when a class joins.
 
-:class:`ReplayPermitTable` is the fold the library's
-:class:`acklab.offline.PermitSuffixTable` replaced.  It keeps classes
+:class:`ReplayPermitTable` keeps the permit model's suffix optima per class
+for a prefix that grows one arrival at a time.  It keeps classes
 ``0..min(K, ceil(log4 span) + 1)`` and, once the span outgrows its top
 class, rebuilds every row from the first packet with the larger class set,
 so every row it keeps is the gap-accumulated min-plus recurrence over the
-whole prefix.  The library folds each packet in once and fills a joining
-class's row from its single blocks and a shadow row; the tests check its
-suffix optima, critical starts and ``phases`` schedules against this table.
+whole prefix.  The library keeps no suffix table: under ``permit_plf``, and
+``max_wait`` as class 0, its critical-suffix search reads the prefix DP's
+last-batch start.  The tests check those critical starts, and the
+``phases`` schedules and permit-game purchases built on them, against the
+first start whose single-ack cost matches this table's suffix optimum.
 ``steps`` counts the packets folded, replays included.
 """
 

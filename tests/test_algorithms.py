@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from acklab import (
+    DpTable,
     GreedyBatchOblivious,
     GreedyMaxMonotone,
     GreedyTau,
@@ -239,9 +240,11 @@ class TestSumMonotonePhases:
         # Every call of a kernel bound from cost_kernel counts once, on a
         # block or on an array of them: the DP step, the critical-suffix
         # search and the pending batch's aggregate.  About 25 per arrival
-        # under linear_sum and 7 under max_wait and permit_plf, whose
-        # search costs its single acks as one array; work linear in the
-        # arrivals seen would be thousands.
+        # under linear_sum and 6 under max_wait and permit_plf, whose
+        # search prices only the whole-prefix single ack and reads its
+        # answer off the table; work linear in the arrivals seen would be
+        # thousands, and would grow from the first quarter of the arrivals
+        # to all of them.
         calls = 0
 
         def counting(spec, ops=FLOAT_OPS):
@@ -254,12 +257,34 @@ class TestSumMonotonePhases:
 
             return cost
 
+        searches, in_search = 0, 0
+        critical_start = DpTable.critical_start
+
+        def counted_search(table):
+            nonlocal searches, in_search
+            before = calls
+            start = critical_start(table)
+            searches += 1
+            in_search += calls - before
+            return start
+
         monkeypatch.setattr(acklab.cost, "cost_kernel", counting)
         monkeypatch.setattr(acklab.offline, "cost_kernel", counting)
-        n = 4000
+        monkeypatch.setattr(DpTable, "critical_start", counted_search)
+        n = 8000
         arrivals = gen_bursty(n, cluster_rate, burst_mean, intra_scale, np.random.default_rng(7))
-        simulate(Instance(arrivals, spec), SumMonotonePhases(spec))
-        assert n <= calls <= 40 * n
+        per_arrival = []
+        for m in (n // 4, n):
+            calls = searches = in_search = 0
+            simulate(Instance(arrivals[:m], spec), SumMonotonePhases(spec))
+            assert m <= calls <= 40 * m
+            assert searches == m
+            if spec.kind != "linear_sum":
+                # The whole-prefix check prices one single ack, and the
+                # search past it none.
+                assert in_search == searches
+            per_arrival.append(calls / m)
+        assert per_arrival[1] <= 1.2 * per_arrival[0], per_arrival
 
     def test_single_packet(self):
         inst = Instance((0,), linear_sum())
@@ -456,9 +481,10 @@ class TestSumMonotonePhases:
         shifted = [tuple(1e12 + a for a in arrivals) for arrivals in timelines[:4]]
         for arrivals in timelines + chained + shifted:
             alg = SumMonotonePhases(spec)
-            values = [0.0]
+            values, searched = [0.0], False
             for j, t in enumerate(arrivals):
                 start, serve = alg._critical_suffix(t)
+                searched |= start > 0
                 assert start == longest_critical_suffix(arrivals[: j + 1], spec), (arrivals, j)
                 assert serve == pytest.approx(
                     bdelay(spec, arrivals[start : j + 1], t) + 1.0, rel=1e-12
@@ -472,8 +498,8 @@ class TestSumMonotonePhases:
                     assert start == naive_critical_start(arrivals[: j + 1], spec), (arrivals, j)
             if arrivals in chained:
                 # On a chained timeline the whole-prefix shortcut fails
-                # somewhere, so the incremental permit table answered.
-                assert alg._table._permits.size > 0
+                # somewhere, so the DP's last-batch start answered.
+                assert searched
 
 
 # ---------------------------------------------------------------------------

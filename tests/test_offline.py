@@ -22,7 +22,6 @@ from acklab.algorithms import SumMonotonePhases
 from acklab.cost import FLOAT_OPS, bdelay, cost_kernel
 import acklab
 import acklab.offline as offline
-from acklab.offline import PermitSuffixTable
 from acklab.tolerance import tol_at
 from dp_reference import suffix_opt
 
@@ -252,22 +251,37 @@ class TestCriticalSuffix:
             # With tau <= 1 every start costs at most 2 and no scan runs.
             assert saturated > 0
 
-    def test_capped_search_runs_no_suffix_table(self, monkeypatch):
-        # The capped model takes the pruned row scan of linear_sum: its
-        # critical search never folds the permit model's suffix table.
-        def refuse(table, arr, n):
-            raise AssertionError("permit suffix table folded for a capped search")
+    def test_only_the_sum_wait_kinds_scan(self, monkeypatch):
+        # The capped model takes the pruned block scan of linear_sum; the
+        # class kinds read choice[n] and never scan, on blocks or on rows.
+        scans = []
+        block_optima = DpTable._block_optima
 
-        monkeypatch.setattr(PermitSuffixTable, "fold", refuse)
+        def counted(table):
+            scans.append(table.spec.kind)
+            return block_optima(table)
+
+        def refuse(table):
+            raise AssertionError("row scan run for a class kind")
+
+        monkeypatch.setattr(DpTable, "_block_optima", counted)
+        monkeypatch.setattr(DpTable, "_row_optima", refuse)
         rng = np.random.default_rng(11)
         searched = 0
-        for tau in (0.5, 3.0, 10.0, 50.0):
-            spec = capped_linear(tau)
+        for spec in (
+            capped_linear(3.0),
+            capped_linear(10.0),
+            capped_linear(50.0),
+            permit_plf(num_classes=3),
+            max_wait(Objective.SUM_BATCH),
+        ):
+            scans.clear()
             for _ in range(20):
                 arrivals = np.cumsum(rng.exponential(1.0, int(rng.integers(2, 80))))
                 searched += longest_critical_suffix(arrivals, spec) > 0
             sched = simulate(Instance(tuple(arrivals), spec), SumMonotonePhases(spec))
             assert sched.k > 0
+            assert bool(scans) == (spec.kind == "capped_linear"), spec.kind
         assert searched > 0
 
     def test_permit_prefix_crossing_the_switch(self):
@@ -287,6 +301,7 @@ class TestCriticalSuffix:
         # A dense run of 201 packets after a lone one, then two packets 16
         # apart.  One ack serves packets 1.. optimally, though the tail 202..
         # alone prefers a split: its single-ack cost exceeds its optimum by 6.
+        # The answer is the DP's last-batch start, which the search reads.
         spec = permit_plf()
         arrivals = [0.0] + [1e6 + i for i in range(201)] + [1e6 + 216, 1e6 + 232]
 
@@ -294,7 +309,10 @@ class TestCriticalSuffix:
             single = bdelay(spec, arrivals[p:], arrivals[-1]) + 1.0
             return single - dp_optimal(arrivals[p:], spec)[0]
 
-        assert longest_critical_suffix(arrivals, spec) == 1
+        table = DpTable(spec)
+        for t in arrivals:
+            table.push(t)
+        assert longest_critical_suffix(arrivals, spec) == table.choice[table.size] == 1
         assert slack(1) == 0.0
         # The search starts below 203, the first start whose single-ack cost
         # is at most 2, and linear_sum's stop rule (slack above 1) would end
@@ -318,27 +336,31 @@ class TestCriticalSuffix:
                 )
 
 
-class TestPermitSuffixTable:
+class TestClassKindSearch:
     @pytest.mark.parametrize("num_classes", [1, 3, 32, 600])
-    def test_matches_suffix_kernel(self, num_classes):
-        # Folding in a few arrivals at a time, as the phase algorithm does
-        # when it asks only now and then, gives the scalar reference's
-        # optima, also across the joins that add a class.
+    def test_matches_naive_search_while_growing(self, num_classes):
+        # Asking a growing table a few arrivals apart, as the phase
+        # algorithm's table is asked after every arrival, gives the scalar
+        # reference's critical start, also across the pushes that add a
+        # class.
         rng = np.random.default_rng(9)
         spec = permit_plf(num_classes=num_classes)
         timelines = [geometric_timeline(rng, 1e7, integer=i % 2 == 0) for i in range(4)]
         timelines.append(np.sort(np.repeat(rng.uniform(0, 50, 30), 2)))  # tied arrivals
         timelines.append(np.cumsum(rng.exponential(1.0, 120)))
+        searched = 0
         for arrivals in timelines:
-            arrivals = np.asarray(arrivals, dtype=float)
-            table = PermitSuffixTable(num_classes)
-            n = 0
-            while n < arrivals.size:
-                n = min(arrivals.size, n + int(rng.integers(1, 6)))
-                got = table.fold(arrivals, n)
-                want = naive_suffix(arrivals[:n], spec)[:n]
-                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (arrivals, n)
-            assert table.size == arrivals.size
+            arrivals = np.asarray(arrivals, dtype=float).tolist()
+            table = DpTable(spec)
+            ask = 0
+            for n, t in enumerate(arrivals, 1):
+                table.push(t)
+                if n == ask or n == len(arrivals):
+                    start = table.critical_start()
+                    assert start == naive_critical_start(arrivals[:n], spec), (arrivals, n)
+                    searched += start > 0
+                    ask = n + int(rng.integers(1, 6))
+        assert searched > 0
 
 
 class TestBruteForce:
